@@ -17,6 +17,7 @@ from flowrl.model import (
     FlowRule,
     FlowTable,
     ThresholdConfig,
+    placement_landscape,
     select_rules,
 )
 from flowrl.traffic import (
@@ -34,7 +35,6 @@ from flowrl.simnet import (
     EpisodeMetrics,
     NoLookups,
     RulesetTooLarge,
-    SimEvent,
     ZeroInitial,
     compute_reward,
     hit_ratio,
@@ -71,8 +71,6 @@ from flowrl.dqn import (
     init_mlp,
     mlp_forward,
     relu,
-    replay_sample,
-    replay_store,
     sgd_step,
 )
 from flowrl.baselines import (

@@ -115,11 +115,8 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
         batch = packets_for_tick(schedule, tick)
         mbf_step(mbf_cfg, {fid for fid, _ in batch}, tick)
         for fid, count in batch:
-            rule = table.entries.get(fid)
-            if rule is not None:
+            if fid in table.entries:
                 hits += count
-                rule.match_count += count
-                rule.last_match_time = tick
                 continue
             misses += 1
             if table.max_entries == 0:
@@ -133,12 +130,8 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
                     key=lambda r: (mbf_importance(mbf_cfg, r.id), r.install_time, r.id),
                 )
                 table.remove(victim.id)
-            rule = FlowRule(id=fid, install_time=tick)
-            table.insert(rule)
-            if count > 1:
-                hits += count - 1
-                rule.match_count = count - 1
-                rule.last_match_time = tick
+            table.insert(FlowRule(id=fid, install_time=tick))
+            hits += count - 1
 
     return EpisodeMetrics(
         overhead=misses,

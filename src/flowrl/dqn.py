@@ -168,14 +168,6 @@ class ReplayMemory:
         return [self.buffer[int(i)] for i in idx]
 
 
-def replay_store(mem, e):
-    return mem.store(e)
-
-
-def replay_sample(mem, n, rng):
-    return mem.sample(n, rng)
-
-
 def relu(x):
     """max(0, x), element-wise on arrays."""
     return np.maximum(0.0, x)

@@ -1,6 +1,6 @@
 # harness.py -- experiment plumbing: flat key=value configs, the
 # desk-scale reference workload, the production-phase evaluation schedule,
-# the memoized episode environment, the five run modes (ql, dqn, mbf,
+# the closed-form episode environment, the five run modes (ql, dqn, mbf,
 # oracle, significance), and CSV/summary report emission.
 
 import dataclasses
@@ -15,14 +15,17 @@ from flowrl.baselines import (
     run_mbf_episode,
 )
 from flowrl.dqn import DqnConfig, ReplayMemory, dqn_train, init_mlp
-from flowrl.model import FlowTable, ThresholdConfig, select_rules
+# select_rules and run_episode stay bound: bench/layers.py traces them by name here
+from flowrl.model import (  # noqa: F401
+    GRID_STEP, FlowTable, ThresholdConfig, placement_landscape, select_rules,
+)
 from flowrl.qlearn import (
     AgentConfig,
     _trace_row,
     init_qtable,
     q_train,
 )
-from flowrl.simnet import run_episode, run_orchestration
+from flowrl.simnet import EpisodeMetrics, run_episode, run_orchestration  # noqa: F401
 from flowrl.traffic import (
     FlowSchedule,
     FlowSpec,
@@ -252,13 +255,28 @@ def build_eval_schedule(schedule, window, replay_lag):
     )
 
 
-class EpisodeEnv:
-    """Maps thresholds to episode metrics, memoized.
+def _episode_packets(schedule):
+    """Each flow's packets in [0, horizon): a flow emits min(total,
+    (horizon - start) * rate) of its total packets before the horizon,
+    summed over the flow's entries in the schedule."""
+    rate = schedule.profile.packets_per_tick()
+    packets = {}
+    for f in schedule.flows:
+        total = total_packets(f.size, schedule.profile.packet_size)
+        emitted = min(total, max(0, schedule.horizon - f.start) * rate)
+        packets[f.id] = packets.get(f.id, 0) + emitted
+    return packets
 
-    One production episode preinstalls select_rules(pool, thresholds) into
-    a fresh table and evaluates the fixed placement against the evaluation
-    schedule; identical thresholds always yield identical metrics, so
-    results are cached per threshold pair.
+
+class EpisodeEnv:
+    """Maps thresholds to episode metrics.
+
+    One production episode preinstalls select_rules(pool, thresholds) and
+    evaluates the fixed placement against the evaluation schedule up to
+    its horizon. The rules never change during the episode, so its metrics
+    are a pure function of the thresholds: the first run computes all
+    651 cells with placement_landscape, and every run reads one cell, so
+    identical thresholds return the identical metrics object.
     """
 
     def __init__(self, pool, eval_schedule, capacity_bits, window_close,
@@ -268,28 +286,25 @@ class EpisodeEnv:
         self.capacity_bits = capacity_bits
         self.window_close = window_close
         self.param_mode = param_mode
-        self.cache = {}
+        self._cells = None
 
     def run(self, thresholds):
-        key = (thresholds.freq_threshold, thresholds.recentness_threshold)
-        metrics = self.cache.get(key)
-        if metrics is None:
-            ruleset = select_rules(
-                self.pool,
-                thresholds,
-                self.capacity_bits,
-                self.window_close,
-                self.param_mode,
-            )
-            table = FlowTable(self.capacity_bits)
-            metrics = run_episode(
-                ruleset,
-                self.eval_schedule,
-                table,
-                duration=self.eval_schedule.horizon,
-            )
-            self.cache[key] = metrics
-        return metrics
+        if self._cells is None:
+            packets = _episode_packets(self.eval_schedule)
+            total = sum(packets.values())
+            hits = placement_landscape(self.pool, packets, self.capacity_bits,
+                                       self.window_close, self.param_mode)
+            # cells with equal hits have equal metrics and share one object
+            horizon = self.eval_schedule.horizon
+            metrics = {
+                h: EpisodeMetrics(overhead=total - h, hits=h, misses=total - h,
+                                  total_lookups=total, duration=horizon)
+                for h in np.unique(hits).tolist()
+            }
+            self._cells = [[metrics[h] for h in row] for row in hits.tolist()]
+        return self._cells[thresholds.freq_threshold // GRID_STEP][
+            thresholds.recentness_threshold // GRID_STEP
+        ]
 
 
 @dataclass
@@ -421,11 +436,7 @@ def _run_dqn(cfg, env, rng_streams, load_policy=None):
 def _oracle_instance(pool, eval_schedule, capacity_bits):
     """t_i = the flow's packet count in the evaluation episode (0 for pool
     flows that never reappear), s_i = one table entry, in FlowId order."""
-    packets = {}
-    for f in eval_schedule.flows:
-        packets[f.id] = packets.get(f.id, 0) + total_packets(
-            f.size, eval_schedule.profile.packet_size
-        )
+    packets = _episode_packets(eval_schedule)
     order = sorted(pool.records)
     rules = tuple((packets.get(fid, 0), 356) for fid in order)
     return IlpInstance(rules=rules, capacity=capacity_bits), order

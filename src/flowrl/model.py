@@ -1,7 +1,10 @@
 # model.py -- flow identities, forwarding rules, the capacity-bounded flow
-# table, the observed flow pool, and threshold-based rule selection.
+# table, the observed flow pool, threshold-based rule selection, and the
+# closed-form placement landscape over the threshold grid.
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 # A flow entry occupies a fixed number of TCAM bits.
 ENTRY_BITS = 356
@@ -57,17 +60,11 @@ class FlowId:
 
 @dataclass
 class FlowRule:
-    """A forwarding rule with usage counters.
-
-    size_bits is constant; match_count only grows; last_match_time tracks
-    the most recent hit (meaningful once match_count > 0).
-    """
+    """A forwarding rule; size_bits is constant."""
 
     id: FlowId
     install_time: int
     size_bits: int = ENTRY_BITS
-    match_count: int = 0
-    last_match_time: int = 0
 
     def __post_init__(self):
         if self.size_bits != ENTRY_BITS:
@@ -108,16 +105,6 @@ class FlowTable:
 
     def remove(self, flow_id):
         del self.entries[flow_id]
-
-    def lookup(self, flow_id, now):
-        """Look up a packet's flow. Returns True on hit (counters updated),
-        False on miss (table unchanged)."""
-        rule = self.entries.get(flow_id)
-        if rule is None:
-            return False
-        rule.match_count += 1
-        rule.last_match_time = now
-        return True
 
     def __contains__(self, flow_id):
         return flow_id in self.entries
@@ -237,3 +224,37 @@ def select_rules(pool, thresholds, capacity_bits, window_close, param_mode="both
         eligible.sort(key=lambda item: (-item[1], item[2], item[0]))
         eligible = eligible[:limit]
     return sorted(fid for fid, _, _ in eligible)
+
+
+def placement_landscape(pool, packets, capacity_bits, window_close, param_mode="both"):
+    """Hit packets of every grid cell's placement, in one numpy pass.
+
+    packets maps a FlowId to its packets in the episode (absent flows
+    count 0). Cell [f // GRID_STEP, r // GRID_STEP] of the returned int64
+    array sums the packets of the flows select_rules places for (f, r):
+    the pool is ranked once in that function's order, and each frequency
+    row cuts the eligible flows of all recentness columns with one cumsum.
+    """
+    if param_mode not in ("both", "freq_only", "recentness_only"):
+        raise ValueError("unknown param_mode %r" % (param_mode,))
+    # FlowId order is its field order; proto is "tcp" for every flow
+    freq, last_seen, *ids, flow_packets = np.array(
+        [(r.freq, r.last_seen, f.src_host, f.dst_host, f.src_port, f.dst_port,
+          packets.get(f, 0)) for f, r in pool.records.items()],
+        np.int64,
+    ).reshape(len(pool.records), 7).T
+    if (last_seen > window_close).any():
+        raise ValueError("window_close precedes a pool record")
+    recentness = window_close - last_seen
+    rank = np.lexsort((*ids[::-1], recentness, -freq))
+    freq, recentness, flow_packets = freq[rank], recentness[rank], flow_packets[rank]
+
+    limit = capacity_bits // ENTRY_BITS
+    use_freq = param_mode != "recentness_only"
+    by_rec = (recentness <= np.array(REC_GRID)[:, None]) & (param_mode != "freq_only")
+    hits = np.empty((len(FREQ_GRID), len(REC_GRID)), np.int64)
+    for i, f in enumerate(FREQ_GRID):
+        eligible = by_rec | (freq >= f) if use_freq else by_rec
+        placed = eligible & (eligible.cumsum(axis=1, dtype=np.int32) <= limit)
+        hits[i] = placed @ flow_packets
+    return hits

@@ -2,7 +2,7 @@
 # pool building, production-phase episodes over a fixed preinstalled
 # ruleset, overhead accounting, and reward computation.
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from flowrl.model import ENTRY_BITS, FlowPool, FlowRule, FlowTable
 from flowrl.traffic import emission_extent, packets_for_tick
@@ -18,22 +18,6 @@ class ZeroInitial(Exception):
 
 class NoLookups(Exception):
     """hit_ratio needs at least one lookup."""
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    """Controller-visible event. PacketIn carries the missing flow's id;
-    ConnectionUp opens a run and ConnectionDown closes it."""
-
-    kind: str  # "ConnectionUp" | "ConnectionDown" | "PacketIn"
-    time: int
-    flow: object = None
-
-    def __post_init__(self):
-        if self.kind not in ("ConnectionUp", "ConnectionDown", "PacketIn"):
-            raise ValueError("unknown event kind %r" % (self.kind,))
-        if self.kind == "PacketIn" and self.flow is None:
-            raise ValueError("PacketIn must carry a FlowId")
 
 
 @dataclass
@@ -82,7 +66,7 @@ def run_orchestration(schedule, window):
     return pool
 
 
-def run_episode(ruleset, schedule, table, duration=None, events=None):
+def run_episode(ruleset, schedule, table, duration=None):
     """Evaluate a fixed rule placement against a schedule.
 
     The ruleset is preinstalled before traffic starts; each packet lookup
@@ -91,8 +75,8 @@ def run_episode(ruleset, schedule, table, duration=None, events=None):
     are aggregated per (flow, tick); because the table never changes during
     the episode, the counts equal per-packet processing.
 
-    duration defaults to the schedule's full drain extent. If `events` is a
-    list, ConnectionUp/PacketIn/ConnectionDown events are appended to it.
+    duration defaults to the schedule's full drain extent. This packet-level
+    replay is the reference for the closed-form placement_landscape.
     """
     if len(ruleset) * ENTRY_BITS > table.capacity_bits:
         raise RulesetTooLarge(
@@ -104,25 +88,15 @@ def run_episode(ruleset, schedule, table, duration=None, events=None):
 
     for fid in ruleset:
         table.insert(FlowRule(id=fid, install_time=0))
-    if events is not None:
-        events.append(SimEvent("ConnectionUp", 0))
 
     hits = 0
     misses = 0
     for tick in range(duration):
         for fid, count in packets_for_tick(schedule, tick):
-            rule = table.entries.get(fid)
-            if rule is not None:
-                # count consecutive per-packet hits at once
+            if fid in table.entries:
                 hits += count
-                rule.match_count += count
-                rule.last_match_time = tick
             else:
                 misses += count
-                if events is not None:
-                    events.append(SimEvent("PacketIn", tick, fid))
-    if events is not None:
-        events.append(SimEvent("ConnectionDown", duration))
 
     return EpisodeMetrics(
         overhead=misses,

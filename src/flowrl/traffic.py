@@ -37,8 +37,8 @@ class TrafficProfile:
             if getattr(self, name) <= 0:
                 raise InvalidProfile("%s must be positive" % name)
         for name in ("aggregate_rate", "per_flow_rate"):
-            if getattr(self, name) <= 0:
-                raise InvalidProfile("%s must be positive" % name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidProfile("%s must be positive and finite" % name)
         if self.packets_per_tick() < 1:
             raise InvalidProfile(
                 "per_flow_rate rounds to zero packets per tick; flows could never emit"

@@ -17,8 +17,6 @@ from flowrl.dqn import (
     init_mlp,
     mlp_forward,
     relu,
-    replay_sample,
-    replay_store,
     sgd_step,
 )
 from flowrl.model import ThresholdConfig
@@ -303,14 +301,6 @@ class TestReplayMemory:
             counts[mem.sample(1, rng)[0].r] += 1
         assert counts.min() >= 55
         assert counts.max() <= 145
-
-    def test_module_level_aliases(self, rng):
-        mem = ReplayMemory(capacity=10)
-        replay_store(mem, self._exp(1))
-        replay_store(mem, self._exp(2))
-        assert len(mem) == 2
-        out = replay_sample(mem, 2, rng)
-        assert {e.r for e in out} == {1, 2}
 
 
 class TestDqnTrain:

@@ -38,24 +38,6 @@ class TestFlowId:
 
 
 class TestFlowTable:
-    def test_insert_then_lookup_hits_and_updates_counters(self):
-        t = FlowTable(2 * ENTRY_BITS)
-        t.insert(FlowRule(id=fid(1), install_time=0))
-        assert t.lookup(fid(1), now=5) is True
-        assert t.entries[fid(1)].match_count == 1
-        assert t.entries[fid(1)].last_match_time == 5
-
-    def test_lookup_absent_misses_without_installing(self):
-        t = FlowTable(2 * ENTRY_BITS)
-        t.insert(FlowRule(id=fid(1), install_time=0))
-        assert t.lookup(fid(2), now=5) is False
-        assert fid(2) not in t
-        assert len(t) == 1
-
-    def test_empty_table_misses(self):
-        t = FlowTable(ENTRY_BITS)
-        assert t.lookup(fid(1), now=0) is False
-
     def test_duplicate_insert_rejected(self):
         t = FlowTable(2 * ENTRY_BITS)
         t.insert(FlowRule(id=fid(1), install_time=0))

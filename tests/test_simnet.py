@@ -7,7 +7,6 @@ from flowrl.simnet import (
     EpisodeMetrics,
     NoLookups,
     RulesetTooLarge,
-    SimEvent,
     ZeroInitial,
     compute_reward,
     hit_ratio,
@@ -17,17 +16,6 @@ from flowrl.simnet import (
 )
 from flowrl.traffic import TrafficProfile, generate_schedule, packets_for_tick
 from conftest import fid, hand_schedule
-
-
-class TestSimEvent:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SimEvent("FlowRemoved", 0)
-
-    def test_packet_in_requires_flow(self):
-        with pytest.raises(ValueError):
-            SimEvent("PacketIn", 3)
-        SimEvent("PacketIn", 3, fid(1))  # ok
 
 
 class TestEpisodeMetrics:
@@ -110,30 +98,11 @@ class TestRunEpisode:
         assert metrics.total_lookups == 5
         assert metrics.duration == 4  # drain extent: B finishes on tick 3
 
-    def test_event_stream_order(self):
-        sched = self._two_flow()
-        events = []
-        run_episode([fid(1)], sched, FlowTable(ENTRY_BITS), events=events)
-        assert events == [
-            SimEvent("ConnectionUp", 0),
-            SimEvent("PacketIn", 1, fid(2)),
-            SimEvent("PacketIn", 2, fid(2)),
-            SimEvent("PacketIn", 3, fid(2)),
-            SimEvent("ConnectionDown", 4),
-        ]
-
     def test_miss_does_not_install(self):
         sched = self._two_flow()
         table = FlowTable(10 * ENTRY_BITS)
         run_episode([fid(1)], sched, table)
         assert fid(2) not in table.entries  # misses never install mid-episode
-
-    def test_table_counters_updated(self):
-        sched = self._two_flow()
-        table = FlowTable(2 * ENTRY_BITS)
-        run_episode([fid(1)], sched, table)
-        assert table.entries[fid(1)].match_count == 2
-        assert table.entries[fid(1)].last_match_time == 1
 
     def test_ruleset_too_large(self):
         sched = self._two_flow()

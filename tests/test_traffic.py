@@ -35,6 +35,13 @@ class TestTrafficProfile:
         with pytest.raises(InvalidProfile):
             TrafficProfile(**{field: -1}).validate()
 
+    @pytest.mark.parametrize("field", ["aggregate_rate", "per_flow_rate"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_rates_rejected(self, field, value):
+        # never generate a schedule here: an infinite rate never advances time
+        with pytest.raises(InvalidProfile, match=field):
+            TrafficProfile(**{field: value}).validate()
+
     def test_sub_packet_rate_rejected(self):
         # 1000 bits/s over 1500-byte packets rounds to 0 packets per tick
         with pytest.raises(InvalidProfile):
