@@ -47,6 +47,7 @@ from flowrl.qlearn import (
     Action,
     AgentConfig,
     EmptyTrainingSets,
+    MalformedQTable,
     QTable,
     TraceRow,
     TrainResult,

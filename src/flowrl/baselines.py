@@ -32,7 +32,8 @@ class MbfState:
     """k aged bloom filters, newest first, with power-of-two importance
     weights. Membership positions come from double hashing (two keyed
     64-bit hashes; the stride is forced odd so all h probes are distinct
-    for power-of-two m).
+    for power-of-two m). The positions depend only on the flow id, seed,
+    m and h, so each flow is hashed once per state.
     """
 
     def __init__(self, k=4, m=4096, h=3, weights=(8, 4, 2, 1), window=5, seed=0):
@@ -53,12 +54,17 @@ class MbfState:
         self.filters = [np.zeros(m, dtype=bool) for _ in range(k)]
         self._key1 = ("mbf1-%d" % seed).encode()
         self._key2 = ("mbf2-%d" % seed).encode()
+        self._probes = {}
 
     def _positions(self, flow_id):
-        data = flow_id.text().encode()
-        h1 = _hash64(data, self._key1)
-        h2 = _hash64(data, self._key2) | 1
-        return [(h1 + i * h2) % self.m for i in range(self.h)]
+        positions = self._probes.get(flow_id)
+        if positions is None:
+            data = flow_id.text().encode()
+            h1 = _hash64(data, self._key1)
+            h2 = _hash64(data, self._key2) | 1
+            positions = [(h1 + i * h2) % self.m for i in range(self.h)]
+            self._probes[flow_id] = positions
+        return positions
 
     def insert(self, flow_id):
         """Record the flow in the newest filter."""
@@ -77,10 +83,11 @@ class MbfState:
 
 def mbf_step(state, matched_flows, tick):
     """Advance the filter bank one tick: age at each window boundary, then
-    insert every flow matched during this tick into the newest filter."""
+    insert every flow matched during this tick into the newest filter
+    (setting bits is an OR, so the order of insertion cannot matter)."""
     if tick % state.window == 0:
         state.age()
-    for fid in sorted(matched_flows):
+    for fid in matched_flows:
         state.insert(fid)
     return state
 
@@ -103,6 +110,10 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
     Packets are processed in schedule order with each flow's per-tick
     packets contiguous, so after a flow's first miss its remaining packets
     of that tick hit. Metrics use the same accounting as run_episode.
+
+    The filters change only in mbf_step, so a resident's importance holds
+    for the rest of its tick: each resident is scored at most once per
+    tick, however many misses the tick has.
     """
     if mbf_cfg is None:
         mbf_cfg = MbfState()
@@ -114,6 +125,14 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
     for tick in range(duration):
         batch = packets_for_tick(schedule, tick)
         mbf_step(mbf_cfg, {fid for fid, _ in batch}, tick)
+        scores = {}
+
+        def victim_key(rule):
+            score = scores.get(rule.id)
+            if score is None:
+                score = scores[rule.id] = mbf_importance(mbf_cfg, rule.id)
+            return (score, rule.install_time, rule.id)
+
         for fid, count in batch:
             if fid in table.entries:
                 hits += count
@@ -125,10 +144,7 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
                 misses += count - 1
                 continue
             if len(table) >= table.max_entries:
-                victim = min(
-                    table.entries.values(),
-                    key=lambda r: (mbf_importance(mbf_cfg, r.id), r.install_time, r.id),
-                )
+                victim = min(table.entries.values(), key=victim_key)
                 table.remove(victim.id)
             table.insert(FlowRule(id=fid, install_time=tick))
             hits += count - 1

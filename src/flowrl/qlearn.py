@@ -3,6 +3,7 @@
 # initialization (random or from training runs), persistence, and the
 # goal-driven training loop.
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -28,6 +29,11 @@ N_ACTIONS = len(ACTIONS)
 
 class EmptyTrainingSets(Exception):
     """from_training initialization needs at least one training set."""
+
+
+class MalformedQTable(Exception):
+    """A Q-table file that QTable.load rejects; the message starts with
+    the number of the offending line."""
 
 
 @dataclass
@@ -111,18 +117,74 @@ class QTable:
 
     @staticmethod
     def load(path):
-        q = QTable()
-        names = {a.name: a for a in ACTIONS}
+        """Read a file in the format save writes, bit-exact.
+
+        Raises MalformedQTable, naming the line, for a line without four
+        fields, a threshold that is not a non-negative integer on the grid,
+        an unknown action name, a cell given twice or a non-finite value,
+        and (naming the last line) for a file that leaves any of the
+        21 x 31 x 5 cells unset. Blank lines are skipped.
+        """
+        shape = (len(FREQ_GRID), len(REC_GRID), N_ACTIONS)
+        freq_index = {str(f): i for i, f in enumerate(FREQ_GRID)}
+        rec_index = {str(r): i for i, r in enumerate(REC_GRID)}
+        action_index = {a.name: int(a) for a in ACTIONS}
+        cells = [None] * (shape[0] * shape[1] * shape[2])
+        lineno = 0
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                f, r, name, value = line.split(",")
-                q.values[int(f) // GRID_STEP, int(r) // GRID_STEP, int(names[name])] = (
-                    float(value)
-                )
-        return q
+                fields = line.split(",")
+                if len(fields) != 4:
+                    raise MalformedQTable(
+                        "line %d: expected 4 fields, got %d" % (lineno, len(fields))
+                    )
+                f, r, name, value = fields
+                fi = freq_index.get(f)
+                if fi is None:
+                    fi = _grid_index(f, FREQ_GRID, "frequency threshold", lineno)
+                ri = rec_index.get(r)
+                if ri is None:
+                    ri = _grid_index(r, REC_GRID, "recentness threshold", lineno)
+                ai = action_index.get(name)
+                if ai is None:
+                    raise MalformedQTable("line %d: unknown action %r" % (lineno, name))
+                try:
+                    v = float(value)
+                except ValueError:
+                    raise MalformedQTable(
+                        "line %d: value %r is not a number" % (lineno, value)
+                    ) from None
+                if not math.isfinite(v):
+                    raise MalformedQTable("line %d: non-finite value %r" % (lineno, value))
+                k = (fi * shape[1] + ri) * shape[2] + ai
+                if cells[k] is not None:
+                    raise MalformedQTable(
+                        "line %d: duplicate cell %s,%s,%s" % (lineno, f, r, name)
+                    )
+                cells[k] = v
+        missing = cells.count(None)
+        if missing:
+            raise MalformedQTable(
+                "line %d: file ends after %d of %d cells"
+                % (lineno, len(cells) - missing, len(cells))
+            )
+        return QTable(np.reshape(cells, shape))
+
+
+def _grid_index(text, grid, what, lineno):
+    """Grid index of a threshold field not written the way save writes it:
+    accepted only as a plain decimal integer on the grid."""
+    if not (text.isascii() and text.isdigit()):
+        raise MalformedQTable(
+            "line %d: %s %r is not a non-negative integer" % (lineno, what, text)
+        )
+    value = int(text)
+    if value % GRID_STEP or value > grid[-1]:
+        raise MalformedQTable("line %d: %s %d is off the grid" % (lineno, what, value))
+    return value // GRID_STEP
 
 
 @dataclass

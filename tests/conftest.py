@@ -1,12 +1,31 @@
 # Shared fixtures and helpers: tiny deterministic workloads, hand-built
 # schedules, and a stub episode environment with a programmable landscape.
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from flowrl.model import FlowId, FlowPool, ThresholdConfig
 from flowrl.simnet import EpisodeMetrics
 from flowrl.traffic import FlowSchedule, FlowSpec, TrafficProfile
+
+# Every property test draws the same examples on every run and host, has no
+# per-example deadline to trip on a slow host, and keeps no example database.
+settings.register_profile("flowrl", derandomize=True, deadline=None, database=None)
+settings.load_profile("flowrl")
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it finds in source files under its
+    # home directory (at collection, database or not); keep that out of
+    # the checkout.
+    home = tempfile.mkdtemp(prefix="flowrl-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def fid(i, j=None):

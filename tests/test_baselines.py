@@ -1,7 +1,11 @@
 """Tests for the baselines: the aging bloom-filter cache and the exact
 rule-partition solvers."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrl.baselines import (
     Assignment,
@@ -9,14 +13,69 @@ from flowrl.baselines import (
     IlpInstance,
     MbfState,
     TooLarge,
+    _hash64,
     brute_force_partition,
     knapsack_exact,
     mbf_importance,
     mbf_step,
     run_mbf_episode,
 )
-from flowrl.model import ENTRY_BITS, FlowTable
-from conftest import fid, hand_schedule
+from flowrl.harness import REFERENCE_TRAFFIC, ExperimentConfig, run_experiment
+from flowrl.model import ENTRY_BITS, FlowRule, FlowTable
+from flowrl.simnet import EpisodeMetrics
+from flowrl.traffic import packets_for_tick
+from conftest import ONE_PPS, fid, hand_schedule
+
+THREE_PPS = dataclasses.replace(ONE_PPS, per_flow_rate=36_000.0)
+
+
+def naive_positions(state, flow_id):
+    data = flow_id.text().encode()
+    h1 = _hash64(data, state._key1)
+    h2 = _hash64(data, state._key2) | 1
+    return [(h1 + i * h2) % state.m for i in range(state.h)]
+
+
+def naive_importance(state, flow_id):
+    """mbf_importance with both hashes recomputed on every call."""
+    positions = naive_positions(state, flow_id)
+    return sum(
+        w for f, w in zip(state.filters, state.weights) if f[positions].all()
+    )
+
+
+def naive_mbf_episode(schedule, table, state, duration):
+    """The reference MBF episode: every miss on a full table rescores every
+    resident from scratch, and matched flows are inserted in sorted order."""
+    hits = 0
+    misses = 0
+    for tick in range(duration):
+        batch = packets_for_tick(schedule, tick)
+        if tick % state.window == 0:
+            state.filters.pop()
+            state.filters.insert(0, np.zeros(state.m, dtype=bool))
+        for f in sorted({f for f, _ in batch}):
+            state.filters[0][naive_positions(state, f)] = True
+        for f, count in batch:
+            if f in table.entries:
+                hits += count
+                continue
+            misses += 1
+            if table.max_entries == 0:
+                misses += count - 1
+                continue
+            if len(table) >= table.max_entries:
+                victim = min(
+                    table.entries.values(),
+                    key=lambda r: (naive_importance(state, r.id), r.install_time, r.id),
+                )
+                table.remove(victim.id)
+            table.insert(FlowRule(id=f, install_time=tick))
+            hits += count - 1
+    return EpisodeMetrics(
+        overhead=misses, hits=hits, misses=misses,
+        total_lookups=hits + misses, duration=duration,
+    )
 
 
 class TestMbfState:
@@ -168,6 +227,62 @@ class TestRunMbfEpisode:
         assert metrics.misses == 3
         assert fid(2) not in table
         assert fid(1) in table and fid(3) in table
+
+
+@st.composite
+def mbf_cases(draw):
+    """Hand-built schedules of up to 8 flows over 1-25 ticks, with flows of
+    up to 24 ticks so that many outlive several agings, 0-4 table entries
+    and windows of 1-5 ticks. Small filters (m=16) make false positives,
+    and so importance ties and inflated scores, common."""
+    horizon = draw(st.integers(1, 25))
+    specs = draw(st.lists(
+        st.tuples(
+            st.sampled_from([fid(i) for i in range(8)]),
+            st.sampled_from(("elephant", "mice")),
+            st.integers(1, 24 * 1500),
+            st.integers(0, horizon - 1),
+        ),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda spec: spec[0],
+    ))
+    profile = draw(st.sampled_from((ONE_PPS, THREE_PPS)))
+    params = dict(
+        m=draw(st.sampled_from((16, 64, 4096))),
+        window=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 3)),
+    )
+    entries = draw(st.integers(0, 4))
+    return hand_schedule(specs, horizon, profile), entries, params
+
+
+@settings(max_examples=200)
+@given(mbf_cases())
+def test_mbf_episode_equals_naive_reference(case):
+    sched, entries, params = case
+    duration = sched.horizon
+    table = FlowTable(entries * ENTRY_BITS)
+    state = MbfState(**params)
+    ref_table = FlowTable(entries * ENTRY_BITS)
+    ref_state = MbfState(**params)
+    got = run_mbf_episode(sched, table, state, duration=duration)
+    assert got == naive_mbf_episode(sched, ref_table, ref_state, duration)
+    assert table.entries == ref_table.entries
+    assert all(np.array_equal(a, b) for a, b in zip(state.filters, ref_state.filters))
+
+
+@pytest.mark.parametrize("seed, overhead, hits", [(0, 396, 3711), (1, 367, 3335)])
+def test_contended_mbf_metrics_pinned(seed, overhead, hits):
+    # 10x the reference arrival rate against 64 entries: the table is full
+    # for most of the episode, so these figures rest on about 1,900
+    # evictions each
+    cfg = ExperimentConfig(
+        mode="mbf", seed=seed, table_capacity_bits=64 * ENTRY_BITS,
+        traffic=dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5.4e6),
+    )
+    summary = run_experiment(cfg).summary
+    assert (summary["overhead"], summary["hits"], summary["misses"]) == (overhead, hits, overhead)
 
 
 class TestIlpInstance:

@@ -418,6 +418,18 @@ class TestCli:
         assert rc == 0
         assert "mode=ql" in captured.out
 
+    def test_malformed_ql_policy_fails_with_line(self, tmp_path, capsys):
+        policy = tmp_path / "q.csv"
+        policy.write_text("0,0,NoOp,1\n")
+        rc = cli.main(["--mode", "ql", "--episodes", "3",
+                       "--out", str(tmp_path / "r.csv"),
+                       "--load-policy", str(policy)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(
+            "error [flowrl.qlearn.MalformedQTable]: line 1: file ends after 1 of 3255"
+        )
+
     def test_dqn_policy_save_load_round_trip(self, tmp_path):
         policy = str(tmp_path / "net.csv")
         rc = cli.main(["--mode", "dqn", "--episodes", "2", "--seed", "0",

@@ -75,7 +75,7 @@ def environments(draw):
     return EpisodeEnv(pool, eval_schedule, capacity_bits, window_close, param_mode)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(environments())
 def test_every_cell_equals_packet_replay(env):
     for thresholds in CELLS:

@@ -10,6 +10,7 @@ from flowrl.qlearn import (
     Action,
     AgentConfig,
     EmptyTrainingSets,
+    MalformedQTable,
     QTable,
     apply_action,
     decay_epsilon,
@@ -95,6 +96,57 @@ class TestQTable:
         assert len(lines) == 21 * 31 * 5
         assert lines[0] == "0,0,NoOp,0"
         assert lines[1] == "0,0,IncFreq,0"
+
+    @pytest.mark.parametrize(
+        "lineno, line, reason",
+        [
+            (3, "0,0,DecFreq", "expected 4 fields"),
+            (3, "0,0,DecFreq,0,0", "expected 4 fields"),
+            (1, "-10,0,NoOp,0", "not a non-negative integer"),
+            (1, "0.0,0,NoOp,0", "not a non-negative integer"),
+            (1, " 0,0,NoOp,0,", "expected 4 fields"),
+            (1, "15,0,NoOp,0", "off the grid"),
+            (1, "210,0,NoOp,0", "off the grid"),
+            (1, "0,310,NoOp,0", "off the grid"),
+            (1, "0,x,NoOp,0", "not a non-negative integer"),
+            (2, "0,0,Jump,0", "unknown action"),
+            (2, "0,0,NoOp,0", "duplicate cell"),
+            (4, "0,0,IncRec,nan", "non-finite"),
+            (4, "0,0,IncRec,-inf", "non-finite"),
+            (4, "0,0,IncRec,zero", "not a number"),
+        ],
+    )
+    def test_load_rejects_malformed_line(self, tmp_path, lineno, line, reason):
+        path = tmp_path / "q.csv"
+        QTable().save(path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedQTable, match="^line %d: .*%s" % (lineno, reason)):
+            QTable.load(path)
+
+    def test_load_rejects_missing_cells(self, tmp_path):
+        path = tmp_path / "q.csv"
+        QTable().save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n\n")
+        with pytest.raises(MalformedQTable, match="^line 3255: file ends after 3254 of 3255"):
+            QTable.load(path)
+        path.write_text("")
+        with pytest.raises(MalformedQTable, match="^line 0: file ends after 0 of 3255"):
+            QTable.load(path)
+
+    def test_load_accepts_integer_values_in_any_order(self, tmp_path):
+        lines = [
+            "%d,%d,%s,%d" % (f, r, a.name, a == Action.NoOp)
+            for f in FREQ_GRID for r in REC_GRID for a in ACTIONS
+        ]
+        lines[-1] = "0200,0300,DecRec,0"  # leading zeros still name the cell
+        path = tmp_path / "noop.csv"
+        path.write_text("\n".join(reversed(lines)) + "\n")
+        q = QTable.load(path)
+        assert (q.values[:, :, int(Action.NoOp)] == 1).all()
+        assert q.values.sum() == len(FREQ_GRID) * len(REC_GRID)
 
 
 class TestEpsilonGreedySelect:
