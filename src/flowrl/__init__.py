@@ -33,7 +33,6 @@ from flowrl.traffic import (
 from flowrl.simnet import (
     BestSoFar,
     EpisodeMetrics,
-    NoLookups,
     RulesetTooLarge,
     ZeroInitial,
     compute_reward,
@@ -63,6 +62,7 @@ from flowrl.dqn import (
     DqnConfig,
     Experience,
     InsufficientExperiences,
+    MalformedNetwork,
     Mlp,
     NonFiniteInput,
     ReplayMemory,

@@ -10,17 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowrl.model import FREQ_GRID, REC_GRID
-from flowrl.qlearn import (
-    ACTIONS,
-    Action,
-    EmptyTrainingSets,
-    N_ACTIONS,
-    TrainResult,
-    _trace_row,
-    apply_action,
-    decay_epsilon,
-)
-from flowrl.simnet import BestSoFar, compute_reward, reduction_fraction
+from flowrl.qlearn import N_ACTIONS, Action, _pretraining_sets, train
 
 LAYER_SIZES = (4, 24, 24, 24, 5)
 
@@ -31,6 +21,11 @@ class NonFiniteInput(Exception):
 
 class InsufficientExperiences(Exception):
     """Replay sampling asked for more items than the buffer holds."""
+
+
+class MalformedNetwork(Exception):
+    """A network file that Mlp.load rejects; the message starts with the
+    number of the offending line."""
 
 
 @dataclass
@@ -50,6 +45,8 @@ class DqnConfig:
     minibatch: int = 4
 
     def __post_init__(self):
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must be in [0, 1]")
         if self.sgd_learning_rate <= 0:
             raise ValueError("sgd_learning_rate must be > 0")
         if not 0.0 <= self.epsilon0 <= 1.0:
@@ -114,9 +111,37 @@ class Mlp:
 
     @staticmethod
     def load(path):
+        """Read a file in the format save writes, bit-exact.
+
+        Raises MalformedNetwork, naming the line, for a header that is not
+        two or more comma-separated positive integers, a value that is not
+        a finite number, and too few or too many values for the header's
+        layer sizes. Blank lines are skipped.
+        """
         with open(path) as fh:
-            sizes = [int(n) for n in fh.readline().strip().split(",")]
-            values = [float(line) for line in fh if line.strip()]
+            header = fh.readline().strip()
+            lines = fh.readlines()
+        sizes = header.split(",")
+        if len(sizes) < 2 or not all(n.isascii() and n.isdigit() and int(n) for n in sizes):
+            raise MalformedNetwork(
+                "line 1: layer sizes %r are not two or more positive integers" % header
+            )
+        sizes = [int(n) for n in sizes]
+        try:
+            values = np.array([float(line) for line in lines if line.strip()])
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            _reject_value(lines)
+        expected = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+        if len(values) != expected:
+            # the last line when values are missing, else the first extra one
+            value_lines = [i for i, line in enumerate(lines, 2) if line.strip()]
+            lineno = value_lines[expected] if len(values) > expected else len(lines) + 1
+            raise MalformedNetwork(
+                "line %d: the header implies %d values, the file has %d"
+                % (lineno, expected, len(values))
+            )
         weights = []
         biases = []
         pos = 0
@@ -127,9 +152,23 @@ class Mlp:
             pos += n_out
             weights.append(w)
             biases.append(b)
-        if pos != len(values):
-            raise ValueError("trailing values in network file")
         return Mlp(weights, biases)
+
+
+def _reject_value(lines):
+    """Raise MalformedNetwork for the first value line (line 2 onwards)
+    that is not a finite number."""
+    for lineno, line in enumerate(lines, 2):
+        if not line.strip():
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise MalformedNetwork(
+                "line %d: value %r is not a number" % (lineno, line.strip())
+            ) from None
+        if not np.isfinite(value):
+            raise MalformedNetwork("line %d: non-finite value %r" % (lineno, line.strip()))
 
 
 @dataclass
@@ -237,64 +276,44 @@ def sgd_step(net, x, action, target, lr):
     return net
 
 
-def _select(net, s_vec, eps, rng):
-    if rng.random() < eps:
-        return Action(int(rng.integers(N_ACTIONS)))
-    return Action(int(np.argmax(mlp_forward(net, s_vec))))
+class _DqnPolicy:
+    """train's policy over a network. It keeps the encoded state vector
+    (thresholds, last action, last reward) and selects epsilon-greedily on
+    the network's output for it; learn stores each transition and, once
+    the memory holds start_threshold experiences, samples a minibatch,
+    computes targets against a pre-minibatch parameter snapshot, and takes
+    one sgd_step per sample."""
+
+    def __init__(self, net, cfg, memory, state):
+        if memory is None:
+            memory = ReplayMemory(cfg.replay_capacity, cfg.start_threshold, cfg.minibatch)
+        self.net = net
+        self.cfg = cfg
+        self.memory = memory
+        self.s_vec = encode_state(state, Action.NoOp, 0)
+
+    def select(self, state, eps, rng):
+        if rng.random() < eps:
+            return Action(int(rng.integers(N_ACTIONS)))
+        return Action(int(np.argmax(mlp_forward(self.net, self.s_vec))))
+
+    def learn(self, state, action, reward, next_state, rng):
+        next_vec = encode_state(next_state, action, reward)
+        memory = self.memory
+        memory.store(Experience(self.s_vec, action, reward, next_vec))
+        if len(memory) >= memory.start_threshold:
+            snapshot = self.net.copy()
+            for e in memory.sample(memory.minibatch, rng):
+                sgd_step(self.net, e.s, e.a, dqn_target(e, snapshot, self.cfg.gamma),
+                         self.cfg.sgd_learning_rate)
+        self.s_vec = next_vec
 
 
 def dqn_train(env, net, cfg, initial_state, rng=None, memory=None):
-    """Goal-driven DQN training loop.
-
-    Mirrors the tabular loop (initial-state evaluation, epsilon-greedy
-    selection with iterative decay, reward against best-so-far, stop when
-    the best reduction exceeds cfg.goal_mu or at the cap), but Q-values
-    come from the network and learning goes through the replay buffer:
-    each transition is stored, and once the buffer reaches
-    cfg.start_threshold a minibatch is sampled uniformly, targets are
-    computed against a pre-minibatch parameter snapshot, and each sample
-    gets one sgd_step. Pass a shared ReplayMemory to persist experience
-    across consecutive runs.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if memory is None:
-        memory = ReplayMemory(cfg.replay_capacity, cfg.start_threshold, cfg.minibatch)
-    state = initial_state
-    m0 = env.run(state)
-    initial = m0.overhead
-    best = BestSoFar(m0.overhead, state, m0)
-    trace = [_trace_row(0, m0, state, 0, cfg.epsilon0, initial)]
-    if initial == 0:
-        return TrainResult(0, best, True, trace)
-
-    s_vec = encode_state(state, Action.NoOp, 0)
-    eps = cfg.epsilon0
-    goal_met = False
-    episodes = 0
-    for step in range(cfg.budget):
-        action = _select(net, s_vec, eps, rng)
-        eps_used = eps
-        if cfg.epsilon_decay:
-            eps = decay_epsilon(eps, step, cfg.budget)
-        next_state = apply_action(state, action)
-        metrics = env.run(next_state)
-        reward = compute_reward(best, metrics.overhead, next_state, metrics)
-        next_vec = encode_state(next_state, action, reward)
-        memory.store(Experience(s_vec, action, reward, next_vec))
-        if len(memory) >= memory.start_threshold:
-            snapshot = net.copy()
-            for e in memory.sample(memory.minibatch, rng):
-                sgd_step(net, e.s, e.a, dqn_target(e, snapshot, cfg.gamma),
-                         cfg.sgd_learning_rate)
-        episodes = step + 1
-        trace.append(_trace_row(episodes, metrics, next_state, reward, eps_used, initial))
-        state = next_state
-        s_vec = next_vec
-        if reduction_fraction(initial, best.best_overhead) > cfg.goal_mu:
-            goal_met = True
-            break
-    return TrainResult(episodes, best, goal_met, trace)
+    """Run train with the DQN policy on net, which is updated in place.
+    Learning goes through memory, a fresh ReplayMemory unless one is
+    given; pass a shared one to persist experience across runs."""
+    return train(env, _DqnPolicy(net, cfg, memory, initial_state), cfg, initial_state, rng)
 
 
 def init_mlp(mode, training_sets=None, seed=0, env=None, cfg=None, memory=None):
@@ -309,16 +328,9 @@ def init_mlp(mode, training_sets=None, seed=0, env=None, cfg=None, memory=None):
     rng = np.random.default_rng(seed)
     scale = cfg.weight_init_scale if cfg is not None else 0.1
     net = Mlp.random(rng, scale=scale)
-    if mode == "random":
-        return net
-    if mode != "from_training":
-        raise ValueError("unknown init mode %r" % (mode,))
-    if not training_sets:
-        raise EmptyTrainingSets("from_training needs a non-empty training set list")
-    if env is None or cfg is None:
-        raise ValueError("from_training needs env and cfg")
-    if memory is None:
+    sets = _pretraining_sets(mode, training_sets, env, cfg)
+    if sets and memory is None:
         memory = ReplayMemory(cfg.replay_capacity, cfg.start_threshold, cfg.minibatch)
-    for state in training_sets:
+    for state in sets:
         dqn_train(env, net, cfg, state, rng, memory)
     return net

@@ -4,6 +4,7 @@
 # oracle, significance), and CSV/summary report emission.
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,18 +15,15 @@ from flowrl.baselines import (
     knapsack_exact,
     run_mbf_episode,
 )
-from flowrl.dqn import DqnConfig, ReplayMemory, dqn_train, init_mlp
+from flowrl.dqn import DqnConfig, Mlp, ReplayMemory, dqn_train, init_mlp
 # select_rules and run_episode stay bound: bench/layers.py traces them by name here
 from flowrl.model import (  # noqa: F401
     GRID_STEP, FlowTable, ThresholdConfig, placement_landscape, select_rules,
 )
-from flowrl.qlearn import (
-    AgentConfig,
-    _trace_row,
-    init_qtable,
-    q_train,
+from flowrl.qlearn import AgentConfig, QTable, _trace_row, init_qtable, q_train
+from flowrl.simnet import (  # noqa: F401
+    EpisodeMetrics, hit_ratio, run_episode, run_orchestration,
 )
-from flowrl.simnet import EpisodeMetrics, run_episode, run_orchestration  # noqa: F401
 from flowrl.traffic import (
     FlowSchedule,
     FlowSpec,
@@ -350,8 +348,6 @@ def _train_summary(cfg, result):
     best = result.best
     reduction = (initial - best.best_overhead) / initial if initial else 0.0
     best_thr = best.best_thresholds
-    bm = best.best_metrics
-    ratio = bm.hits / bm.total_lookups if bm and bm.total_lookups else 0.0
     return {
         "mode": cfg.mode,
         "seed": cfg.seed,
@@ -360,77 +356,54 @@ def _train_summary(cfg, result):
         "reduction": reduction,
         "best_freq_thr": best_thr.freq_threshold if best_thr else 0,
         "best_rec_thr": best_thr.recentness_threshold if best_thr else 0,
-        "best_hit_ratio": ratio,
+        "best_hit_ratio": hit_ratio(best.best_metrics),
         "episodes_run": result.episodes_run,
         "episodes_to_goal": result.episodes_run if result.goal_met else cfg.episodes_cap,
         "goal_met": result.goal_met,
     }
 
 
-def _run_ql(cfg, env, rng_streams, load_policy=None):
-    from flowrl.qlearn import QTable
-
+def _run_agent(cfg, env, rng_streams, load_policy=None):
+    """Load or initialize the policy of cfg.mode (ql: Q-table, dqn:
+    network), then run the reported training run. A loaded or pre-trained
+    policy explores at a static EPSILON_STATIC, a random one decays from
+    EPSILON_FRESH; dqn pre-training and the final run share one replay
+    memory."""
     sets_rng, init_ss, train_ss = rng_streams
-    pretrain_cfg = AgentConfig(
-        alpha=ALPHA, gamma=GAMMA, epsilon0=EPSILON_FRESH,
-        budget=cfg.episodes_cap, goal_mu=cfg.goal_mu, epsilon_decay=True,
-    )
-    if load_policy is not None:
-        q = QTable.load(load_policy)
-        initialized = True
-    elif cfg.qtable_init == "from_training":
-        sets = _draw_training_sets(cfg.n_training_sets, sets_rng)
-        q = init_qtable("from_training", sets, init_ss, env, pretrain_cfg)
-        initialized = True
+    if cfg.mode == "dqn":
+        make_cfg, load, init, train_fn = DqnConfig, Mlp.load, init_mlp, dqn_train
     else:
-        q = init_qtable("random", seed=init_ss)
-        initialized = False
-    final_cfg = AgentConfig(
-        alpha=ALPHA,
-        gamma=GAMMA,
-        epsilon0=EPSILON_STATIC if initialized else EPSILON_FRESH,
-        budget=cfg.episodes_cap,
-        goal_mu=cfg.goal_mu,
-        epsilon_decay=not initialized,
-    )
-    result = q_train(env, q, final_cfg, cfg.initial_state(),
-                     np.random.default_rng(train_ss))
-    return result, q
-
-
-def _run_dqn(cfg, env, rng_streams, load_policy=None):
-    from flowrl.dqn import Mlp
-
-    sets_rng, init_ss, train_ss = rng_streams
-    pretrain_cfg = DqnConfig(
+        make_cfg = functools.partial(AgentConfig, alpha=ALPHA)
+        load, init, train_fn = QTable.load, init_qtable, q_train
+    pretrain_cfg = make_cfg(
         gamma=GAMMA, epsilon0=EPSILON_FRESH, budget=cfg.episodes_cap,
         goal_mu=cfg.goal_mu, epsilon_decay=True,
     )
-    memory = ReplayMemory(
-        pretrain_cfg.replay_capacity,
-        pretrain_cfg.start_threshold,
-        pretrain_cfg.minibatch,
-    )
+    shared = {}
+    if cfg.mode == "dqn":
+        shared["memory"] = ReplayMemory(
+            pretrain_cfg.replay_capacity,
+            pretrain_cfg.start_threshold,
+            pretrain_cfg.minibatch,
+        )
+    initialized = load_policy is not None or cfg.qtable_init == "from_training"
     if load_policy is not None:
-        net = Mlp.load(load_policy)
-        initialized = True
-    elif cfg.qtable_init == "from_training":
+        policy = load(load_policy)
+    elif initialized:
         sets = _draw_training_sets(cfg.n_training_sets, sets_rng)
-        net = init_mlp("from_training", sets, init_ss, env, pretrain_cfg, memory)
-        initialized = True
+        policy = init("from_training", sets, init_ss, env, pretrain_cfg, **shared)
     else:
-        net = init_mlp("random", seed=init_ss)
-        initialized = False
-    final_cfg = DqnConfig(
+        policy = init("random", seed=init_ss)
+    final_cfg = make_cfg(
         gamma=GAMMA,
         epsilon0=EPSILON_STATIC if initialized else EPSILON_FRESH,
         budget=cfg.episodes_cap,
         goal_mu=cfg.goal_mu,
         epsilon_decay=not initialized,
     )
-    result = dqn_train(env, net, final_cfg, cfg.initial_state(),
-                       np.random.default_rng(train_ss), memory)
-    return result, net
+    result = train_fn(env, policy, final_cfg, cfg.initial_state(),
+                      np.random.default_rng(train_ss), **shared)
+    return result, policy
 
 
 def _oracle_instance(pool, eval_schedule, capacity_bits):
@@ -458,10 +431,7 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
 
     if cfg.mode in ("ql", "dqn"):
         env = _build_env(cfg)
-        if cfg.mode == "ql":
-            result, policy = _run_ql(cfg, env, streams, load_policy)
-        else:
-            result, policy = _run_dqn(cfg, env, streams, load_policy)
+        result, policy = _run_agent(cfg, env, streams, load_policy)
         if save_policy is not None:
             policy.save(save_policy)
         return RunReport(
@@ -478,14 +448,13 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
             duration=env.eval_schedule.horizon,
         )
         row = _trace_row(1, metrics, ThresholdConfig(0, 0), 0, 0.0, 0)
-        ratio = metrics.hits / metrics.total_lookups if metrics.total_lookups else 0.0
         summary = {
             "mode": cfg.mode,
             "seed": cfg.seed,
             "overhead": metrics.overhead,
             "hits": metrics.hits,
             "misses": metrics.misses,
-            "hit_ratio": ratio,
+            "hit_ratio": hit_ratio(metrics),
             "duration": metrics.duration,
         }
         return RunReport(config=cfg, rows=[row], summary=summary)
@@ -517,7 +486,7 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
             init_ss,
             train_ss,
         )
-        result, _ = _run_ql(sub_cfg, env, sub_streams)
+        result, _ = _run_agent(sub_cfg, env, sub_streams)
         subreports[pm] = RunReport(
             config=sub_cfg,
             rows=result.trace[1:],

@@ -1,16 +1,16 @@
 # qlearn.py -- tabular Q-learning over the threshold grid: epsilon-greedy
 # selection with iterative epsilon decay, the one-cell Q update, table
 # initialization (random or from training runs), persistence, and the
-# goal-driven training loop.
+# goal-driven training loop that both learners run.
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from flowrl.model import FREQ_GRID, GRID_STEP, REC_GRID, ThresholdConfig
-from flowrl.simnet import BestSoFar, compute_reward, reduction_fraction
+from flowrl.simnet import BestSoFar, compute_reward, hit_ratio, reduction_fraction
 
 
 class Action(IntEnum):
@@ -267,28 +267,34 @@ def init_qtable(mode, training_sets=None, seed=0, env=None, cfg=None):
     """
     rng = np.random.default_rng(seed)
     q = QTable.random(rng)
+    for state in _pretraining_sets(mode, training_sets, env, cfg):
+        q_train(env, q, cfg, state, rng)
+    return q
+
+
+def _pretraining_sets(mode, training_sets, env, cfg):
+    """The initial states of the pre-training runs of an init mode: none
+    for "random", the training sets for "from_training" (which needs a
+    non-empty list, env and cfg)."""
     if mode == "random":
-        return q
+        return []
     if mode != "from_training":
         raise ValueError("unknown init mode %r" % (mode,))
     if not training_sets:
         raise EmptyTrainingSets("from_training needs a non-empty training set list")
     if env is None or cfg is None:
         raise ValueError("from_training needs env and cfg")
-    for state in training_sets:
-        q_train(env, q, cfg, state, rng)
-    return q
+    return training_sets
 
 
 def _trace_row(episode, metrics, state, reward, eps, initial):
-    ratio = metrics.hits / metrics.total_lookups if metrics.total_lookups else 0.0
     red = reduction_fraction(initial, metrics.overhead) if initial else 0.0
     return TraceRow(
         episode=episode,
         overhead=metrics.overhead,
         hits=metrics.hits,
         misses=metrics.misses,
-        hit_ratio=ratio,
+        hit_ratio=hit_ratio(metrics),
         reduction=red,
         freq_thr=state.freq_threshold,
         rec_thr=state.recentness_threshold,
@@ -297,18 +303,20 @@ def _trace_row(episode, metrics, state, reward, eps, initial):
     )
 
 
-def q_train(env, q, cfg, initial_state, rng=None):
-    """Goal-driven training loop.
+def train(env, policy, cfg, initial_state, rng=None):
+    """Goal-driven training loop of both learners.
 
     Episode 0 evaluates the initial state to fix the baseline overhead;
-    each following episode selects an action epsilon-greedily, decays
-    epsilon (when enabled), applies the action, runs an episode at the new
-    thresholds, computes the reward against the best overhead so far, and
-    updates one Q cell. Stops when the overhead reduction of the best
-    episode exceeds cfg.goal_mu, or at the episode cap (goal_met=False).
+    each following episode asks the policy for an action
+    (policy.select(state, eps, rng)), decays epsilon (when enabled),
+    applies the action, runs an episode at the new thresholds, computes the
+    reward against the best overhead so far, and hands the transition to
+    policy.learn(state, action, reward, next_state, rng). Stops when the
+    overhead reduction of the best episode exceeds cfg.goal_mu, or at the
+    episode cap cfg.budget (goal_met=False).
 
     A baseline of zero overhead cannot be improved; the run returns
-    immediately with goal_met=True.
+    immediately with goal_met=True and the policy is never called.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -321,21 +329,37 @@ def q_train(env, q, cfg, initial_state, rng=None):
         return TrainResult(0, best, True, trace)
 
     eps = cfg.epsilon0
-    goal_met = False
-    episodes = 0
     for step in range(cfg.budget):
-        action = epsilon_greedy_select(q, state, eps, rng)
+        action = policy.select(state, eps, rng)
         eps_used = eps
         if cfg.epsilon_decay:
             eps = decay_epsilon(eps, step, cfg.budget)
         next_state = apply_action(state, action)
         metrics = env.run(next_state)
         reward = compute_reward(best, metrics.overhead, next_state, metrics)
-        q_update(q, state, action, reward, next_state, cfg)
-        episodes = step + 1
-        trace.append(_trace_row(episodes, metrics, next_state, reward, eps_used, initial))
+        policy.learn(state, action, reward, next_state, rng)
+        trace.append(_trace_row(step + 1, metrics, next_state, reward, eps_used, initial))
         state = next_state
         if reduction_fraction(initial, best.best_overhead) > cfg.goal_mu:
-            goal_met = True
-            break
-    return TrainResult(episodes, best, goal_met, trace)
+            return TrainResult(step + 1, best, True, trace)
+    return TrainResult(cfg.budget, best, False, trace)
+
+
+@dataclass
+class _TabularPolicy:
+    """train's policy over a Q-table: epsilon-greedy on the table's row,
+    one q_update per transition."""
+
+    q: QTable
+    cfg: AgentConfig
+
+    def select(self, state, eps, rng):
+        return epsilon_greedy_select(self.q, state, eps, rng)
+
+    def learn(self, state, action, reward, next_state, rng):
+        q_update(self.q, state, action, reward, next_state, self.cfg)
+
+
+def q_train(env, q, cfg, initial_state, rng=None):
+    """Run train with the tabular policy on q, which is updated in place."""
+    return train(env, _TabularPolicy(q, cfg), cfg, initial_state, rng)

@@ -16,10 +16,6 @@ class ZeroInitial(Exception):
     """reduction_fraction needs a positive initial overhead."""
 
 
-class NoLookups(Exception):
-    """hit_ratio needs at least one lookup."""
-
-
 @dataclass
 class EpisodeMetrics:
     """Counts for one episode. hits + misses = total_lookups and
@@ -133,7 +129,5 @@ def reduction_fraction(initial, current):
 
 
 def hit_ratio(metrics):
-    """hits / total_lookups in [0, 1]."""
-    if metrics.total_lookups == 0:
-        raise NoLookups("episode had no lookups")
-    return metrics.hits / metrics.total_lookups
+    """hits / total_lookups in [0, 1]; 0.0 for an episode without lookups."""
+    return metrics.hits / metrics.total_lookups if metrics.total_lookups else 0.0

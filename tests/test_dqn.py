@@ -8,6 +8,7 @@ from flowrl.dqn import (
     DqnConfig,
     Experience,
     InsufficientExperiences,
+    MalformedNetwork,
     Mlp,
     NonFiniteInput,
     ReplayMemory,
@@ -50,7 +51,8 @@ class TestDqnConfig:
         "kwargs",
         [dict(sgd_learning_rate=0.0), dict(epsilon0=1.1), dict(budget=0),
          dict(replay_capacity=0), dict(minibatch=0),
-         dict(start_threshold=2, minibatch=4)],
+         dict(start_threshold=2, minibatch=4),
+         dict(gamma=1.5), dict(gamma=-0.1), dict(gamma=float("nan"))],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -111,9 +113,57 @@ class TestMlp:
         path = tmp_path / "bad.csv"
         net.save(path)
         with open(path, "a") as fh:
-            fh.write("0.5\n")
-        with pytest.raises(ValueError):
+            fh.write("\n0.5\n")
+        with pytest.raises(MalformedNetwork,
+                           match="^line 14: the header implies 11 values, the file has 12"):
             Mlp.load(path)
+
+    # a (3, 2, 1) network file: header on line 1, then 11 values on lines 2-12
+    @pytest.mark.parametrize(
+        "lineno, line, reason",
+        [
+            (1, "3,2,x", "not two or more positive integers"),
+            (1, "3,0,1", "not two or more positive integers"),
+            (1, "3,-2,1", "not two or more positive integers"),
+            (1, "3", "not two or more positive integers"),
+            (1, "", "not two or more positive integers"),
+            (5, "nan", "non-finite value 'nan'"),
+            (5, "-inf", "non-finite value '-inf'"),
+            (5, "1e999", "non-finite value '1e999'"),
+            (12, "0.5x", "value '0.5x' is not a number"),
+            (12, "0.5,0.5", "value '0.5,0.5' is not a number"),
+        ],
+    )
+    def test_load_rejects_malformed_line(self, tmp_path, lineno, line, reason):
+        path = tmp_path / "net.csv"
+        Mlp.random(np.random.default_rng(2), layer_sizes=(3, 2, 1)).save(path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedNetwork, match="^line %d: .*%s" % (lineno, reason)):
+            Mlp.load(path)
+
+    def test_load_rejects_missing_values(self, tmp_path):
+        path = tmp_path / "net.csv"
+        Mlp.random(np.random.default_rng(2), layer_sizes=(3, 2, 1)).save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n\n")
+        with pytest.raises(MalformedNetwork,
+                           match="^line 12: the header implies 11 values, the file has 10"):
+            Mlp.load(path)
+        path.write_text("4,24,24,24,5\n")
+        with pytest.raises(MalformedNetwork,
+                           match="^line 1: the header implies 1445 values, the file has 0"):
+            Mlp.load(path)
+
+    def test_load_accepts_integer_values_and_blank_lines(self, tmp_path):
+        # the form of a hand-written zero network with one output bias set
+        path = tmp_path / "net.csv"
+        path.write_text("2,1\n\n0\n0\n\n1\n")
+        net = Mlp.load(path)
+        assert net.layer_sizes == (2, 1)
+        assert np.array_equal(net.weights[0], [[0.0, 0.0]])
+        assert np.array_equal(net.biases[0], [1.0])
 
 
 class TestForward:

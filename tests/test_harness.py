@@ -430,6 +430,18 @@ class TestCli:
             "error [flowrl.qlearn.MalformedQTable]: line 1: file ends after 1 of 3255"
         )
 
+    def test_malformed_dqn_policy_fails_with_line(self, tmp_path, capsys):
+        policy = tmp_path / "net.csv"
+        policy.write_text("4,24,x\n")
+        rc = cli.main(["--mode", "dqn", "--episodes", "2",
+                       "--out", str(tmp_path / "r.csv"),
+                       "--load-policy", str(policy)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(
+            "error [flowrl.dqn.MalformedNetwork]: line 1: layer sizes '4,24,x'"
+        )
+
     def test_dqn_policy_save_load_round_trip(self, tmp_path):
         policy = str(tmp_path / "net.csv")
         rc = cli.main(["--mode", "dqn", "--episodes", "2", "--seed", "0",
