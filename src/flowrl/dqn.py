@@ -1,9 +1,12 @@
 # dqn.py -- from-scratch deep Q-network: a small fully-connected ReLU
 # network with 5 linear output heads, uniform experience replay, targets
-# computed against a snapshot of the previous-iteration parameters, and
-# plain SGD on the selected head's squared error. No autograd framework;
-# forward and backward passes are written out against numpy arrays.
+# computed with the parameters from before the minibatch's first step (the
+# paper's previous-iteration snapshot, without copying the network), and
+# plain SGD on the selected head's squared error, which moves only that
+# head's output row. No autograd framework; forward and backward passes are
+# written out against numpy arrays.
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -57,6 +60,8 @@ class DqnConfig:
             raise ValueError("replay sizes must be >= 1")
         if self.start_threshold < self.minibatch:
             raise ValueError("start_threshold must be >= minibatch")
+        if self.start_threshold > self.replay_capacity:
+            raise ValueError("start_threshold must be <= replay_capacity")
 
 
 class Mlp:
@@ -182,9 +187,13 @@ class Experience:
 
 
 class ReplayMemory:
-    """Bounded FIFO of experiences with uniform minibatch sampling."""
+    """Bounded FIFO of experiences with uniform minibatch sampling. Sizes
+    must satisfy 1 <= minibatch <= start_threshold <= capacity, or the
+    memory could never fill a minibatch or start learning (ValueError)."""
 
     def __init__(self, capacity=1000, start_threshold=32, minibatch=4):
+        if not 1 <= minibatch <= start_threshold <= capacity:
+            raise ValueError("replay sizes need 1 <= minibatch <= start_threshold <= capacity")
         self.capacity = capacity
         self.start_threshold = start_threshold
         self.minibatch = minibatch
@@ -225,52 +234,62 @@ def encode_state(s, last_action, last_reward):
     )
 
 
-def _forward_trace(net, x):
-    """Forward pass keeping pre-activations and activations per layer."""
+def _activations(net, x):
+    """Forward pass keeping every layer's activation: the input, each
+    hidden layer's ReLU output, and the linear output last."""
     a = np.asarray(x, dtype=float)
     if a.shape != (net.layer_sizes[0],):
         raise ValueError("input length must be %d" % net.layer_sizes[0])
     if not np.isfinite(a).all():
         raise NonFiniteInput("input contains a non-finite component")
     activations = [a]
-    pre_acts = []
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = w @ activations[-1] + b
-        pre_acts.append(z)
-        activations.append(z if l == last else relu(z))
-    return pre_acts, activations
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = relu(w @ a + b)
+        activations.append(a)
+    activations.append(net.weights[-1] @ a + net.biases[-1])
+    return activations
 
 
 def mlp_forward(net, x):
     """Q-values for every action: hidden layers ReLU, output linear."""
-    _, activations = _forward_trace(net, x)
-    return activations[-1]
+    return _activations(net, x)[-1]
 
 
 def dqn_target(e, net_prev, gamma):
-    """r + gamma * max over forward(net_prev, s_next) -- net_prev is the
-    parameter snapshot from before the current minibatch."""
-    return e.r + gamma * float(np.max(mlp_forward(net_prev, e.s_next)))
+    """r + gamma * max over forward(net_prev, s_next) -- net_prev holds the
+    parameters from before the minibatch's first SGD step."""
+    return e.r + gamma * float(mlp_forward(net_prev, e.s_next).max())
 
 
 def sgd_step(net, x, action, target, lr):
     """One SGD step on the squared error of the selected head only.
 
-    Backpropagates d/dp (target - Q_action(x))^2; the other output heads
-    contribute zero gradient. Updates the net in place and returns it.
+    Backpropagates d/dp (target - Q_action(x))^2. The other output heads
+    have zero gradient, so only the selected head's output row and bias
+    move; the hidden layers get the full backward pass. Updates the net in
+    place and returns it.
+
+    The result equals a full-width backward pass bit for bit unless a
+    parameter is negative zero (then a zero's sign may differ). Random
+    init and SGD updates never make one; a loaded or hand-built net can.
     """
-    if not np.isfinite(target):
+    if not math.isfinite(target):
         raise ValueError("target must be finite")
-    pre_acts, activations = _forward_trace(net, x)
-    last = len(net.weights) - 1
-    delta = np.zeros(net.layer_sizes[-1])
-    delta[int(action)] = 2.0 * (activations[-1][int(action)] - target)
-    for l in range(last, -1, -1):
-        grad_w = np.outer(delta, activations[l])
+    activations = _activations(net, x)
+    a = int(action)
+    h = activations[-2]
+    w_out = net.weights[-1]
+    d = 2.0 * (activations[-1][a] - target)
+    # the hidden delta reads the output row before it moves
+    delta = w_out[a] * d * (h > 0)
+    w_out[a] -= lr * (d * h)
+    net.biases[-1][a] -= lr * d
+    for l in range(len(net.weights) - 2, -1, -1):
+        act = activations[l]
+        grad_w = delta[:, None] * act
         grad_b = delta
         if l > 0:
-            delta = (net.weights[l].T @ delta) * (pre_acts[l - 1] > 0)
+            delta = (net.weights[l].T @ delta) * (act > 0)
         net.weights[l] -= lr * grad_w
         net.biases[l] -= lr * grad_b
     return net
@@ -281,8 +300,9 @@ class _DqnPolicy:
     (thresholds, last action, last reward) and selects epsilon-greedily on
     the network's output for it; learn stores each transition and, once
     the memory holds start_threshold experiences, samples a minibatch,
-    computes targets against a pre-minibatch parameter snapshot, and takes
-    one sgd_step per sample."""
+    computes every sample's target with the parameters from before the
+    minibatch's first step (no copy of the network), then takes one
+    sgd_step per sample."""
 
     def __init__(self, net, cfg, memory, state):
         if memory is None:
@@ -302,10 +322,11 @@ class _DqnPolicy:
         memory = self.memory
         memory.store(Experience(self.s_vec, action, reward, next_vec))
         if len(memory) >= memory.start_threshold:
-            snapshot = self.net.copy()
-            for e in memory.sample(memory.minibatch, rng):
-                sgd_step(self.net, e.s, e.a, dqn_target(e, snapshot, self.cfg.gamma),
-                         self.cfg.sgd_learning_rate)
+            net, gamma, lr = self.net, self.cfg.gamma, self.cfg.sgd_learning_rate
+            batch = memory.sample(memory.minibatch, rng)
+            targets = [dqn_target(e, net, gamma) for e in batch]
+            for e, target in zip(batch, targets):
+                sgd_step(net, e.s, e.a, target, lr)
         self.s_vec = next_vec
 
 

@@ -1,7 +1,11 @@
 """Tests for the from-scratch DQN: network forward/backward, replay
 memory, targets, and the training loop."""
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrl.dqn import (
     LAYER_SIZES,
@@ -12,6 +16,7 @@ from flowrl.dqn import (
     Mlp,
     NonFiniteInput,
     ReplayMemory,
+    _DqnPolicy,
     dqn_target,
     dqn_train,
     encode_state,
@@ -20,7 +25,8 @@ from flowrl.dqn import (
     relu,
     sgd_step,
 )
-from flowrl.model import ThresholdConfig
+from flowrl.harness import ExperimentConfig, run_experiment, write_report
+from flowrl.model import FREQ_GRID, REC_GRID, ThresholdConfig
 from flowrl.qlearn import Action, EmptyTrainingSets
 from conftest import FakeEnv
 
@@ -52,7 +58,8 @@ class TestDqnConfig:
         [dict(sgd_learning_rate=0.0), dict(epsilon0=1.1), dict(budget=0),
          dict(replay_capacity=0), dict(minibatch=0),
          dict(start_threshold=2, minibatch=4),
-         dict(gamma=1.5), dict(gamma=-0.1), dict(gamma=float("nan"))],
+         dict(gamma=1.5), dict(gamma=-0.1), dict(gamma=float("nan")),
+         dict(replay_capacity=10, start_threshold=32)],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -326,7 +333,7 @@ class TestReplayMemory:
         assert mem.buffer[0].r == 1 and mem.buffer[-1].r == 1000
 
     def test_exhaustive_sample(self, rng):
-        mem = ReplayMemory(capacity=10)
+        mem = ReplayMemory(capacity=10, start_threshold=4)
         items = [self._exp(i) for i in range(4)]
         for e in items:
             mem.store(e)
@@ -335,7 +342,7 @@ class TestReplayMemory:
         assert {id(e) for e in out} == {id(e) for e in items}
 
     def test_insufficient_experiences(self, rng):
-        mem = ReplayMemory(capacity=10)
+        mem = ReplayMemory(capacity=10, start_threshold=4)
         for i in range(4):
             mem.store(self._exp(i))
         with pytest.raises(InsufficientExperiences):
@@ -351,6 +358,17 @@ class TestReplayMemory:
             counts[mem.sample(1, rng)[0].r] += 1
         assert counts.min() >= 55
         assert counts.max() <= 145
+
+    @pytest.mark.parametrize(
+        "capacity,start_threshold,minibatch",
+        [(0, 0, 0), (10, 32, 4), (10, 4, 5), (10, 4, 0)],
+        ids=["all-zero", "start-above-capacity", "minibatch-above-start",
+             "empty-minibatch"],
+    )
+    def test_rejects_sizes_that_cannot_learn(self, capacity, start_threshold,
+                                             minibatch):
+        with pytest.raises(ValueError):
+            ReplayMemory(capacity, start_threshold, minibatch)
 
 
 class TestDqnTrain:
@@ -458,3 +476,177 @@ class TestInitMlp:
         net2 = init_mlp("from_training", training_sets=sets,
                         env=FakeEnv(overhead), cfg=cfg, seed=6)
         assert nets_equal(net, net2)
+
+
+# -- bit-exactness against the snapshot-copy learn step ----------------------
+#
+# The reference below is the earlier learn step, kept verbatim: a full-width
+# backward pass that keeps the pre-activations, and a learn loop that copies
+# the network before each minibatch and takes every target from the copy.
+# The lean step must leave the same bytes in every weight and bias.
+
+
+def ref_forward_trace(net, x):
+    """Forward pass keeping pre-activations and activations per layer."""
+    a = np.asarray(x, dtype=float)
+    if a.shape != (net.layer_sizes[0],):
+        raise ValueError("input length must be %d" % net.layer_sizes[0])
+    if not np.isfinite(a).all():
+        raise NonFiniteInput("input contains a non-finite component")
+    activations = [a]
+    pre_acts = []
+    last = len(net.weights) - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = w @ activations[-1] + b
+        pre_acts.append(z)
+        activations.append(z if l == last else relu(z))
+    return pre_acts, activations
+
+
+def ref_dqn_target(e, net_prev, gamma):
+    _, activations = ref_forward_trace(net_prev, e.s_next)
+    return e.r + gamma * float(np.max(activations[-1]))
+
+
+def ref_sgd_step(net, x, action, target, lr):
+    if not np.isfinite(target):
+        raise ValueError("target must be finite")
+    pre_acts, activations = ref_forward_trace(net, x)
+    last = len(net.weights) - 1
+    delta = np.zeros(net.layer_sizes[-1])
+    delta[int(action)] = 2.0 * (activations[-1][int(action)] - target)
+    for l in range(last, -1, -1):
+        grad_w = np.outer(delta, activations[l])
+        grad_b = delta
+        if l > 0:
+            delta = (net.weights[l].T @ delta) * (pre_acts[l - 1] > 0)
+        net.weights[l] -= lr * grad_w
+        net.biases[l] -= lr * grad_b
+    return net
+
+
+class RefPolicy(_DqnPolicy):
+    def learn(self, state, action, reward, next_state, rng):
+        next_vec = encode_state(next_state, action, reward)
+        memory = self.memory
+        memory.store(Experience(self.s_vec, action, reward, next_vec))
+        if len(memory) >= memory.start_threshold:
+            snapshot = self.net.copy()
+            for e in memory.sample(memory.minibatch, rng):
+                ref_sgd_step(self.net, e.s, e.a, ref_dqn_target(e, snapshot, self.cfg.gamma),
+                             self.cfg.sgd_learning_rate)
+        self.s_vec = next_vec
+
+
+def net_bytes(net):
+    return [p.tobytes() for p in net.weights + net.biases]
+
+
+# Multiples of 1/4, zero drawn most often: sums of such terms over the action
+# and reward inputs land exactly on 0, so ReLU units sit at the boundary.
+# Never negative zero, which random init and SGD never make (see sgd_step).
+QUARTERS = st.sampled_from([0.0, 0.0, 0.0, -1.0, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def networks(draw):
+    """A 4-input, 5-head net with 0-3 hidden layers: either seeded uniform
+    parameters, or hand-built quarter-valued ones with zero weights on the
+    two threshold inputs, whose pre-activations are often exactly 0."""
+    sizes = [4] + draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 24]), max_size=3)) + [5]
+    if draw(st.booleans()):
+        return Mlp.random(np.random.default_rng(draw(st.integers(0, 2**16))), sizes,
+                          scale=draw(st.sampled_from([0.1, 1.0])))
+    weights = []
+    biases = []
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        w = np.array(draw(st.lists(QUARTERS, min_size=n_in * n_out,
+                                   max_size=n_in * n_out))).reshape(n_out, n_in)
+        if n_in == 4:
+            w[:, :2] = 0.0
+        weights.append(w)
+        biases.append(np.array(draw(st.lists(QUARTERS, min_size=n_out, max_size=n_out))))
+    return Mlp(weights, biases)
+
+
+STATES = st.builds(ThresholdConfig, st.sampled_from(FREQ_GRID), st.sampled_from(REC_GRID))
+
+
+@settings(max_examples=150)
+@given(
+    net=networks(),
+    minibatch=st.integers(1, 4),
+    extra_start=st.integers(0, 4),
+    gamma=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    lr=st.sampled_from([0.01, 0.0625, 0.25]),
+    seed=st.integers(0, 2**16),
+    transitions=st.lists(
+        st.tuples(st.sampled_from(list(Action)), st.integers(-1, 1), STATES),
+        min_size=4, max_size=24,
+    ),
+)
+def test_lean_learn_matches_snapshot_copy(net, minibatch, extra_start, gamma, lr, seed,
+                                          transitions):
+    cfg = DqnConfig(gamma=gamma, sgd_learning_rate=lr, start_threshold=minibatch + extra_start,
+                    minibatch=minibatch)
+    state = ThresholdConfig(130, 0)
+    lean = _DqnPolicy(net.copy(), cfg, None, state)
+    ref = RefPolicy(net.copy(), cfg, None, state)
+    lean_rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    for action, reward, next_state in transitions:
+        lean.learn(state, action, reward, next_state, lean_rng)
+        ref.learn(state, action, reward, next_state, ref_rng)
+        assert net_bytes(lean.net) == net_bytes(ref.net)
+        state = next_state
+    assert lean_rng.random() == ref_rng.random()
+
+
+@settings(max_examples=150)
+@given(
+    net=networks(),
+    steps=st.lists(
+        st.tuples(
+            st.lists(QUARTERS | st.floats(-2, 2), min_size=4, max_size=4),
+            st.sampled_from(list(Action)),
+            QUARTERS | st.floats(-3, 3),
+        ),
+        min_size=1, max_size=8,
+    ),
+    lr=st.sampled_from([0.01, 0.0625, 0.25]),
+)
+def test_lean_sgd_step_matches_full_backward_pass(net, steps, lr):
+    lean = net.copy()
+    ref = net.copy()
+    for x, action, target in steps:
+        sgd_step(lean, np.array(x), action, target, lr)
+        ref_sgd_step(ref, np.array(x), action, target, lr)
+        assert net_bytes(lean) == net_bytes(ref)
+
+
+# SHA-256 of the saved network and the report CSV, taken before the lean
+# learn step replaced the snapshot-copy one. A change to the float order of
+# the forward or backward pass changes them.
+PINNED_DQN_BYTES = [
+    (ExperimentConfig(mode="dqn", seed=3, episodes_cap=40, goal_mu=0.4),
+     "6b886203153af430f0bcec4e05991552b87059581962a8f1852e5df1944e2445",
+     "36cd308a8c1f887598659a96741fe9932d9bafb8f39957831b09ce02510d2a52"),
+    (ExperimentConfig(mode="dqn", seed=0, episodes_cap=70, goal_mu=0.97,
+                      table_capacity_bits=8 * 356),
+     "cd95ef75ea3952344829d38cc9f5e20a3f79bb2f610e47c3dc9d9499b64e03dc",
+     "494f425d200f7263403eb8ca648b02decace26153230f5a5070cf2024ac6f7c9"),
+]
+
+
+@pytest.mark.parametrize("cfg,net_sha,csv_sha", PINNED_DQN_BYTES,
+                         ids=["c10-seed3-cap40", "8-entry-seed0-cap70"])
+def test_dqn_bytes_pinned(tmp_path, cfg, net_sha, csv_sha):
+    net_path = str(tmp_path / "policy.net")
+    csv_path = str(tmp_path / "report.csv")
+    write_report(run_experiment(cfg, save_policy=net_path), csv_path)
+
+    def sha(path):
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    assert (sha(net_path), sha(csv_path)) == (net_sha, csv_sha)
