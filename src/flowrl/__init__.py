@@ -26,7 +26,9 @@ from flowrl.traffic import (
     InvalidProfile,
     TrafficProfile,
     emission_extent,
+    emitted_before,
     generate_schedule,
+    last_emission_tick,
     packets_for_tick,
     total_packets,
 )

@@ -181,32 +181,6 @@ class IlpInstance:
     def n(self):
         return len(self.rules)
 
-    def save(self, path):
-        """Capacity header plus one `t,s` line per rule."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write("capacity=%d\n" % self.capacity)
-            for t, s in self.rules:
-                fh.write("%s,%d\n" % (("%.17g" % t if isinstance(t, float) else str(t)), s))
-
-    @staticmethod
-    def load(path):
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("capacity="):
-                raise ValueError("missing capacity header")
-            capacity = int(header.split("=", 1)[1])
-            rules = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                t, s = line.split(",")
-                t = float(t)
-                if t == int(t):
-                    t = int(t)
-                rules.append((t, int(s)))
-        return IlpInstance(rules=tuple(rules), capacity=capacity)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -232,7 +206,9 @@ def knapsack_exact(inst):
     """Minimize controller-resident overhead: equivalently a 0/1 knapsack
     maximizing the on-switch overhead sum under the bit capacity.
 
-    Exact dynamic program over capacity scaled by gcd(sizes). The optimal
+    Exact dynamic program over capacity scaled by gcd(sizes), clamped to
+    the summed sizes: beyond them every rule fits, so neither the optimum
+    nor the reconstruction below can change. The optimal
     objective is unique; among optimal assignments the lexicographically
     smallest on_switch index set is returned.
     """
@@ -246,7 +222,7 @@ def knapsack_exact(inst):
     g = 0
     for _, s in inst.rules:
         g = math.gcd(g, s)
-    cap = inst.capacity // g
+    cap = min(inst.capacity, sum(s for _, s in inst.rules)) // g
     sizes = [s // g for _, s in inst.rules]
     values = [t for t, _ in inst.rules]
 

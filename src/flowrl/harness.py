@@ -29,7 +29,9 @@ from flowrl.traffic import (
     FlowSpec,
     InvalidProfile,
     TrafficProfile,
+    emitted_before,
     generate_schedule,
+    last_emission_tick,
     total_packets,
 )
 
@@ -91,6 +93,8 @@ class ExperimentConfig:
     def validate(self):
         if self.mode not in ("ql", "dqn", "mbf", "oracle", "significance"):
             raise ValidationError("mode must be ql|dqn|mbf|oracle|significance")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.episodes_cap < 1:
             raise ValidationError("episodes_cap must be >= 1")
         if not 0.0 < self.goal_mu < 1.0:
@@ -114,7 +118,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValidationError(str(exc))
         try:
-            self.traffic.validate()
+            self.traffic.validate(self.orchestration_window)
         except InvalidProfile as exc:
             raise ValidationError(str(exc))
         return self
@@ -212,56 +216,31 @@ def build_eval_schedule(schedule, window, replay_lag):
       - completed mice never recur.
     """
     profile = schedule.profile
-    rate = profile.packets_per_tick()
     flows = []
     for f in schedule.flows:
         total = total_packets(f.size, profile.packet_size)
-        emitted = min(total, (window - f.start) * rate)
-        remaining = total - emitted
+        remaining = total - emitted_before(f, window, profile)
         if remaining > 0:
-            size = remaining * profile.packet_size
-            flows.append(
-                FlowSpec(
-                    id=f.id,
-                    klass=f.klass,
-                    size=size,
-                    start=0,
-                    duration=size * 8 / profile.per_flow_rate,
-                )
-            )
+            flows.append(FlowSpec(f.id, f.klass, remaining * profile.packet_size, 0))
             continue
         if f.klass != "elephant":
             continue
-        death = f.start + -(-total // rate) - 1
-        replay_at = death + replay_lag
+        replay_at = last_emission_tick(f, profile) + replay_lag
         if replay_at >= window:
             continue
-        pkts = min(total, rate * (window - replay_at))
-        size = pkts * profile.packet_size
-        flows.append(
-            FlowSpec(
-                id=f.id,
-                klass="elephant",
-                size=size,
-                start=replay_at,
-                duration=size * 8 / profile.per_flow_rate,
-            )
-        )
+        recur = dataclasses.replace(f, start=replay_at)
+        flows.append(dataclasses.replace(
+            recur, size=emitted_before(recur, window, profile) * profile.packet_size))
     flows.sort(key=lambda f: (f.start, f.id))
-    return FlowSchedule(
-        flows=flows, horizon=window, seed=schedule.seed, profile=profile
-    )
+    return FlowSchedule(flows=flows, horizon=window, profile=profile)
 
 
 def _episode_packets(schedule):
-    """Each flow's packets in [0, horizon): a flow emits min(total,
-    (horizon - start) * rate) of its total packets before the horizon,
-    summed over the flow's entries in the schedule."""
-    rate = schedule.profile.packets_per_tick()
+    """Each flow's packets in [0, horizon), summed over the flow's entries
+    in the schedule."""
     packets = {}
     for f in schedule.flows:
-        total = total_packets(f.size, schedule.profile.packet_size)
-        emitted = min(total, max(0, schedule.horizon - f.start) * rate)
+        emitted = emitted_before(f, schedule.horizon, schedule.profile)
         packets[f.id] = packets.get(f.id, 0) + emitted
     return packets
 

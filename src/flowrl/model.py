@@ -47,15 +47,10 @@ class FlowId:
             raise ValueError("only tcp flows are modeled")
 
     def text(self):
-        """Serialize as a comma-free token for line-oriented files."""
+        """The flow as one text token (the key MBF hashes)."""
         return "%d-%d-%d-%d-%s" % (
             self.src_host, self.dst_host, self.src_port, self.dst_port, self.proto
         )
-
-    @staticmethod
-    def from_text(token):
-        src, dst, sport, dport, proto = token.strip().split("-")
-        return FlowId(int(src), int(dst), int(sport), int(dport), proto)
 
 
 @dataclass
@@ -137,37 +132,11 @@ class FlowPool:
             rec.freq += count
             rec.last_seen = max(rec.last_seen, now)
 
-    def freq(self, flow_id):
-        return self.records[flow_id].freq
-
-    def last_seen(self, flow_id):
-        return self.records[flow_id].last_seen
-
     def __contains__(self, flow_id):
         return flow_id in self.records
 
     def __len__(self):
         return len(self.records)
-
-    def save(self, path):
-        """Write one `flow_id,freq,last_seen` line per record, sorted by id."""
-        with open(path, "w", newline="\n") as fh:
-            for fid in sorted(self.records):
-                rec = self.records[fid]
-                fh.write("%s,%d,%d\n" % (fid.text(), rec.freq, rec.last_seen))
-
-    @staticmethod
-    def load(path):
-        pool = FlowPool()
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                token, freq, last_seen = line.split(",")
-                fid = FlowId.from_text(token)
-                pool.records[fid] = PoolRecord(freq=int(freq), last_seen=int(last_seen))
-        return pool
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,6 @@ class QTable:
         fi, ri = self._index(state)
         self.values[fi, ri, int(action)] = value
 
-    def copy(self):
-        return QTable(self.values.copy())
-
     def save(self, path):
         """One `freq_thr,rec_thr,action,q_value` line per cell, sorted,
         with 17-significant-digit decimals (round-trip exact)."""

@@ -5,7 +5,9 @@
 from dataclasses import dataclass
 
 from flowrl.model import ENTRY_BITS, FlowPool, FlowRule, FlowTable
-from flowrl.traffic import emission_extent, packets_for_tick
+from flowrl.traffic import (
+    emission_extent, emitted_before, last_emission_tick, packets_for_tick,
+)
 
 
 class RulesetTooLarge(Exception):
@@ -47,18 +49,23 @@ class BestSoFar:
 
 
 def run_orchestration(schedule, window):
-    """Build the flow pool by observing every lookup in [0, window).
+    """Build the flow pool from every lookup in [0, window), in closed form.
 
-    Every flow with at least one packet in the window is recorded with its
-    in-window lookup count as freq; recentness is anchored at window close
-    (the pool keeps last_seen, so recentness = window - last_seen).
+    Every flow starting before the window close is recorded with the
+    packets it emits in the window as freq and the tick of its last
+    in-window packet as last_seen (recentness = window - last_seen). Flows
+    are sorted by start and emit from their start tick on, so the pool's
+    insertion order is that of a tick-by-tick replay, and pool.record
+    merges a repeated FlowId as the replay would.
     """
     if window > schedule.horizon:
         raise ValueError("window exceeds schedule horizon")
     pool = FlowPool()
-    for tick in range(window):
-        for fid, count in packets_for_tick(schedule, tick):
-            pool.record(fid, tick, count)
+    profile = schedule.profile
+    for f in schedule.flows:
+        if f.start < window:
+            pool.record(f.id, min(window - 1, last_emission_tick(f, profile)),
+                        emitted_before(f, window, profile))
     return pool
 
 

@@ -13,6 +13,12 @@ class InvalidProfile(Exception):
     """A traffic profile field violates its invariants."""
 
 
+# Most flows a schedule may be expected to hold (arrival_rate x horizon);
+# the desk-scale reference expects 150 per 60 s window, the contended
+# benchmark workload 1,500 and the paper-scale defaults 796.
+MAX_EXPECTED_FLOWS = 100_000
+
+
 @dataclass(frozen=True)
 class TrafficProfile:
     """Workload shape: flow class mix, sizes, and rates.
@@ -30,7 +36,9 @@ class TrafficProfile:
     packet_size: int = 1500
     per_flow_rate: float = 10_000_000.0
 
-    def validate(self):
+    def validate(self, horizon=0):
+        """Check every field; with a horizon, also cap the expected flow
+        count of a schedule over it at MAX_EXPECTED_FLOWS."""
         if not 0.0 <= self.elephant_fraction <= 1.0:
             raise InvalidProfile("elephant_fraction must be in [0, 1]")
         for name in ("mice_size", "elephant_size", "packet_size"):
@@ -42,6 +50,11 @@ class TrafficProfile:
         if self.packets_per_tick() < 1:
             raise InvalidProfile(
                 "per_flow_rate rounds to zero packets per tick; flows could never emit"
+            )
+        if self.arrival_rate() * horizon > MAX_EXPECTED_FLOWS:
+            raise InvalidProfile(
+                "aggregate_rate implies %.3g flows over %d ticks, above %d"
+                % (self.arrival_rate() * horizon, horizon, MAX_EXPECTED_FLOWS)
             )
 
     def packets_per_tick(self):
@@ -66,30 +79,27 @@ def total_packets(size, packet_size):
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """One flow: identity, class, byte size, start tick, and nominal
-    duration (= size*8 / per_flow_rate seconds)."""
+    """One flow: identity, class, byte size, and start tick."""
 
     id: FlowId
     klass: str  # "elephant" or "mice"
     size: int
     start: int
-    duration: float
 
     def __post_init__(self):
         if self.klass not in ("elephant", "mice"):
             raise ValueError("class must be elephant or mice")
-        if self.size <= 0 or self.duration <= 0:
-            raise ValueError("size and duration must be positive")
+        if self.size <= 0:
+            raise ValueError("size must be positive")
 
 
 @dataclass
 class FlowSchedule:
-    """An ordered (by start) list of FlowSpecs plus horizon, seed, and the
+    """An ordered (by start) list of FlowSpecs plus the horizon and the
     profile whose rates drive per-tick emission."""
 
     flows: list
     horizon: int
-    seed: int
     profile: TrafficProfile
 
     def __post_init__(self):
@@ -98,46 +108,6 @@ class FlowSchedule:
             raise ValueError("flow starts must be sorted non-decreasing")
         if any(s >= self.horizon or s < 0 for s in starts):
             raise ValueError("all starts must lie in [0, horizon)")
-
-    def save(self, path):
-        """Write `start,src,dst,sport,dport,class,size` lines."""
-        with open(path, "w", newline="\n") as fh:
-            for f in self.flows:
-                fh.write(
-                    "%d,%d,%d,%d,%d,%s,%d\n"
-                    % (
-                        f.start,
-                        f.id.src_host,
-                        f.id.dst_host,
-                        f.id.src_port,
-                        f.id.dst_port,
-                        f.klass,
-                        f.size,
-                    )
-                )
-
-    @staticmethod
-    def load(path, horizon, profile, seed=0):
-        flows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                start, src, dst, sport, dport, klass, size = line.split(",")
-                fid = FlowId(int(src), int(dst), int(sport), int(dport))
-                size = int(size)
-                flows.append(
-                    FlowSpec(
-                        id=fid,
-                        klass=klass,
-                        size=size,
-                        start=int(start),
-                        duration=size * 8 / profile.per_flow_rate,
-                    )
-                )
-        flows.sort(key=lambda f: (f.start, f.id))
-        return FlowSchedule(flows=flows, horizon=horizon, seed=seed, profile=profile)
 
 
 def generate_schedule(profile, horizon, n_hosts, seed):
@@ -149,7 +119,7 @@ def generate_schedule(profile, horizon, n_hosts, seed):
     elephant with probability elephant_fraction; (src, dst) are uniform
     over distinct host pairs; ports are drawn so FlowIds are unique.
     """
-    profile.validate()
+    profile.validate(horizon)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if n_hosts < 2:
@@ -178,17 +148,15 @@ def generate_schedule(profile, horizon, n_hosts, seed):
             if fid not in seen_ids:
                 seen_ids.add(fid)
                 break
-        size = profile.elephant_size if is_elephant else profile.mice_size
         flows.append(
             FlowSpec(
                 id=fid,
                 klass="elephant" if is_elephant else "mice",
-                size=size,
+                size=profile.elephant_size if is_elephant else profile.mice_size,
                 start=start,
-                duration=size * 8 / profile.per_flow_rate,
             )
         )
-    return FlowSchedule(flows=flows, horizon=horizon, seed=seed, profile=profile)
+    return FlowSchedule(flows=flows, horizon=horizon, profile=profile)
 
 
 def packets_for_tick(schedule, tick):
@@ -198,9 +166,9 @@ def packets_for_tick(schedule, tick):
     tick, in schedule order. A flow emits
     round(per_flow_rate/(packet_size*8)) packets per tick from its start
     tick on, capped so its cumulative emission never exceeds
-    ceil(size/packet_size); draining may therefore extend past the last
-    nominal duration second for flows whose size is not a whole number of
-    ticks.
+    ceil(size/packet_size); draining may therefore extend past
+    size*8/per_flow_rate seconds for flows whose size is not a whole number
+    of ticks. emitted_before gives the sum of this emission in closed form.
     """
     if tick < 0:
         raise ValueError("tick must be non-negative")
@@ -218,12 +186,22 @@ def packets_for_tick(schedule, tick):
     return out
 
 
+def emitted_before(flow, tick, profile):
+    """Packets `flow` has emitted before `tick`: packets_for_tick's
+    emission summed over [0, tick)."""
+    total = total_packets(flow.size, profile.packet_size)
+    return min(total, max(0, tick - flow.start) * profile.packets_per_tick())
+
+
+def last_emission_tick(flow, profile):
+    """The tick on which `flow` emits its last packet."""
+    total = total_packets(flow.size, profile.packet_size)
+    return flow.start + -(-total // profile.packets_per_tick()) - 1
+
+
 def emission_extent(schedule):
     """The first tick by which every flow in the schedule has drained."""
-    rate = schedule.profile.packets_per_tick()
-    end = 0
-    for f in schedule.flows:
-        total = total_packets(f.size, schedule.profile.packet_size)
-        ticks = -(-total // rate)
-        end = max(end, f.start + ticks)
-    return end
+    return max(
+        (last_emission_tick(f, schedule.profile) + 1 for f in schedule.flows),
+        default=0,
+    )

@@ -48,18 +48,9 @@ ONE_PPS = TrafficProfile(
 
 def hand_schedule(specs, horizon, profile=ONE_PPS):
     """Build a FlowSchedule from (flow_id, klass, size_bytes, start) tuples."""
-    flows = [
-        FlowSpec(
-            id=f,
-            klass=klass,
-            size=size,
-            start=start,
-            duration=size * 8 / profile.per_flow_rate,
-        )
-        for f, klass, size, start in specs
-    ]
+    flows = [FlowSpec(*spec) for spec in specs]
     flows.sort(key=lambda f: (f.start, f.id))
-    return FlowSchedule(flows=flows, horizon=horizon, seed=0, profile=profile)
+    return FlowSchedule(flows=flows, horizon=horizon, profile=profile)
 
 
 def hand_pool(entries):

@@ -175,9 +175,8 @@ class TestRunMbfEpisode:
         from flowrl.traffic import FlowSchedule, FlowSpec, TrafficProfile
 
         prof = TrafficProfile()
-        spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0,
-                        duration=prof.mice_size * 8 / prof.per_flow_rate)
-        sched = FlowSchedule(flows=[spec], horizon=5, seed=0, profile=prof)
+        spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
+        sched = FlowSchedule(flows=[spec], horizon=5, profile=prof)
         metrics = run_mbf_episode(sched, FlowTable(ENTRY_BITS))
         assert metrics.misses == 1
         assert metrics.hits == 174
@@ -194,9 +193,8 @@ class TestRunMbfEpisode:
         from flowrl.traffic import FlowSchedule, FlowSpec, TrafficProfile
 
         prof = TrafficProfile()
-        spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0,
-                        duration=prof.mice_size * 8 / prof.per_flow_rate)
-        sched = FlowSchedule(flows=[spec], horizon=5, seed=0, profile=prof)
+        spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
+        sched = FlowSchedule(flows=[spec], horizon=5, profile=prof)
         metrics = run_mbf_episode(sched, FlowTable(0))
         assert metrics.misses == 175 and metrics.hits == 0
 
@@ -294,27 +292,6 @@ class TestIlpInstance:
         with pytest.raises(ValueError):
             IlpInstance(rules=((3, 0),), capacity=10)
 
-    def test_save_load_round_trip_int(self, tmp_path):
-        inst = IlpInstance(rules=((5, 6), (4, 5), (3, 5)), capacity=10)
-        path = tmp_path / "inst.csv"
-        inst.save(path)
-        assert IlpInstance.load(path) == inst
-
-    def test_save_load_round_trip_float(self, tmp_path):
-        inst = IlpInstance(rules=((2.5, 6), (4.0, 5)), capacity=10)
-        path = tmp_path / "inst.csv"
-        inst.save(path)
-        back = IlpInstance.load(path)
-        assert back.capacity == 10
-        assert back.rules[0] == (2.5, 6)
-        assert back.rules[1] == (4, 5)  # whole floats come back as ints
-
-    def test_load_requires_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("5,6\n")
-        with pytest.raises(ValueError):
-            IlpInstance.load(path)
-
 
 class TestAssignment:
     INST = IlpInstance(rules=((5, 6), (4, 5), (3, 5)), capacity=10)
@@ -378,6 +355,20 @@ class TestKnapsackExact:
                                           capacity=1068))
         assert full.on_switch == frozenset({1, 2})
         assert full.objective == 0
+
+    def test_huge_capacity_sizes_dp_by_the_rules(self):
+        # the DP is sized by the summed rule sizes, not by the raw capacity
+        rules = ((74, 40), (25, 1), (98, 2), (81, 30), (0, 12), (6, 356))
+        inst = IlpInstance(rules=rules, capacity=10**18)
+        assert knapsack_exact(inst) == brute_force_partition(inst)
+        assert knapsack_exact(inst).objective == 0
+
+    def test_huge_capacity_oracle_run(self):
+        cfg = ExperimentConfig(mode="oracle", seed=1, table_capacity_bits=10**18)
+        summary = run_experiment(cfg).summary
+        assert summary["objective"] == 0
+        assert summary["on_switch_count"] > 0
+        assert summary["capacity_bits"] == 10**18
 
 
 class TestBruteForcePartition:

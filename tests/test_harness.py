@@ -25,7 +25,7 @@ from flowrl.baselines import brute_force_partition, knapsack_exact
 from flowrl.model import ENTRY_BITS, FlowTable, ThresholdConfig, select_rules
 from flowrl.simnet import run_episode
 from flowrl.traffic import FlowSpec, TrafficProfile
-from conftest import ONE_PPS, fid, hand_pool, hand_schedule
+from conftest import fid, hand_pool, hand_schedule
 
 SMALL_TRAFFIC = dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=43_200.0)
 
@@ -113,6 +113,29 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match=key):
             load_config(path)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed=-1\n")
+        with pytest.raises(ValidationError, match="seed"):
+            load_config(path)
+
+    # never generate a schedule here: these configs ask for 10**5-10**11 flows
+    @pytest.mark.parametrize("text", [
+        "aggregate_rate=1e15\n",  # about 2.8e11 flows over 60 ticks
+        "orchestration_window=10000000\n",  # 2.5e7 reference flows
+    ])
+    def test_flow_count_cap(self, tmp_path, text):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="aggregate_rate implies"):
+            load_config(path)
+
+    def test_flow_count_below_cap_accepted(self, tmp_path):
+        # 3.5e8 bit/s of 27 KB flows: about 97,000 flows over 60 ticks
+        path = tmp_path / "c.cfg"
+        path.write_text("aggregate_rate=3.5e8\n")
+        assert load_config(path).traffic.aggregate_rate == 3.5e8
+
     def test_save_load_round_trip(self, tmp_path):
         cfg = ExperimentConfig(
             mode="significance",
@@ -158,14 +181,10 @@ class TestBuildEvalSchedule:
             horizon=10,
         )
         out = build_eval_schedule(sched, window=10, replay_lag=3)
-        rate = ONE_PPS.per_flow_rate
         assert out.flows == [
-            FlowSpec(id=fid(5), klass="mice", size=1500, start=0,
-                     duration=1500 * 8 / rate),
-            FlowSpec(id=fid(1), klass="elephant", size=4500, start=5,
-                     duration=4500 * 8 / rate),
-            FlowSpec(id=fid(3), klass="elephant", size=1500, start=9,
-                     duration=1500 * 8 / rate),
+            FlowSpec(id=fid(5), klass="mice", size=1500, start=0),
+            FlowSpec(id=fid(1), klass="elephant", size=4500, start=5),
+            FlowSpec(id=fid(3), klass="elephant", size=1500, start=9),
         ]
         assert out.horizon == 10
 

@@ -74,12 +74,6 @@ class TestQTable:
         assert q.row(s)[int(Action.IncRec)] == 0.7
         assert q.values[9, 3, 3] == 0.7
 
-    def test_copy_is_independent(self):
-        q = QTable.random(np.random.default_rng(0))
-        c = q.copy()
-        c.set(ThresholdConfig(0, 0), Action.NoOp, 9.0)
-        assert q.get(ThresholdConfig(0, 0), Action.NoOp) != 9.0
-
     def test_save_load_exact_round_trip(self, tmp_path):
         q = QTable.random(np.random.default_rng(17))
         q.set(ThresholdConfig(200, 300), Action.DecRec, -3.141592653589793)

@@ -1,7 +1,11 @@
 """Tests for the episode engine: pool building, episode metrics, rewards."""
-import pytest
+import dataclasses
 
-from flowrl.model import ENTRY_BITS, FlowTable
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowrl.model import ENTRY_BITS, FlowPool, FlowTable, PoolRecord
 from flowrl.simnet import (
     BestSoFar,
     EpisodeMetrics,
@@ -14,7 +18,16 @@ from flowrl.simnet import (
     run_orchestration,
 )
 from flowrl.traffic import TrafficProfile, generate_schedule, packets_for_tick
-from conftest import fid, hand_schedule
+from conftest import ONE_PPS, fid, hand_schedule
+
+
+def replay_orchestration(schedule, window):
+    """The reference pool: record every flow's packets tick by tick."""
+    pool = FlowPool()
+    for tick in range(window):
+        for f, count in packets_for_tick(schedule, tick):
+            pool.record(f, tick, count)
+    return pool
 
 
 class TestEpisodeMetrics:
@@ -48,10 +61,8 @@ class TestRunOrchestration:
             horizon=20,
         )
         pool = run_orchestration(sched, window=10)
-        assert len(pool) == 2
-        assert pool.freq(a) == 10 and pool.last_seen(a) == 9
-        assert pool.freq(c) == 2 and pool.last_seen(c) == 9
-        assert b not in pool
+        assert pool.records == {a: PoolRecord(10, 9), c: PoolRecord(2, 9)}
+        assert list(pool.records) == [a, c]
 
     def test_empty_schedule(self):
         sched = hand_schedule([], horizon=10)
@@ -65,18 +76,39 @@ class TestRunOrchestration:
     def test_matches_emission_totals(self):
         prof = TrafficProfile()
         sched = generate_schedule(prof, horizon=12, n_hosts=20, seed=11)
-        window = 6
-        pool = run_orchestration(sched, window)
-        expect_freq = {}
-        expect_last = {}
-        for tick in range(window):
-            for fl, count in packets_for_tick(sched, tick):
-                expect_freq[fl] = expect_freq.get(fl, 0) + count
-                expect_last[fl] = tick
-        assert len(pool) == len(expect_freq)
-        for fl, freq in expect_freq.items():
-            assert pool.freq(fl) == freq
-            assert pool.last_seen(fl) == expect_last[fl]
+        pool = run_orchestration(sched, 6)
+        assert len(pool) > 0
+        assert list(pool.records.items()) == list(
+            replay_orchestration(sched, 6).records.items())
+
+
+@st.composite
+def orchestration_cases(draw):
+    """Hand-built schedules of up to 10 flows over 1-20 ticks at 1-3
+    packets per tick: FlowIds repeat, flows drain past the window, and the
+    window (1 to the horizon) leaves later starts outside it."""
+    horizon = draw(st.integers(1, 20))
+    specs = draw(st.lists(
+        st.tuples(
+            st.sampled_from([fid(i) for i in range(4)]),
+            st.sampled_from(("elephant", "mice")),
+            st.integers(1, 12 * 1500),
+            st.integers(0, horizon - 1),
+        ),
+        max_size=10,
+    ))
+    rate = draw(st.integers(1, 3))
+    profile = dataclasses.replace(ONE_PPS, per_flow_rate=12_000.0 * rate)
+    return hand_schedule(specs, horizon, profile), draw(st.integers(1, horizon))
+
+
+@settings(max_examples=300)
+@given(orchestration_cases())
+def test_closed_form_orchestration_equals_replay(case):
+    sched, window = case
+    got = run_orchestration(sched, window)
+    assert list(got.records.items()) == list(
+        replay_orchestration(sched, window).records.items())
 
 
 class TestRunEpisode:

@@ -71,37 +71,25 @@ class TestTrafficProfile:
 class TestFlowSpec:
     def test_rejects_bad_class(self):
         with pytest.raises(ValueError):
-            FlowSpec(id=fid(1), klass="walrus", size=1000, start=0, duration=1.0)
+            FlowSpec(id=fid(1), klass="walrus", size=1000, start=0)
 
-    @pytest.mark.parametrize("size,duration", [(0, 1.0), (1000, 0.0), (-5, 1.0)])
-    def test_rejects_non_positive_size_or_duration(self, size, duration):
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_rejects_non_positive_size(self, size):
         with pytest.raises(ValueError):
-            FlowSpec(id=fid(1), klass="mice", size=size, start=0,
-                     duration=duration)
+            FlowSpec(id=fid(1), klass="mice", size=size, start=0)
 
 
 class TestFlowSchedule:
     def test_rejects_unsorted_starts(self):
-        a = FlowSpec(id=fid(1), klass="mice", size=3000, start=5, duration=2.0)
-        b = FlowSpec(id=fid(2), klass="mice", size=3000, start=2, duration=2.0)
+        a = FlowSpec(id=fid(1), klass="mice", size=3000, start=5)
+        b = FlowSpec(id=fid(2), klass="mice", size=3000, start=2)
         with pytest.raises(ValueError):
-            FlowSchedule(flows=[a, b], horizon=10, seed=0, profile=ONE_PPS)
+            FlowSchedule(flows=[a, b], horizon=10, profile=ONE_PPS)
 
     def test_rejects_start_at_horizon(self):
-        a = FlowSpec(id=fid(1), klass="mice", size=3000, start=10, duration=2.0)
+        a = FlowSpec(id=fid(1), klass="mice", size=3000, start=10)
         with pytest.raises(ValueError):
-            FlowSchedule(flows=[a], horizon=10, seed=0, profile=ONE_PPS)
-
-    def test_save_load_round_trip(self, tmp_path):
-        sched = hand_schedule(
-            [(fid(1), "mice", 3000, 0), (fid(2), "elephant", 4500, 3)],
-            horizon=10,
-        )
-        path = tmp_path / "sched.csv"
-        sched.save(path)
-        back = FlowSchedule.load(path, horizon=10, profile=ONE_PPS)
-        assert back.flows == sched.flows
-        assert back.horizon == sched.horizon
+            FlowSchedule(flows=[a], horizon=10, profile=ONE_PPS)
 
 
 class TestGenerateSchedule:
@@ -162,9 +150,8 @@ class TestPacketsForTick:
         # a 262144-byte mouse is 175 packets; at 833 packets/tick it all
         # goes out on the start tick
         prof = TrafficProfile()
-        spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size,
-                        start=0, duration=prof.mice_size * 8 / prof.per_flow_rate)
-        sched = FlowSchedule(flows=[spec], horizon=10, seed=0, profile=prof)
+        spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
+        sched = FlowSchedule(flows=[spec], horizon=10, profile=prof)
         assert packets_for_tick(sched, 0) == [(fid(1), 175)]
         assert packets_for_tick(sched, 1) == []
 
