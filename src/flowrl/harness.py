@@ -4,7 +4,7 @@
 # oracle, significance), and CSV/summary report emission.
 
 import dataclasses
-import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,12 +15,15 @@ from flowrl.baselines import (
     knapsack_exact,
     run_mbf_episode,
 )
-from flowrl.dqn import DqnConfig, Mlp, ReplayMemory, dqn_train, init_mlp
+from flowrl.dqn import (
+    LAYER_SIZES, DqnConfig, MalformedNetwork, Mlp, ReplayMemory, dqn_train, init_mlp,
+)
 # select_rules and run_episode stay bound: bench/layers.py traces them by name here
 from flowrl.model import (  # noqa: F401
-    GRID_STEP, FlowTable, ThresholdConfig, placement_landscape, select_rules,
+    FREQ_GRID, GRID_STEP, REC_GRID, FlowTable, ThresholdConfig, placement_landscape,
+    select_rules,
 )
-from flowrl.qlearn import AgentConfig, QTable, _trace_row, init_qtable, q_train
+from flowrl.qlearn import AgentConfig, QTable, TraceRow, _trace_row, init_qtable, q_train
 from flowrl.simnet import (  # noqa: F401
     EpisodeMetrics, hit_ratio, run_episode, run_orchestration,
 )
@@ -57,9 +60,8 @@ REFERENCE_TRAFFIC = TrafficProfile(
     per_flow_rate=36_000.0,
 )
 
-# Fixed agent hyperparameters (see AgentConfig/DqnConfig defaults).
-ALPHA = 0.1
-GAMMA = 0.95
+# Exploration rates; the other agent hyperparameters are the
+# AgentConfig/DqnConfig defaults.
 EPSILON_FRESH = 1.0
 EPSILON_STATIC = 0.1
 
@@ -127,28 +129,13 @@ class ExperimentConfig:
         return ThresholdConfig(self.initial_freq, self.initial_rec)
 
 
-# key -> (is_traffic_field, converter); file order is the echo order.
+# key -> (is_traffic_field, converter) in echo order: the experiment
+# fields, then the traffic profile's; each field's type parses its value.
 _CONFIG_KEYS = {
-    "mode": (False, str),
-    "seed": (False, int),
-    "episodes_cap": (False, int),
-    "goal_mu": (False, float),
-    "table_capacity_bits": (False, int),
-    "orchestration_window": (False, int),
-    "n_hosts": (False, int),
-    "replay_lag": (False, int),
-    "qtable_init": (False, str),
-    "n_training_sets": (False, int),
-    "param_mode": (False, str),
-    "initial_freq": (False, int),
-    "initial_rec": (False, int),
-    "output_path": (False, str),
-    "elephant_fraction": (True, float),
-    "mice_size": (True, int),
-    "elephant_size": (True, int),
-    "aggregate_rate": (True, float),
-    "packet_size": (True, int),
-    "per_flow_rate": (True, float),
+    f.name: (cls is TrafficProfile, f.type)
+    for cls in (ExperimentConfig, TrafficProfile)
+    for f in dataclasses.fields(cls)
+    if f.name != "traffic"
 }
 
 
@@ -299,65 +286,64 @@ def _draw_training_sets(n, rng):
     """n random grid states for pre-training."""
     sets = []
     for _ in range(n):
-        f = 10 * int(rng.integers(0, 21))
-        r = 10 * int(rng.integers(0, 31))
+        f = GRID_STEP * int(rng.integers(0, len(FREQ_GRID)))
+        r = GRID_STEP * int(rng.integers(0, len(REC_GRID)))
         sets.append(ThresholdConfig(f, r))
     return sets
 
 
-def _build_env(cfg, param_mode=None):
-    schedule = generate_schedule(
-        cfg.traffic, cfg.orchestration_window, cfg.n_hosts, cfg.seed
-    )
-    pool = run_orchestration(schedule, cfg.orchestration_window)
-    eval_schedule = build_eval_schedule(
-        schedule, cfg.orchestration_window, cfg.replay_lag
-    )
-    return EpisodeEnv(
-        pool,
-        eval_schedule,
-        cfg.table_capacity_bits,
-        cfg.orchestration_window,
-        param_mode or cfg.param_mode,
-    )
+def _build_env(cfg):
+    """cfg's workload, its flow pool and evaluation schedule, as an EpisodeEnv."""
+    window = cfg.orchestration_window
+    schedule = generate_schedule(cfg.traffic, window, cfg.n_hosts, cfg.seed)
+    pool = run_orchestration(schedule, window)
+    eval_schedule = build_eval_schedule(schedule, window, cfg.replay_lag)
+    return EpisodeEnv(pool, eval_schedule, cfg.table_capacity_bits, window,
+                      cfg.param_mode)
 
 
 def _train_summary(cfg, result):
     initial = result.trace[0].overhead
     best = result.best
-    reduction = (initial - best.best_overhead) / initial if initial else 0.0
-    best_thr = best.best_thresholds
     return {
         "mode": cfg.mode,
         "seed": cfg.seed,
         "initial_overhead": initial,
         "best_overhead": best.best_overhead,
-        "reduction": reduction,
-        "best_freq_thr": best_thr.freq_threshold if best_thr else 0,
-        "best_rec_thr": best_thr.recentness_threshold if best_thr else 0,
+        "reduction": (initial - best.best_overhead) / initial if initial else 0.0,
+        "best_freq_thr": best.best_thresholds.freq_threshold,
+        "best_rec_thr": best.best_thresholds.recentness_threshold,
         "best_hit_ratio": hit_ratio(best.best_metrics),
         "episodes_run": result.episodes_run,
-        "episodes_to_goal": result.episodes_run if result.goal_met else cfg.episodes_cap,
+        "episodes_to_goal": result.episodes_run,  # a capped run ran the cap
         "goal_met": result.goal_met,
     }
 
 
-def _run_agent(cfg, env, rng_streams, load_policy=None):
+def _load_network(path):
+    """Mlp.load, refusing a network whose widths do not fit the agent's
+    4-entry state vector and 5 actions."""
+    net = Mlp.load(path)
+    sizes = net.layer_sizes
+    if sizes[0] != LAYER_SIZES[0] or sizes[-1] != LAYER_SIZES[-1]:
+        raise MalformedNetwork("line 1: layer sizes %s need %d inputs and %d outputs" % (
+            ",".join(map(str, sizes)), LAYER_SIZES[0], LAYER_SIZES[-1]))
+    return net
+
+
+def _run_agent(cfg, env, load_policy=None):
     """Load or initialize the policy of cfg.mode (ql: Q-table, dqn:
-    network), then run the reported training run. A loaded or pre-trained
-    policy explores at a static EPSILON_STATIC, a random one decays from
-    EPSILON_FRESH; dqn pre-training and the final run share one replay
-    memory."""
-    sets_rng, init_ss, train_ss = rng_streams
+    network), then run the reported training run, drawing on three streams
+    spawned from cfg.seed. A loaded or pre-trained policy explores at a
+    static EPSILON_STATIC, a random one decays from EPSILON_FRESH; dqn
+    pre-training and the final run share one replay memory."""
+    sets_ss, init_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     if cfg.mode == "dqn":
-        make_cfg, load, init, train_fn = DqnConfig, Mlp.load, init_mlp, dqn_train
+        make_cfg, load, init, train_fn = DqnConfig, _load_network, init_mlp, dqn_train
     else:
-        make_cfg = functools.partial(AgentConfig, alpha=ALPHA)
-        load, init, train_fn = QTable.load, init_qtable, q_train
-    pretrain_cfg = make_cfg(
-        gamma=GAMMA, epsilon0=EPSILON_FRESH, budget=cfg.episodes_cap,
-        goal_mu=cfg.goal_mu, epsilon_decay=True,
-    )
+        make_cfg, load, init, train_fn = AgentConfig, QTable.load, init_qtable, q_train
+    pretrain_cfg = make_cfg(epsilon0=EPSILON_FRESH, budget=cfg.episodes_cap,
+                            goal_mu=cfg.goal_mu, epsilon_decay=True)
     shared = {}
     if cfg.mode == "dqn":
         shared["memory"] = ReplayMemory(
@@ -369,12 +355,11 @@ def _run_agent(cfg, env, rng_streams, load_policy=None):
     if load_policy is not None:
         policy = load(load_policy)
     elif initialized:
-        sets = _draw_training_sets(cfg.n_training_sets, sets_rng)
+        sets = _draw_training_sets(cfg.n_training_sets, np.random.default_rng(sets_ss))
         policy = init("from_training", sets, init_ss, env, pretrain_cfg, **shared)
     else:
         policy = init("random", seed=init_ss)
     final_cfg = make_cfg(
-        gamma=GAMMA,
         epsilon0=EPSILON_STATIC if initialized else EPSILON_FRESH,
         budget=cfg.episodes_cap,
         goal_mu=cfg.goal_mu,
@@ -397,20 +382,17 @@ def _oracle_instance(pool, eval_schedule, capacity_bits):
 def run_experiment(cfg, save_policy=None, load_policy=None):
     """Execute one experiment, fully determined by the config and seed.
 
-    ql / dqn: orchestration, optional pre-training, then the goal-driven
-    training loop. mbf: one reactive baseline episode on the evaluation
-    schedule. oracle: exact best placement for the observed pool.
-    significance: three tabular runs (freq_only / recentness_only / both)
-    on the same workload and seeds, plus a comparative summary.
+    Every mode first builds the one environment (workload, orchestrated
+    pool, evaluation schedule). ql / dqn: optional pre-training, then the
+    goal-driven training loop. mbf: one reactive baseline episode on the
+    evaluation schedule. oracle: exact best placement for the observed
+    pool. significance: three tabular runs (freq_only / recentness_only /
+    both) on that workload and the same seeds, plus a comparative summary.
     """
     cfg.validate()
-    ss = np.random.SeedSequence(cfg.seed)
-    sets_ss, init_ss, train_ss = ss.spawn(3)
-    streams = (np.random.default_rng(sets_ss), init_ss, train_ss)
-
+    env = _build_env(cfg)
     if cfg.mode in ("ql", "dqn"):
-        env = _build_env(cfg)
-        result, policy = _run_agent(cfg, env, streams, load_policy)
+        result, policy = _run_agent(cfg, env, load_policy)
         if save_policy is not None:
             policy.save(save_policy)
         return RunReport(
@@ -418,7 +400,6 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
         )
 
     if cfg.mode == "mbf":
-        env = _build_env(cfg)
         table = FlowTable(cfg.table_capacity_bits)
         metrics = run_mbf_episode(
             env.eval_schedule,
@@ -439,10 +420,7 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
         return RunReport(config=cfg, rows=[row], summary=summary)
 
     if cfg.mode == "oracle":
-        env = _build_env(cfg)
-        inst, _ = _oracle_instance(
-            env.pool, env.eval_schedule, cfg.table_capacity_bits
-        )
+        inst, _ = _oracle_instance(env.pool, env.eval_schedule, cfg.table_capacity_bits)
         assignment = knapsack_exact(inst)
         summary = {
             "mode": cfg.mode,
@@ -454,18 +432,14 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
         }
         return RunReport(config=cfg, rows=[], summary=summary)
 
-    # significance: identical workload and seed streams, three param modes
+    # significance: three param modes on the one workload and seed streams
     subreports = {}
     reductions = {}
     for pm in ("freq_only", "recentness_only", "both"):
         sub_cfg = dataclasses.replace(cfg, mode="ql", param_mode=pm)
-        env = _build_env(sub_cfg, param_mode=pm)
-        sub_streams = (
-            np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0]),
-            init_ss,
-            train_ss,
-        )
-        result, _ = _run_agent(sub_cfg, env, sub_streams)
+        sub_env = EpisodeEnv(env.pool, env.eval_schedule, env.capacity_bits,
+                             env.window_close, pm)
+        result, _ = _run_agent(sub_cfg, sub_env)
         subreports[pm] = RunReport(
             config=sub_cfg,
             rows=result.trace[1:],
@@ -484,10 +458,11 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
     return RunReport(config=cfg, rows=[], summary=summary, subreports=subreports)
 
 
-_CSV_HEADER = (
-    "episode,overhead,hits,misses,hit_ratio,reduction,"
-    "freq_thr,rec_thr,reward,epsilon\n"
-)
+# TraceRow's fields are the CSV columns: ints as %d, floats as %.6f
+_ROW_FIELDS = dataclasses.fields(TraceRow)
+_CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS) + "\n"
+_CSV_ROW = ",".join("%.6f" if f.type is float else "%d" for f in _ROW_FIELDS) + "\n"
+_row_values = operator.attrgetter(*(f.name for f in _ROW_FIELDS))
 
 
 def _format_summary_value(value):
@@ -505,21 +480,7 @@ def write_report(report, path):
     with open(path, "w", newline="\n") as fh:
         fh.write(_CSV_HEADER)
         for row in report.rows:
-            fh.write(
-                "%d,%d,%d,%d,%.6f,%.6f,%d,%d,%d,%.6f\n"
-                % (
-                    row.episode,
-                    row.overhead,
-                    row.hits,
-                    row.misses,
-                    row.hit_ratio,
-                    row.reduction,
-                    row.freq_thr,
-                    row.rec_thr,
-                    row.reward,
-                    row.epsilon,
-                )
-            )
+            fh.write(_CSV_ROW % _row_values(row))
     with open(path + ".summary", "w", newline="\n") as fh:
         for key, value in report.summary.items():
             fh.write("%s=%s\n" % (key, _format_summary_value(value)))

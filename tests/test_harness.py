@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flowrl import cli
+from flowrl import cli, harness
 from flowrl.harness import (
     EPSILON_STATIC,
     REFERENCE_TRAFFIC,
@@ -22,6 +22,7 @@ from flowrl.harness import (
     write_report,
 )
 from flowrl.baselines import brute_force_partition, knapsack_exact
+from flowrl.dqn import Mlp
 from flowrl.model import ENTRY_BITS, FlowTable, ThresholdConfig, select_rules
 from flowrl.simnet import run_episode
 from flowrl.traffic import FlowSpec, TrafficProfile
@@ -160,6 +161,33 @@ class TestLoadConfig:
         path = tmp_path / "c.cfg"
         save_config(cfg, str(path))
         assert load_config(path) == cfg
+
+    def test_default_config_echo_is_pinned(self, tmp_path):
+        # key order and value formats (floats as %.17g) of every .cfg file
+        path = tmp_path / "c.cfg"
+        save_config(ExperimentConfig(), str(path))
+        assert path.read_text() == (
+            "mode=ql\n"
+            "seed=0\n"
+            "episodes_cap=1000\n"
+            "goal_mu=0.40000000000000002\n"
+            "table_capacity_bits=22784\n"
+            "orchestration_window=60\n"
+            "n_hosts=20\n"
+            "replay_lag=15\n"
+            "qtable_init=from_training\n"
+            "n_training_sets=20\n"
+            "param_mode=both\n"
+            "initial_freq=130\n"
+            "initial_rec=0\n"
+            "output_path=report.csv\n"
+            "elephant_fraction=0.10000000000000001\n"
+            "mice_size=22500\n"
+            "elephant_size=67500\n"
+            "aggregate_rate=540000\n"
+            "packet_size=1500\n"
+            "per_flow_rate=36000\n"
+        )
 
 
 class TestBuildEvalSchedule:
@@ -374,6 +402,27 @@ class TestWriteReport:
             assert (tmp_path / ("s.csv." + pm + ".summary")).exists()
             assert (tmp_path / ("s.csv." + pm + ".cfg")).exists()
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_significance_equals_three_ql_runs(self, tmp_path, monkeypatch, seed):
+        # one workload build serves all three param modes, and each
+        # sub-report is byte for byte the ql run of its param mode
+        schedules = []
+        generate = harness.generate_schedule
+        monkeypatch.setattr(harness, "generate_schedule",
+                            lambda *a: schedules.append(a) or generate(*a))
+        cfg = ExperimentConfig(mode="significance", seed=seed, episodes_cap=10)
+        out = str(tmp_path / "s.csv")
+        write_report(run_experiment(cfg), out)
+        assert len(schedules) == 1
+        for pm in ("freq_only", "recentness_only", "both"):
+            ql_out = str(tmp_path / ("ql." + pm))
+            ql_cfg = dataclasses.replace(cfg, mode="ql", param_mode=pm)
+            write_report(run_experiment(ql_cfg), ql_out)
+            for suffix in ("", ".summary", ".cfg"):
+                with open(out + "." + pm + suffix, "rb") as a, \
+                        open(ql_out + suffix, "rb") as b:
+                    assert a.read() == b.read()
+
 
 class TestCli:
     def test_compose_overrides(self):
@@ -450,16 +499,29 @@ class TestCli:
         )
 
     def test_malformed_dqn_policy_fails_with_line(self, tmp_path, capsys):
-        policy = tmp_path / "net.csv"
-        policy.write_text("4,24,x\n")
-        rc = cli.main(["--mode", "dqn", "--episodes", "2",
-                       "--out", str(tmp_path / "r.csv"),
-                       "--load-policy", str(policy)])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.err.startswith(
-            "error [flowrl.dqn.MalformedNetwork]: line 1: layer sizes '4,24,x'"
-        )
+        cases = [
+            (None, "layer sizes '4,24,x'"),
+            # widths the agent cannot drive: 4 state inputs, 5 action outputs
+            ((3, 5), "layer sizes 3,5 need 4 inputs and 5 outputs"),
+            ((4, 7), "layer sizes 4,7 need 4 inputs and 5 outputs"),
+            ((4, 24, 3), "layer sizes 4,24,3 need 4 inputs and 5 outputs"),
+        ]
+        for sizes, message in cases:
+            policy = tmp_path / "net.csv"
+            if sizes is None:
+                policy.write_text("4,24,x\n")
+            else:
+                Mlp.random(np.random.default_rng(0), layer_sizes=sizes).save(policy)
+            # 8 entries: the baseline overhead is positive, so episodes would run
+            rc = cli.main(["--mode", "dqn", "--episodes", "1000", "--goal", "0.97",
+                           "--table-bits", "2848", "--out", str(tmp_path / "r.csv"),
+                           "--load-policy", str(policy)])
+            captured = capsys.readouterr()
+            assert rc == 1, sizes
+            assert captured.err.startswith(
+                "error [flowrl.dqn.MalformedNetwork]: line 1: " + message
+            ), captured.err
+            assert not (tmp_path / "r.csv").exists()
 
     def test_dqn_policy_save_load_round_trip(self, tmp_path):
         policy = str(tmp_path / "net.csv")
