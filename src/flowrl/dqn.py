@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowrl.model import FREQ_GRID, REC_GRID
-from flowrl.qlearn import N_ACTIONS, Action, _pretraining_sets, train
+from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, _pretraining_sets, train
 
 LAYER_SIZES = (4, 24, 24, 24, 5)
 
@@ -312,13 +312,13 @@ class _DqnPolicy:
         self.memory = memory
         self.s_vec = encode_state(state, Action.NoOp, 0)
 
-    def select(self, state, eps, rng):
+    def select(self, fi, ri, eps, rng):
         if rng.random() < eps:
             return Action(int(rng.integers(N_ACTIONS)))
         return Action(int(np.argmax(mlp_forward(self.net, self.s_vec))))
 
-    def learn(self, state, action, reward, next_state, rng):
-        next_vec = encode_state(next_state, action, reward)
+    def learn(self, fi, ri, action, reward, nfi, nri, rng):
+        next_vec = encode_state(GRID_STATES[nfi][nri], action, reward)
         memory = self.memory
         memory.store(Experience(self.s_vec, action, reward, next_vec))
         if len(memory) >= memory.start_threshold:
@@ -330,11 +330,11 @@ class _DqnPolicy:
         self.s_vec = next_vec
 
 
-def dqn_train(env, net, cfg, initial_state, rng=None, memory=None):
+def dqn_train(env, net, cfg, initial_state, rng=None, memory=None, trace=True):
     """Run train with the DQN policy on net, which is updated in place.
     Learning goes through memory, a fresh ReplayMemory unless one is
     given; pass a shared one to persist experience across runs."""
-    return train(env, _DqnPolicy(net, cfg, memory, initial_state), cfg, initial_state, rng)
+    return train(env, _DqnPolicy(net, cfg, memory, initial_state), cfg, initial_state, rng, trace)
 
 
 def init_mlp(mode, training_sets=None, seed=0, env=None, cfg=None, memory=None):
@@ -343,8 +343,9 @@ def init_mlp(mode, training_sets=None, seed=0, env=None, cfg=None, memory=None):
     mode "random": fresh seeded net, parameters uniform in [-0.1, 0.1).
     mode "from_training": random init, then one full dqn_train run per
     training set (each set as the initial state) with a shared replay
-    memory; requires env and cfg. Pass memory to keep the experience
-    buffer afterwards (e.g. to continue training on the same workload).
+    memory and no trace rows; requires env and cfg. Pass memory to keep
+    the experience buffer afterwards (e.g. to continue training on the
+    same workload).
     """
     rng = np.random.default_rng(seed)
     scale = cfg.weight_init_scale if cfg is not None else 0.1
@@ -353,5 +354,5 @@ def init_mlp(mode, training_sets=None, seed=0, env=None, cfg=None, memory=None):
     if sets and memory is None:
         memory = ReplayMemory(cfg.replay_capacity, cfg.start_threshold, cfg.minibatch)
     for state in sets:
-        dqn_train(env, net, cfg, state, rng, memory)
+        dqn_train(env, net, cfg, state, rng, memory, trace=False)
     return net

@@ -60,6 +60,10 @@ REFERENCE_TRAFFIC = TrafficProfile(
     per_flow_rate=36_000.0,
 )
 
+# Most hosts one workload may address: a /16 address block, more than one
+# switch's flow table serves. The schedule draws host pairs from it.
+MAX_HOSTS = 65_536
+
 # Exploration rates; the other agent hyperparameters are the
 # AgentConfig/DqnConfig defaults.
 EPSILON_FRESH = 1.0
@@ -105,8 +109,8 @@ class ExperimentConfig:
             raise ValidationError("table_capacity_bits must be >= 0")
         if self.orchestration_window < 1:
             raise ValidationError("orchestration_window must be >= 1")
-        if self.n_hosts < 2:
-            raise ValidationError("n_hosts must be >= 2")
+        if not 2 <= self.n_hosts <= MAX_HOSTS:
+            raise ValidationError("n_hosts must be in [2, %d]" % MAX_HOSTS)
         if self.replay_lag < 0:
             raise ValidationError("replay_lag must be >= 0")
         if self.qtable_init not in ("random", "from_training"):

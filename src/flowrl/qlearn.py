@@ -10,7 +10,7 @@ from enum import IntEnum
 import numpy as np
 
 from flowrl.model import FREQ_GRID, GRID_STEP, REC_GRID, ThresholdConfig
-from flowrl.simnet import BestSoFar, compute_reward, hit_ratio, reduction_fraction
+from flowrl.simnet import BestSoFar, hit_ratio, reduction_fraction
 
 
 class Action(IntEnum):
@@ -203,7 +203,8 @@ class TraceRow:
 @dataclass
 class TrainResult:
     """Outcome of one training run. episodes_run counts training episodes
-    after the initial-state evaluation (trace row 0)."""
+    after the initial-state evaluation (trace row 0); trace is None for a
+    run made with trace=False."""
 
     episodes_run: int
     best: BestSoFar
@@ -260,12 +261,12 @@ def init_qtable(mode, training_sets=None, seed=0, env=None, cfg=None):
     mode "random": every cell uniform in [0, 0.01), seeded.
     mode "from_training": random init, then one full training run per
     training set (each set as the initial state), accumulating into the
-    same table; requires env and cfg.
+    same table; requires env and cfg. These runs build no trace rows.
     """
     rng = np.random.default_rng(seed)
     q = QTable.random(rng)
     for state in _pretraining_sets(mode, training_sets, env, cfg):
-        q_train(env, q, cfg, state, rng)
+        q_train(env, q, cfg, state, rng, trace=False)
     return q
 
 
@@ -286,77 +287,110 @@ def _pretraining_sets(mode, training_sets, env, cfg):
 
 def _trace_row(episode, metrics, state, reward, eps, initial):
     red = reduction_fraction(initial, metrics.overhead) if initial else 0.0
-    return TraceRow(
-        episode=episode,
-        overhead=metrics.overhead,
-        hits=metrics.hits,
-        misses=metrics.misses,
-        hit_ratio=hit_ratio(metrics),
-        reduction=red,
-        freq_thr=state.freq_threshold,
-        rec_thr=state.recentness_threshold,
-        reward=reward,
-        epsilon=eps,
-    )
+    return TraceRow(episode, metrics.overhead, metrics.hits, metrics.misses, hit_ratio(metrics),
+                    red, state.freq_threshold, state.recentness_threshold, reward, eps)
 
 
-def train(env, policy, cfg, initial_state, rng=None):
-    """Goal-driven training loop of both learners.
+# Every grid state, indexed [fi][ri]; train walks these by index.
+GRID_STATES = tuple(tuple(ThresholdConfig(f, r) for r in REC_GRID) for f in FREQ_GRID)
 
-    Episode 0 evaluates the initial state to fix the baseline overhead;
-    each following episode asks the policy for an action
-    (policy.select(state, eps, rng)), decays epsilon (when enabled),
-    applies the action, runs an episode at the new thresholds, computes the
-    reward against the best overhead so far, and hands the transition to
-    policy.learn(state, action, reward, next_state, rng). Stops when the
-    overhead reduction of the best episode exceeds cfg.goal_mu, or at the
-    episode cap cfg.budget (goal_met=False).
+# Each action's next grid index along each axis, [action][index], clamped
+# at the edges as apply_action clamps.
+_NEXT_FI = tuple(tuple(min(max(i + s, 0), len(FREQ_GRID) - 1) for i in range(len(FREQ_GRID)))
+                 for s in (0, 1, -1, 0, 0))
+_NEXT_RI = tuple(tuple(min(max(i + s, 0), len(REC_GRID) - 1) for i in range(len(REC_GRID)))
+                 for s in (0, 0, 0, 1, -1))
 
-    A baseline of zero overhead cannot be improved; the run returns
-    immediately with goal_met=True and the policy is never called.
+
+def train(env, policy, cfg, initial_state, rng=None, trace=True):
+    """Goal-driven training loop of both learners, over the grid indices
+    (fi, ri) of GRID_STATES.
+
+    Episode 0 evaluates the initial state to fix the baseline overhead.
+    Each following episode takes an action index from
+    policy.select(fi, ri, eps, rng), decays epsilon (when enabled), moves
+    one clamped grid step as apply_action does, makes one env.run call at
+    the new thresholds, rewards it against the best overhead so far as
+    compute_reward does, and hands the transition to
+    policy.learn(fi, ri, action, reward, nfi, nri, rng). Stops when the
+    best episode's overhead reduction exceeds cfg.goal_mu, or at the
+    episode cap cfg.budget (goal_met=False). A zero baseline cannot be
+    improved: the run returns at once with goal_met=True and the policy is
+    never called. trace=False (pre-training) builds no trace rows.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    state = initial_state
-    m0 = env.run(state)
+    m0 = env.run(initial_state)
     initial = m0.overhead
-    best = BestSoFar(m0.overhead, state, m0)
-    trace = [_trace_row(0, m0, state, 0, cfg.epsilon0, initial)]
+    best = BestSoFar(initial, initial_state, m0)
+    rows = [_trace_row(0, m0, initial_state, 0, cfg.epsilon0, initial)] if trace else None
     if initial == 0:
-        return TrainResult(0, best, True, trace)
+        return TrainResult(0, best, True, rows)
 
+    select, learn, run = policy.select, policy.learn, env.run
+    budget, goal_mu, decay = cfg.budget, cfg.goal_mu, cfg.epsilon_decay
+    fi, ri = QTable._index(initial_state)
     eps = cfg.epsilon0
-    for step in range(cfg.budget):
-        action = policy.select(state, eps, rng)
+    for step in range(budget):
+        action = select(fi, ri, eps, rng)
         eps_used = eps
-        if cfg.epsilon_decay:
-            eps = decay_epsilon(eps, step, cfg.budget)
-        next_state = apply_action(state, action)
-        metrics = env.run(next_state)
-        reward = compute_reward(best, metrics.overhead, next_state, metrics)
-        policy.learn(state, action, reward, next_state, rng)
-        trace.append(_trace_row(step + 1, metrics, next_state, reward, eps_used, initial))
-        state = next_state
-        if reduction_fraction(initial, best.best_overhead) > cfg.goal_mu:
-            return TrainResult(step + 1, best, True, trace)
-    return TrainResult(cfg.budget, best, False, trace)
+        if decay:
+            eps = eps * (1.0 - step / budget)  # decay_epsilon
+        nfi = _NEXT_FI[action][fi]
+        nri = _NEXT_RI[action][ri]
+        state = GRID_STATES[nfi][nri]
+        metrics = run(state)
+        overhead = metrics.overhead
+        reward = (overhead < best.best_overhead) - (overhead > best.best_overhead)
+        if reward == 1:
+            best.best_overhead, best.best_thresholds, best.best_metrics = overhead, state, metrics
+        learn(fi, ri, action, reward, nfi, nri, rng)
+        if rows is not None:
+            rows.append(_trace_row(step + 1, metrics, state, reward, eps_used, initial))
+        fi, ri = nfi, nri
+        if (initial - best.best_overhead) / initial > goal_mu:
+            return TrainResult(step + 1, best, True, rows)
+    return TrainResult(budget, best, False, rows)
 
 
-@dataclass
 class _TabularPolicy:
-    """train's policy over a Q-table: epsilon-greedy on the table's row,
-    one q_update per transition."""
+    """train's policy over a Q-table: epsilon-greedy selection and the
+    q_update rule on Python float lists, one per Q row, each loaded from
+    the table when the run first touches it."""
 
-    q: QTable
-    cfg: AgentConfig
+    def __init__(self, q, cfg):
+        self.q = q
+        self.alpha = cfg.alpha
+        self.gamma = cfg.gamma
+        self.rows = [[None] * len(REC_GRID) for _ in FREQ_GRID]
+        self.touched = []
 
-    def select(self, state, eps, rng):
-        return epsilon_greedy_select(self.q, state, eps, rng)
+    def _row(self, fi, ri):
+        row = self.rows[fi][ri]
+        if row is None:
+            row = self.rows[fi][ri] = self.q.values[fi, ri].tolist()
+            self.touched.append((fi, ri))
+        return row
 
-    def learn(self, state, action, reward, next_state, rng):
-        q_update(self.q, state, action, reward, next_state, self.cfg)
+    def select(self, fi, ri, eps, rng):
+        if rng.random() < eps:
+            return int(rng.integers(N_ACTIONS))
+        row = self._row(fi, ri)
+        return row.index(max(row))  # the first maximum, as np.argmax
+
+    def learn(self, fi, ri, action, reward, nfi, nri, rng):
+        row = self._row(fi, ri)
+        current = row[action]
+        target = reward + self.gamma * max(self._row(nfi, nri))
+        row[action] = current + self.alpha * (target - current)
 
 
-def q_train(env, q, cfg, initial_state, rng=None):
-    """Run train with the tabular policy on q, which is updated in place."""
-    return train(env, _TabularPolicy(q, cfg), cfg, initial_state, rng)
+def q_train(env, q, cfg, initial_state, rng=None, trace=True):
+    """Run train with the tabular policy on q; the rows the run touched
+    are written back to q when it ends."""
+    policy = _TabularPolicy(q, cfg)
+    try:
+        return train(env, policy, cfg, initial_state, rng, trace)
+    finally:
+        for fi, ri in policy.touched:
+            q.values[fi, ri] = policy.rows[fi][ri]

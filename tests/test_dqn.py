@@ -27,7 +27,7 @@ from flowrl.dqn import (
 )
 from flowrl.harness import ExperimentConfig, run_experiment, write_report
 from flowrl.model import FREQ_GRID, REC_GRID, ThresholdConfig
-from flowrl.qlearn import Action, EmptyTrainingSets
+from flowrl.qlearn import GRID_STATES, Action, EmptyTrainingSets
 from conftest import FakeEnv
 
 
@@ -526,8 +526,8 @@ def ref_sgd_step(net, x, action, target, lr):
 
 
 class RefPolicy(_DqnPolicy):
-    def learn(self, state, action, reward, next_state, rng):
-        next_vec = encode_state(next_state, action, reward)
+    def learn(self, fi, ri, action, reward, nfi, nri, rng):
+        next_vec = encode_state(GRID_STATES[nfi][nri], action, reward)
         memory = self.memory
         memory.store(Experience(self.s_vec, action, reward, next_vec))
         if len(memory) >= memory.start_threshold:
@@ -569,7 +569,7 @@ def networks(draw):
     return Mlp(weights, biases)
 
 
-STATES = st.builds(ThresholdConfig, st.sampled_from(FREQ_GRID), st.sampled_from(REC_GRID))
+GRID_INDICES = st.tuples(st.integers(0, len(FREQ_GRID) - 1), st.integers(0, len(REC_GRID) - 1))
 
 
 @settings(max_examples=150)
@@ -581,7 +581,7 @@ STATES = st.builds(ThresholdConfig, st.sampled_from(FREQ_GRID), st.sampled_from(
     lr=st.sampled_from([0.01, 0.0625, 0.25]),
     seed=st.integers(0, 2**16),
     transitions=st.lists(
-        st.tuples(st.sampled_from(list(Action)), st.integers(-1, 1), STATES),
+        st.tuples(st.sampled_from(list(Action)), st.integers(-1, 1), GRID_INDICES),
         min_size=4, max_size=24,
     ),
 )
@@ -594,11 +594,12 @@ def test_lean_learn_matches_snapshot_copy(net, minibatch, extra_start, gamma, lr
     ref = RefPolicy(net.copy(), cfg, None, state)
     lean_rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
-    for action, reward, next_state in transitions:
-        lean.learn(state, action, reward, next_state, lean_rng)
-        ref.learn(state, action, reward, next_state, ref_rng)
+    fi, ri = 13, 0
+    for action, reward, (nfi, nri) in transitions:
+        lean.learn(fi, ri, action, reward, nfi, nri, lean_rng)
+        ref.learn(fi, ri, action, reward, nfi, nri, ref_rng)
         assert net_bytes(lean.net) == net_bytes(ref.net)
-        state = next_state
+        fi, ri = nfi, nri
     assert lean_rng.random() == ref_rng.random()
 
 

@@ -8,6 +8,7 @@ import pytest
 from flowrl import cli, harness
 from flowrl.harness import (
     EPSILON_STATIC,
+    MAX_HOSTS,
     REFERENCE_TRAFFIC,
     EpisodeEnv,
     ExperimentConfig,
@@ -113,6 +114,14 @@ class TestLoadConfig:
         path.write_text("%s=%s\n" % (key, value))
         with pytest.raises(ValidationError, match=key):
             load_config(path)
+
+    @pytest.mark.parametrize("n_hosts", [10**6, 10**19])
+    def test_host_count_bound(self, tmp_path, n_hosts):
+        path = tmp_path / "c.cfg"
+        path.write_text("n_hosts=%d\n" % n_hosts)
+        with pytest.raises(ValidationError, match="n_hosts"):
+            load_config(path)
+        assert ExperimentConfig(n_hosts=MAX_HOSTS).validate().n_hosts == MAX_HOSTS
 
     def test_negative_seed_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -1,13 +1,17 @@
 """The closed-form episode landscape against the packet-level reference:
-every cell of EpisodeEnv equals run_episode over the select_rules placement."""
+every cell of EpisodeEnv equals run_episode over the select_rules placement;
+and the learners' search on it, bound by the oracle and the grid minimum."""
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowrl.baselines import knapsack_exact
-from flowrl.harness import EpisodeEnv, ExperimentConfig, _build_env, _oracle_instance
+from flowrl.harness import (
+    EpisodeEnv, ExperimentConfig, _build_env, _oracle_instance, run_experiment,
+)
 from flowrl.model import (
     ENTRY_BITS,
     FREQ_GRID,
@@ -113,3 +117,36 @@ def test_reference_workload_seed0_all_cells_and_oracle_binds(param_mode):
     inst, _ = _oracle_instance(env.pool, env.eval_schedule, cfg.table_capacity_bits)
     objective = knapsack_exact(inst).objective
     assert 0 < objective <= min(overheads)
+
+
+# Measured at cap 300 on seeds 0-15 of the 8-entry reference, with mu 0.97
+# above every reachable reduction so each run spends its whole cap: the ql
+# run and significance's both and recentness_only runs reached their grid
+# minimum on 16 of 16 seeds, and on 8 with the reward's sign flipped.
+# freq_only is left out of the count: from f=130 it must cross a plateau
+# of equal overheads down to f=40, and reached its minimum on 1 of 16.
+SEARCH_SEEDS = range(16)
+SEARCH_MIN_REACHED = 14
+
+
+def test_search_reaches_the_grid_minimum_and_never_beats_the_oracle():
+    reached = Counter()
+    for seed in SEARCH_SEEDS:
+        cfg = ExperimentConfig(mode="ql", seed=seed, episodes_cap=300, goal_mu=0.97,
+                               table_capacity_bits=8 * ENTRY_BITS)
+        env = _build_env(cfg)
+        inst, _ = _oracle_instance(env.pool, env.eval_schedule, cfg.table_capacity_bits)
+        oracle = knapsack_exact(inst).objective
+        assert oracle > 0
+        summaries = {"ql": run_experiment(cfg).summary}
+        significance = run_experiment(dataclasses.replace(cfg, mode="significance"))
+        summaries.update({pm: sub.summary for pm, sub in significance.subreports.items()})
+        for name, summary in summaries.items():
+            param_mode = "both" if name == "ql" else name
+            grid = EpisodeEnv(env.pool, env.eval_schedule, env.capacity_bits,
+                              env.window_close, param_mode)
+            grid_min = min(grid.run(thresholds).overhead for thresholds in CELLS)
+            assert summary["best_overhead"] >= grid_min >= oracle
+            reached[name] += summary["best_overhead"] == grid_min
+    for name in ("ql", "both", "recentness_only"):
+        assert reached[name] >= SEARCH_MIN_REACHED, (name, reached[name])

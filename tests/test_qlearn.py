@@ -1,8 +1,11 @@
 """Tests for tabular Q-learning: table ops, the update rule, epsilon
 handling, initialization modes, and the goal-driven training loop."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from flowrl.harness import ExperimentConfig, run_experiment, write_report
 from flowrl.model import FREQ_GRID, REC_GRID, ThresholdConfig
 from flowrl.qlearn import (
     ACTIONS,
@@ -434,3 +437,31 @@ class TestToyMdpConvergence:
             [[q.get(s, a) for a in actions] for s in states]
         )
         assert np.abs(learned - q_star).max() < 1e-3
+
+
+# SHA-256 over every file a run writes (report CSV, .summary, .cfg, the
+# saved Q-table, significance's sub-reports), by sorted file name, taken
+# before the training loop walked grid indices. On the 8-entry reference
+# the baseline is positive, so every run explores its full cap.
+PINNED_TABULAR_BYTES = [
+    (ExperimentConfig(mode="ql", seed=0, episodes_cap=200, goal_mu=0.97,
+                      table_capacity_bits=8 * 356),
+     "156ac7665e44584b035b080e6026684df167c419c4c6c00f8cdec7c375ef6df7"),
+    (ExperimentConfig(mode="ql", seed=3, episodes_cap=200, goal_mu=0.97,
+                      table_capacity_bits=8 * 356, qtable_init="random"),
+     "965332bf17d4ef9e198271946bb81d5f11a2ecf0eaba4c81f4f89cfe1ca28975"),
+    (ExperimentConfig(mode="significance", seed=5, episodes_cap=200, goal_mu=0.97,
+                      table_capacity_bits=8 * 356),
+     "2d130df22215fad7db652ac43690394ac4e3eff60f9d13d65df6ca10db235f24"),
+]
+
+
+@pytest.mark.parametrize("cfg,digest", PINNED_TABULAR_BYTES,
+                         ids=["ql-from_training", "ql-random", "significance"])
+def test_tabular_bytes_pinned(tmp_path, cfg, digest):
+    save_policy = str(tmp_path / "policy.q") if cfg.mode == "ql" else None
+    write_report(run_experiment(cfg, save_policy=save_policy), str(tmp_path / "report.csv"))
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == digest
