@@ -70,13 +70,18 @@ class Mlp:
     weights[l] has shape (layer_sizes[l+1], layer_sizes[l]); biases[l] has
     shape (layer_sizes[l+1],). Arbitrary layer_sizes are accepted so small
     hand-built nets stay easy to construct.
+
+    The parameters are copied in. The hidden layers' weights and biases
+    are views into one flat buffer, flat (their gradients: grad_weights and
+    grad_biases into grad), which sgd_step moves in one update; the output
+    layer stays apart. Update parameters in place (w[...] = v), never rebind.
     """
 
     def __init__(self, weights, biases):
         if len(weights) != len(biases) or not weights:
             raise ValueError("need one bias vector per weight matrix")
-        weights = [np.asarray(w, dtype=float) for w in weights]
-        biases = [np.asarray(b, dtype=float) for b in biases]
+        weights = [np.array(w, dtype=float) for w in weights]
+        biases = [np.array(b, dtype=float) for b in biases]
         sizes = [weights[0].shape[1]]
         for w, b in zip(weights, biases):
             if w.ndim != 2 or b.ndim != 1:
@@ -86,8 +91,18 @@ class Mlp:
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError("parameters must be finite")
             sizes.append(w.shape[0])
-        self.weights = weights
-        self.biases = biases
+        hidden = [p for pair in zip(weights[:-1], biases[:-1]) for p in pair]
+        self.flat = np.concatenate([p.reshape(-1) for p in hidden] + [np.empty(0)])
+        self.grad = np.zeros_like(self.flat)
+        params, grads = [], []
+        pos = 0
+        for p in hidden:
+            params.append(self.flat[pos:pos + p.size].reshape(p.shape))
+            grads.append(self.grad[pos:pos + p.size].reshape(p.shape))
+            pos += p.size
+        self.weights = params[0::2] + weights[-1:]
+        self.biases = params[1::2] + biases[-1:]
+        self.grad_weights, self.grad_biases = grads[0::2], grads[1::2]
         self.layer_sizes = tuple(sizes)
 
     @staticmethod
@@ -101,7 +116,7 @@ class Mlp:
         return Mlp(weights, biases)
 
     def copy(self):
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return Mlp(self.weights, self.biases)
 
     def save(self, path):
         """Header line with layer sizes, then every weight (row-major) and
@@ -151,9 +166,9 @@ class Mlp:
         biases = []
         pos = 0
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            w = np.array(values[pos:pos + n_in * n_out]).reshape(n_out, n_in)
+            w = values[pos:pos + n_in * n_out].reshape(n_out, n_in)
             pos += n_in * n_out
-            b = np.array(values[pos:pos + n_out])
+            b = values[pos:pos + n_out]
             pos += n_out
             weights.append(w)
             biases.append(b)
@@ -236,17 +251,23 @@ def encode_state(s, last_action, last_reward):
 
 def _activations(net, x):
     """Forward pass keeping every layer's activation: the input, each
-    hidden layer's ReLU output, and the linear output last."""
+    hidden layer's ReLU output, and the linear output last. Each layer is
+    relu(w @ a + b), computed in place in the product's buffer."""
     a = np.asarray(x, dtype=float)
     if a.shape != (net.layer_sizes[0],):
         raise ValueError("input length must be %d" % net.layer_sizes[0])
-    if not np.isfinite(a).all():
+    if not all(map(math.isfinite, a.tolist())):
         raise NonFiniteInput("input contains a non-finite component")
     activations = [a]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = relu(w @ a + b)
+        a = w.dot(a)
+        a += b
+        # relu's operand order: it decides the sign of a zero result
+        np.maximum(0.0, a, out=a)
         activations.append(a)
-    activations.append(net.weights[-1] @ a + net.biases[-1])
+    out = net.weights[-1].dot(a)
+    out += net.biases[-1]
+    activations.append(out)
     return activations
 
 
@@ -258,7 +279,7 @@ def mlp_forward(net, x):
 def dqn_target(e, net_prev, gamma):
     """r + gamma * max over forward(net_prev, s_next) -- net_prev holds the
     parameters from before the minibatch's first SGD step."""
-    return e.r + gamma * float(mlp_forward(net_prev, e.s_next).max())
+    return e.r + gamma * float(np.maximum.reduce(mlp_forward(net_prev, e.s_next)))
 
 
 def sgd_step(net, x, action, target, lr):
@@ -266,8 +287,10 @@ def sgd_step(net, x, action, target, lr):
 
     Backpropagates d/dp (target - Q_action(x))^2. The other output heads
     have zero gradient, so only the selected head's output row and bias
-    move; the hidden layers get the full backward pass. Updates the net in
-    place and returns it.
+    move; the hidden layers get the full backward pass. Every hidden
+    layer's gradient is written into its view of net.grad, with each delta
+    taken before any weight moves, and then net.flat -= lr * net.grad moves
+    them all at once. Updates the net in place and returns it.
 
     The result equals a full-width backward pass bit for bit unless a
     parameter is negative zero (then a zero's sign may differ). Random
@@ -286,12 +309,12 @@ def sgd_step(net, x, action, target, lr):
     net.biases[-1][a] -= lr * d
     for l in range(len(net.weights) - 2, -1, -1):
         act = activations[l]
-        grad_w = delta[:, None] * act
-        grad_b = delta
+        np.multiply(delta[:, None], act, out=net.grad_weights[l])
+        net.grad_biases[l][...] = delta
         if l > 0:
-            delta = (net.weights[l].T @ delta) * (act > 0)
-        net.weights[l] -= lr * grad_w
-        net.biases[l] -= lr * grad_b
+            delta = net.weights[l].T.dot(delta) * (act > 0)
+    net.grad *= lr
+    net.flat -= net.grad
     return net
 
 
@@ -315,7 +338,7 @@ class _DqnPolicy:
     def select(self, fi, ri, eps, rng):
         if rng.random() < eps:
             return Action(int(rng.integers(N_ACTIONS)))
-        return Action(int(np.argmax(mlp_forward(self.net, self.s_vec))))
+        return Action(int(mlp_forward(self.net, self.s_vec).argmax()))
 
     def learn(self, fi, ri, action, reward, nfi, nri, rng):
         next_vec = encode_state(GRID_STATES[nfi][nri], action, reward)

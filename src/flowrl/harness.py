@@ -64,6 +64,10 @@ REFERENCE_TRAFFIC = TrafficProfile(
 # switch's flow table serves. The schedule draws host pairs from it.
 MAX_HOSTS = 65_536
 
+# Longest orchestration window, in one-second ticks: one simulated day. An
+# MBF episode walks every tick of it.
+MAX_WINDOW = 86_400
+
 # Exploration rates; the other agent hyperparameters are the
 # AgentConfig/DqnConfig defaults.
 EPSILON_FRESH = 1.0
@@ -107,8 +111,6 @@ class ExperimentConfig:
             raise ValidationError("goal_mu must be in (0, 1)")
         if self.table_capacity_bits < 0:
             raise ValidationError("table_capacity_bits must be >= 0")
-        if self.orchestration_window < 1:
-            raise ValidationError("orchestration_window must be >= 1")
         if not 2 <= self.n_hosts <= MAX_HOSTS:
             raise ValidationError("n_hosts must be in [2, %d]" % MAX_HOSTS)
         if self.replay_lag < 0:
@@ -127,6 +129,8 @@ class ExperimentConfig:
             self.traffic.validate(self.orchestration_window)
         except InvalidProfile as exc:
             raise ValidationError(str(exc))
+        if not 1 <= self.orchestration_window <= MAX_WINDOW:
+            raise ValidationError("orchestration_window must be in [1, %d]" % MAX_WINDOW)
         return self
 
     def initial_state(self):

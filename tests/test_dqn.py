@@ -95,6 +95,17 @@ class TestMlp:
         with pytest.raises(ValueError):
             Mlp([w], [np.zeros(2)])
 
+    def test_constructor_copies_its_arguments(self):
+        weights = [np.ones((3, 4)), np.ones((2, 3))]
+        biases = [np.ones(3), np.ones(2)]
+        net = Mlp(weights, biases)
+        for p in weights + biases:
+            p[...] = 7.0
+        assert all((p == 1.0).all() for p in net.weights + net.biases)
+        for p in net.weights + net.biases:
+            p[...] = 5.0
+        assert all((p == 7.0).all() for p in weights + biases)
+
     def test_copy_is_independent(self):
         net = Mlp.random(np.random.default_rng(1))
         c = net.copy()
@@ -214,9 +225,17 @@ class TestForward:
             mlp_forward(Mlp.random(np.random.default_rng(0)), np.zeros(3))
 
     def test_rejects_non_finite_input(self):
-        x = np.array([np.nan, 0.0, 0.0, 0.0])
-        with pytest.raises(NonFiniteInput):
-            mlp_forward(Mlp.random(np.random.default_rng(0)), x)
+        net = Mlp.random(np.random.default_rng(0))
+        for value in (np.nan, np.inf, -np.inf):
+            for position in range(4):
+                x = np.zeros(4)
+                x[position] = value
+                with pytest.raises(NonFiniteInput):
+                    mlp_forward(net, x)
+
+    def test_accepts_the_largest_finite_inputs(self):
+        net = Mlp.random(np.random.default_rng(0))
+        assert mlp_forward(net, np.array([1e308, -1e308, 0.0, 1.0])).shape == (5,)
 
 
 class TestDqnTarget:

@@ -9,6 +9,7 @@ from flowrl import cli, harness
 from flowrl.harness import (
     EPSILON_STATIC,
     MAX_HOSTS,
+    MAX_WINDOW,
     REFERENCE_TRAFFIC,
     EpisodeEnv,
     ExperimentConfig,
@@ -122,6 +123,18 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="n_hosts"):
             load_config(path)
         assert ExperimentConfig(n_hosts=MAX_HOSTS).validate().n_hosts == MAX_HOSTS
+
+    # rates low enough that the flow count cap passes: the MBF episode
+    # would walk every tick of the window (10**8 ticks take minutes)
+    @pytest.mark.parametrize("window,rate", [(10**8, "1"), (10**19, "1e-9")])
+    def test_window_bound(self, tmp_path, window, rate):
+        path = tmp_path / "c.cfg"
+        path.write_text("mode=mbf\norchestration_window=%d\naggregate_rate=%s\n" % (window, rate))
+        with pytest.raises(ValidationError, match="orchestration_window must be in"):
+            load_config(path)
+        slow = dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=1.0)
+        cfg = ExperimentConfig(orchestration_window=MAX_WINDOW, traffic=slow)
+        assert cfg.validate().orchestration_window == MAX_WINDOW
 
     def test_negative_seed_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

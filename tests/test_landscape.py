@@ -125,8 +125,10 @@ def test_reference_workload_seed0_all_cells_and_oracle_binds(param_mode):
 # minimum on 16 of 16 seeds, and on 8 with the reward's sign flipped.
 # freq_only is left out of the count: from f=130 it must cross a plateau
 # of equal overheads down to f=40, and reached its minimum on 1 of 16.
+# The dqn run, at cap 70, reached it on 13 of 16, and on 6 with the
+# reward's sign flipped.
 SEARCH_SEEDS = range(16)
-SEARCH_MIN_REACHED = 14
+SEARCH_MIN_REACHED = {"ql": 14, "both": 14, "recentness_only": 14, "dqn": 12}
 
 
 def test_search_reaches_the_grid_minimum_and_never_beats_the_oracle():
@@ -138,15 +140,18 @@ def test_search_reaches_the_grid_minimum_and_never_beats_the_oracle():
         inst, _ = _oracle_instance(env.pool, env.eval_schedule, cfg.table_capacity_bits)
         oracle = knapsack_exact(inst).objective
         assert oracle > 0
-        summaries = {"ql": run_experiment(cfg).summary}
+        summaries = {
+            "ql": run_experiment(cfg).summary,
+            "dqn": run_experiment(dataclasses.replace(cfg, mode="dqn", episodes_cap=70)).summary,
+        }
         significance = run_experiment(dataclasses.replace(cfg, mode="significance"))
         summaries.update({pm: sub.summary for pm, sub in significance.subreports.items()})
         for name, summary in summaries.items():
-            param_mode = "both" if name == "ql" else name
+            param_mode = "both" if name in ("ql", "dqn") else name
             grid = EpisodeEnv(env.pool, env.eval_schedule, env.capacity_bits,
                               env.window_close, param_mode)
             grid_min = min(grid.run(thresholds).overhead for thresholds in CELLS)
             assert summary["best_overhead"] >= grid_min >= oracle
             reached[name] += summary["best_overhead"] == grid_min
-    for name in ("ql", "both", "recentness_only"):
-        assert reached[name] >= SEARCH_MIN_REACHED, (name, reached[name])
+    for name, least in SEARCH_MIN_REACHED.items():
+        assert reached[name] >= least, (name, reached[name])
