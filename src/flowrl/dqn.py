@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.model import FREQ_GRID, REC_GRID
+from flowrl.model import FREQ_GRID, REC_GRID, read_text
 from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, _pretraining_sets, train
 
 LAYER_SIZES = (4, 24, 24, 24, 5)
+LEARNING_RATE = 0.01  # sgd_step's rate in every learn step
 
 
 class NonFiniteInput(Exception):
@@ -29,39 +30,6 @@ class InsufficientExperiences(Exception):
 class MalformedNetwork(Exception):
     """A network file that Mlp.load rejects; the message starts with the
     number of the offending line."""
-
-
-@dataclass
-class DqnConfig:
-    """DQN hyperparameters; budget/goal_mu/epsilon semantics mirror
-    AgentConfig (epsilon0 decays when epsilon_decay, else stays static)."""
-
-    gamma: float = 0.95
-    sgd_learning_rate: float = 0.01
-    epsilon0: float = 1.0
-    budget: int = 1000
-    goal_mu: float = 0.4
-    weight_init_scale: float = 0.1
-    epsilon_decay: bool = True
-    replay_capacity: int = 1000
-    start_threshold: int = 32
-    minibatch: int = 4
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
-        if self.sgd_learning_rate <= 0:
-            raise ValueError("sgd_learning_rate must be > 0")
-        if not 0.0 <= self.epsilon0 <= 1.0:
-            raise ValueError("epsilon0 must be in [0, 1]")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.replay_capacity < 1 or self.minibatch < 1:
-            raise ValueError("replay sizes must be >= 1")
-        if self.start_threshold < self.minibatch:
-            raise ValueError("start_threshold must be >= minibatch")
-        if self.start_threshold > self.replay_capacity:
-            raise ValueError("start_threshold must be <= replay_capacity")
 
 
 class Mlp:
@@ -135,10 +103,10 @@ class Mlp:
 
         Raises MalformedNetwork, naming the line, for a header that is not
         two or more comma-separated positive integers, a value that is not
-        a finite number, and too few or too many values for the header's
-        layer sizes. Blank lines are skipped.
+        a finite number, too few or too many values for the header's layer
+        sizes, and bytes that are not UTF-8. Blank lines are skipped.
         """
-        with open(path) as fh:
+        with read_text(path, MalformedNetwork) as fh:
             header = fh.readline().strip()
             lines = fh.readlines()
         sizes = header.split(",")
@@ -202,9 +170,10 @@ class Experience:
 
 
 class ReplayMemory:
-    """Bounded FIFO of experiences with uniform minibatch sampling. Sizes
-    must satisfy 1 <= minibatch <= start_threshold <= capacity, or the
-    memory could never fill a minibatch or start learning (ValueError)."""
+    """Bounded FIFO of experiences with uniform minibatch sampling; the
+    defaults are the DQN agent's replay sizes. Sizes need 1 <= minibatch
+    <= start_threshold <= capacity, or the memory could never fill a
+    minibatch or start learning (ValueError)."""
 
     def __init__(self, capacity=1000, start_threshold=32, minibatch=4):
         if not 1 <= minibatch <= start_threshold <= capacity:
@@ -320,7 +289,7 @@ def sgd_step(net, x, action, target, lr):
 
 class _DqnPolicy:
     """train's policy over a network. It keeps the encoded state vector
-    (thresholds, last action, last reward) and selects epsilon-greedily on
+    (thresholds, last action, last reward), and greedy takes the argmax of
     the network's output for it; learn stores each transition and, once
     the memory holds start_threshold experiences, samples a minibatch,
     computes every sample's target with the parameters from before the
@@ -328,35 +297,33 @@ class _DqnPolicy:
     sgd_step per sample."""
 
     def __init__(self, net, cfg, memory, state):
-        if memory is None:
-            memory = ReplayMemory(cfg.replay_capacity, cfg.start_threshold, cfg.minibatch)
         self.net = net
-        self.cfg = cfg
+        self.gamma = cfg.gamma
         self.memory = memory
         self.s_vec = encode_state(state, Action.NoOp, 0)
 
-    def select(self, fi, ri, eps, rng):
-        if rng.random() < eps:
-            return Action(int(rng.integers(N_ACTIONS)))
-        return Action(int(mlp_forward(self.net, self.s_vec).argmax()))
+    def greedy(self, fi, ri):
+        return int(mlp_forward(self.net, self.s_vec).argmax())
 
     def learn(self, fi, ri, action, reward, nfi, nri, rng):
         next_vec = encode_state(GRID_STATES[nfi][nri], action, reward)
         memory = self.memory
         memory.store(Experience(self.s_vec, action, reward, next_vec))
         if len(memory) >= memory.start_threshold:
-            net, gamma, lr = self.net, self.cfg.gamma, self.cfg.sgd_learning_rate
+            net, gamma = self.net, self.gamma
             batch = memory.sample(memory.minibatch, rng)
             targets = [dqn_target(e, net, gamma) for e in batch]
             for e, target in zip(batch, targets):
-                sgd_step(net, e.s, e.a, target, lr)
+                sgd_step(net, e.s, e.a, target, LEARNING_RATE)
         self.s_vec = next_vec
 
 
 def dqn_train(env, net, cfg, initial_state, rng=None, memory=None, trace=True):
     """Run train with the DQN policy on net, which is updated in place.
-    Learning goes through memory, a fresh ReplayMemory unless one is
+    Learning goes through memory, a fresh ReplayMemory() unless one is
     given; pass a shared one to persist experience across runs."""
+    if memory is None:
+        memory = ReplayMemory()
     return train(env, _DqnPolicy(net, cfg, memory, initial_state), cfg, initial_state, rng, trace)
 
 
@@ -365,17 +332,14 @@ def init_mlp(mode, training_sets=None, seed=0, env=None, cfg=None, memory=None):
 
     mode "random": fresh seeded net, parameters uniform in [-0.1, 0.1).
     mode "from_training": random init, then one full dqn_train run per
-    training set (each set as the initial state) with a shared replay
-    memory and no trace rows; requires env and cfg. Pass memory to keep
-    the experience buffer afterwards (e.g. to continue training on the
-    same workload).
+    training set (each set as the initial state) without trace rows, all
+    through memory, a fresh ReplayMemory() unless one is given (pass one
+    to keep the experience buffer afterwards); requires env and cfg.
     """
     rng = np.random.default_rng(seed)
-    scale = cfg.weight_init_scale if cfg is not None else 0.1
-    net = Mlp.random(rng, scale=scale)
-    sets = _pretraining_sets(mode, training_sets, env, cfg)
-    if sets and memory is None:
-        memory = ReplayMemory(cfg.replay_capacity, cfg.start_threshold, cfg.minibatch)
-    for state in sets:
+    net = Mlp.random(rng)
+    if memory is None:
+        memory = ReplayMemory()
+    for state in _pretraining_sets(mode, training_sets, env, cfg):
         dqn_train(env, net, cfg, state, rng, memory, trace=False)
     return net

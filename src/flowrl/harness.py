@@ -15,13 +15,11 @@ from flowrl.baselines import (
     knapsack_exact,
     run_mbf_episode,
 )
-from flowrl.dqn import (
-    LAYER_SIZES, DqnConfig, MalformedNetwork, Mlp, ReplayMemory, dqn_train, init_mlp,
-)
+from flowrl.dqn import LAYER_SIZES, MalformedNetwork, Mlp, ReplayMemory, dqn_train, init_mlp
 # select_rules and run_episode stay bound: bench/layers.py traces them by name here
 from flowrl.model import (  # noqa: F401
     FREQ_GRID, GRID_STEP, REC_GRID, FlowTable, ThresholdConfig, placement_landscape,
-    select_rules,
+    read_text, select_rules,
 )
 from flowrl.qlearn import AgentConfig, QTable, TraceRow, _trace_row, init_qtable, q_train
 from flowrl.simnet import (  # noqa: F401
@@ -68,8 +66,8 @@ MAX_HOSTS = 65_536
 # MBF episode walks every tick of it.
 MAX_WINDOW = 86_400
 
-# Exploration rates; the other agent hyperparameters are the
-# AgentConfig/DqnConfig defaults.
+# Exploration rates; the other agent hyperparameters are the AgentConfig
+# defaults.
 EPSILON_FRESH = 1.0
 EPSILON_STATIC = 0.1
 
@@ -150,14 +148,14 @@ _CONFIG_KEYS = {
 def load_config(path):
     """Parse a flat key=value config file.
 
-    Blank lines and lines starting with '#' are skipped. Unknown keys and
-    malformed lines raise ParseError with the line number; out-of-range
-    values raise ValidationError naming the field. Unset keys keep the
-    documented defaults.
+    Blank lines and lines starting with '#' are skipped. Unknown keys,
+    malformed lines and bytes that are not UTF-8 raise ParseError with the
+    line number; out-of-range values raise ValidationError naming the
+    field. Unset keys keep the documented defaults.
     """
     cfg = ExperimentConfig()
     traffic_kwargs = {}
-    with open(path) as fh:
+    with read_text(path, ParseError) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -346,19 +344,12 @@ def _run_agent(cfg, env, load_policy=None):
     static EPSILON_STATIC, a random one decays from EPSILON_FRESH; dqn
     pre-training and the final run share one replay memory."""
     sets_ss, init_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    load, init, train_fn, shared = QTable.load, init_qtable, q_train, {}
     if cfg.mode == "dqn":
-        make_cfg, load, init, train_fn = DqnConfig, _load_network, init_mlp, dqn_train
-    else:
-        make_cfg, load, init, train_fn = AgentConfig, QTable.load, init_qtable, q_train
-    pretrain_cfg = make_cfg(epsilon0=EPSILON_FRESH, budget=cfg.episodes_cap,
-                            goal_mu=cfg.goal_mu, epsilon_decay=True)
-    shared = {}
-    if cfg.mode == "dqn":
-        shared["memory"] = ReplayMemory(
-            pretrain_cfg.replay_capacity,
-            pretrain_cfg.start_threshold,
-            pretrain_cfg.minibatch,
-        )
+        load, init, train_fn = _load_network, init_mlp, dqn_train
+        shared = {"memory": ReplayMemory()}
+    pretrain_cfg = AgentConfig(epsilon0=EPSILON_FRESH, budget=cfg.episodes_cap,
+                               goal_mu=cfg.goal_mu, epsilon_decay=True)
     initialized = load_policy is not None or cfg.qtable_init == "from_training"
     if load_policy is not None:
         policy = load(load_policy)
@@ -367,12 +358,9 @@ def _run_agent(cfg, env, load_policy=None):
         policy = init("from_training", sets, init_ss, env, pretrain_cfg, **shared)
     else:
         policy = init("random", seed=init_ss)
-    final_cfg = make_cfg(
-        epsilon0=EPSILON_STATIC if initialized else EPSILON_FRESH,
-        budget=cfg.episodes_cap,
-        goal_mu=cfg.goal_mu,
-        epsilon_decay=not initialized,
-    )
+    final_cfg = pretrain_cfg
+    if initialized:
+        final_cfg = dataclasses.replace(final_cfg, epsilon0=EPSILON_STATIC, epsilon_decay=False)
     result = train_fn(env, policy, final_cfg, cfg.initial_state(),
                       np.random.default_rng(train_ss), **shared)
     return result, policy
@@ -396,8 +384,12 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
     evaluation schedule. oracle: exact best placement for the observed
     pool. significance: three tabular runs (freq_only / recentness_only /
     both) on that workload and the same seeds, plus a comparative summary.
+    A policy path given to a mode other than ql / dqn is a ValidationError.
     """
     cfg.validate()
+    for option, path in (("save_policy", save_policy), ("load_policy", load_policy)):
+        if path is not None and cfg.mode not in ("ql", "dqn"):
+            raise ValidationError("%s: mode %s has no policy" % (option, cfg.mode))
     env = _build_env(cfg)
     if cfg.mode in ("ql", "dqn"):
         result, policy = _run_agent(cfg, env, load_policy)

@@ -2,6 +2,7 @@
 # table, the observed flow pool, threshold-based rule selection, and the
 # closed-form placement landscape over the threshold grid.
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,20 @@ FREQ_MAX = 200
 REC_MAX = 300
 FREQ_GRID = tuple(range(0, FREQ_MAX + 1, GRID_STEP))
 REC_GRID = tuple(range(0, REC_MAX + 1, GRID_STEP))
+
+
+def read_text(path, error):
+    """The file loaders' reader: path's UTF-8 text as a file object that
+    splits lines as text mode does. Bytes that are not UTF-8 raise error,
+    its message starting with the number of their line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        lineno = text.count("\n", 0, exc.start) + 1
+        raise error("line %d: the file is not UTF-8 text" % lineno) from None
+    return io.StringIO(text)
 
 
 class CapacityExceeded(Exception):

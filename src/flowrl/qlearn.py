@@ -9,7 +9,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from flowrl.model import FREQ_GRID, GRID_STEP, REC_GRID, ThresholdConfig
+from flowrl.model import FREQ_GRID, GRID_STEP, REC_GRID, ThresholdConfig, read_text
 from flowrl.simnet import BestSoFar, hit_ratio, reduction_fraction
 
 
@@ -38,7 +38,8 @@ class MalformedQTable(Exception):
 
 @dataclass
 class AgentConfig:
-    """Q-learning hyperparameters.
+    """Hyperparameters of both learners; alpha is the tabular step size
+    (the DQN's is its fixed LEARNING_RATE).
 
     epsilon decays from epsilon0 each episode when epsilon_decay is True
     (fresh tables); initialized tables run a static small epsilon instead.
@@ -118,9 +119,10 @@ class QTable:
 
         Raises MalformedQTable, naming the line, for a line without four
         fields, a threshold that is not a non-negative integer on the grid,
-        an unknown action name, a cell given twice or a non-finite value,
-        and (naming the last line) for a file that leaves any of the
-        21 x 31 x 5 cells unset. Blank lines are skipped.
+        an unknown action name, a cell given twice, a non-finite value or
+        bytes that are not UTF-8, and (naming the last line) for a file
+        that leaves any of the 21 x 31 x 5 cells unset. Blank lines are
+        skipped.
         """
         shape = (len(FREQ_GRID), len(REC_GRID), N_ACTIONS)
         freq_index = {str(f): i for i, f in enumerate(FREQ_GRID)}
@@ -128,7 +130,7 @@ class QTable:
         action_index = {a.name: int(a) for a in ACTIONS}
         cells = [None] * (shape[0] * shape[1] * shape[2])
         lineno = 0
-        with open(path) as fh:
+        with read_text(path, MalformedQTable) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -307,11 +309,12 @@ def train(env, policy, cfg, initial_state, rng=None, trace=True):
     (fi, ri) of GRID_STATES.
 
     Episode 0 evaluates the initial state to fix the baseline overhead.
-    Each following episode takes an action index from
-    policy.select(fi, ri, eps, rng), decays epsilon (when enabled), moves
-    one clamped grid step as apply_action does, makes one env.run call at
-    the new thresholds, rewards it against the best overhead so far as
-    compute_reward does, and hands the transition to
+    Each following episode draws an action index as epsilon_greedy_select
+    does, a uniform one with probability eps and policy.greedy(fi, ri)
+    otherwise, decays epsilon (when enabled), moves one clamped grid step
+    as apply_action does, makes one env.run call at the new thresholds,
+    rewards it against the best overhead so far as compute_reward does,
+    and hands the transition to
     policy.learn(fi, ri, action, reward, nfi, nri, rng). Stops when the
     best episode's overhead reduction exceeds cfg.goal_mu, or at the
     episode cap cfg.budget (goal_met=False). A zero baseline cannot be
@@ -327,12 +330,12 @@ def train(env, policy, cfg, initial_state, rng=None, trace=True):
     if initial == 0:
         return TrainResult(0, best, True, rows)
 
-    select, learn, run = policy.select, policy.learn, env.run
+    greedy, learn, run = policy.greedy, policy.learn, env.run
     budget, goal_mu, decay = cfg.budget, cfg.goal_mu, cfg.epsilon_decay
     fi, ri = QTable._index(initial_state)
     eps = cfg.epsilon0
     for step in range(budget):
-        action = select(fi, ri, eps, rng)
+        action = int(rng.integers(N_ACTIONS)) if rng.random() < eps else greedy(fi, ri)
         eps_used = eps
         if decay:
             eps = eps * (1.0 - step / budget)  # decay_epsilon
@@ -354,9 +357,9 @@ def train(env, policy, cfg, initial_state, rng=None, trace=True):
 
 
 class _TabularPolicy:
-    """train's policy over a Q-table: epsilon-greedy selection and the
-    q_update rule on Python float lists, one per Q row, each loaded from
-    the table when the run first touches it."""
+    """train's policy over a Q-table: the greedy action and the q_update
+    rule on Python float lists, one per Q row, each loaded from the table
+    when the run first touches it."""
 
     def __init__(self, q, cfg):
         self.q = q
@@ -372,9 +375,7 @@ class _TabularPolicy:
             self.touched.append((fi, ri))
         return row
 
-    def select(self, fi, ri, eps, rng):
-        if rng.random() < eps:
-            return int(rng.integers(N_ACTIONS))
+    def greedy(self, fi, ri):
         row = self._row(fi, ri)
         return row.index(max(row))  # the first maximum, as np.argmax
 

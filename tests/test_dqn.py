@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flowrl.dqn import (
     LAYER_SIZES,
-    DqnConfig,
+    LEARNING_RATE,
     Experience,
     InsufficientExperiences,
     MalformedNetwork,
@@ -27,7 +27,7 @@ from flowrl.dqn import (
 )
 from flowrl.harness import ExperimentConfig, run_experiment, write_report
 from flowrl.model import FREQ_GRID, REC_GRID, ThresholdConfig
-from flowrl.qlearn import GRID_STATES, Action, EmptyTrainingSets
+from flowrl.qlearn import GRID_STATES, Action, AgentConfig, EmptyTrainingSets
 from conftest import FakeEnv
 
 
@@ -43,27 +43,6 @@ def zero_net(layer_sizes=LAYER_SIZES):
     weights = [np.zeros((o, i)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
     biases = [np.zeros(o) for o in layer_sizes[1:]]
     return Mlp(weights, biases)
-
-
-class TestDqnConfig:
-    def test_defaults(self):
-        cfg = DqnConfig()
-        assert cfg.gamma == 0.95
-        assert cfg.sgd_learning_rate == 0.01
-        assert (cfg.replay_capacity, cfg.start_threshold, cfg.minibatch) == \
-            (1000, 32, 4)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(sgd_learning_rate=0.0), dict(epsilon0=1.1), dict(budget=0),
-         dict(replay_capacity=0), dict(minibatch=0),
-         dict(start_threshold=2, minibatch=4),
-         dict(gamma=1.5), dict(gamma=-0.1), dict(gamma=float("nan")),
-         dict(replay_capacity=10, start_threshold=32)],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            DqnConfig(**kwargs)
 
 
 class TestMlp:
@@ -159,6 +138,15 @@ class TestMlp:
         lines[lineno - 1] = line
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedNetwork, match="^line %d: .*%s" % (lineno, reason)):
+            Mlp.load(path)
+
+    def test_load_rejects_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "net.csv"
+        Mlp.random(np.random.default_rng(2), layer_sizes=(3, 2, 1)).save(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"0.5\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(MalformedNetwork, match="^line 3: .*not UTF-8"):
             Mlp.load(path)
 
     def test_load_rejects_missing_values(self, tmp_path):
@@ -341,6 +329,11 @@ class TestReplayMemory:
     def _exp(self, i):
         return Experience(np.full(4, float(i)), Action.NoOp, i, np.zeros(4))
 
+    def test_defaults_are_the_agents_replay_sizes(self):
+        mem = ReplayMemory()
+        assert (mem.capacity, mem.start_threshold, mem.minibatch) == (1000, 32, 4)
+        assert LEARNING_RATE == 0.01
+
     def test_fifo_eviction_at_capacity(self):
         mem = ReplayMemory(capacity=1000)
         first = self._exp(0)
@@ -394,7 +387,7 @@ class TestDqnTrain:
     def test_stops_on_first_sufficient_improvement(self):
         overheads = iter([100] + [10] * 1000)
         env = FakeEnv(lambda f, r: next(overheads))
-        cfg = DqnConfig(budget=50, goal_mu=0.4)
+        cfg = AgentConfig(budget=50, goal_mu=0.4)
         net = Mlp.random(np.random.default_rng(0))
         res = dqn_train(env, net, cfg, ThresholdConfig(130, 0))
         assert res.episodes_run == 1
@@ -405,9 +398,10 @@ class TestDqnTrain:
 
     def test_flat_landscape_hits_the_cap(self):
         env = FakeEnv(lambda f, r: 50)
-        cfg = DqnConfig(budget=40, start_threshold=4, minibatch=2)
+        mem = ReplayMemory(start_threshold=4, minibatch=2)
         net = Mlp.random(np.random.default_rng(0))
-        res = dqn_train(env, net, cfg, ThresholdConfig(100, 100))
+        res = dqn_train(env, net, AgentConfig(budget=40), ThresholdConfig(100, 100),
+                        memory=mem)
         assert res.episodes_run == 40
         assert not res.goal_met
         assert len(res.trace) == 41
@@ -415,14 +409,14 @@ class TestDqnTrain:
     def test_zero_initial_overhead_returns_immediately(self):
         env = FakeEnv(lambda f, r: 0)
         net = Mlp.random(np.random.default_rng(0))
-        res = dqn_train(env, net, DqnConfig(), ThresholdConfig(0, 0))
+        res = dqn_train(env, net, AgentConfig(), ThresholdConfig(0, 0))
         assert res.episodes_run == 0
         assert res.goal_met
         assert len(res.trace) == 1
 
     def test_parameters_frozen_below_start_threshold(self):
         env = FakeEnv(lambda f, r: 50)
-        cfg = DqnConfig(budget=10)  # default start_threshold 32 > budget
+        cfg = AgentConfig(budget=10)  # default start_threshold 32 > budget
         net = Mlp.random(np.random.default_rng(5))
         before = net.copy()
         dqn_train(env, net, cfg, ThresholdConfig(100, 100))
@@ -430,7 +424,7 @@ class TestDqnTrain:
 
     def test_learning_kicks_in_at_start_threshold(self):
         env = FakeEnv(lambda f, r: 50 + f // 10)
-        cfg = DqnConfig(budget=40, goal_mu=0.9)
+        cfg = AgentConfig(budget=40, goal_mu=0.9)
         net = Mlp.random(np.random.default_rng(5))
         before = net.copy()
         dqn_train(env, net, cfg, ThresholdConfig(100, 100),
@@ -439,24 +433,24 @@ class TestDqnTrain:
 
     def test_memory_accumulates_one_experience_per_episode(self):
         env = FakeEnv(lambda f, r: 50)
-        cfg = DqnConfig(budget=12)
-        mem = ReplayMemory(cfg.replay_capacity, cfg.start_threshold,
-                           cfg.minibatch)
+        mem = ReplayMemory()
         net = Mlp.random(np.random.default_rng(0))
-        res = dqn_train(env, net, cfg, ThresholdConfig(100, 100), memory=mem)
+        res = dqn_train(env, net, AgentConfig(budget=12), ThresholdConfig(100, 100),
+                        memory=mem)
         assert len(mem) == res.episodes_run == 12
 
     def test_deterministic_given_seed(self):
         def landscape(f, r):
             return 40 + abs(f - 70) // 10 + abs(r - 120) // 10
 
-        cfg = DqnConfig(budget=45, goal_mu=0.9, start_threshold=8, minibatch=2)
+        cfg = AgentConfig(budget=45, goal_mu=0.9)
         finals = []
         traces = []
         for _ in range(2):
             net = Mlp.random(np.random.default_rng(2))
             res = dqn_train(FakeEnv(landscape), net, cfg,
-                            ThresholdConfig(130, 0), np.random.default_rng(3))
+                            ThresholdConfig(130, 0), np.random.default_rng(3),
+                            ReplayMemory(start_threshold=8, minibatch=2))
             finals.append(net)
             traces.append(res.trace)
         assert traces[0] == traces[1]
@@ -477,7 +471,7 @@ class TestInitMlp:
 
     def test_from_training_requires_sets_env_cfg(self):
         env = FakeEnv(lambda f, r: 50)
-        cfg = DqnConfig(budget=5)
+        cfg = AgentConfig(budget=5)
         with pytest.raises(EmptyTrainingSets):
             init_mlp("from_training", training_sets=[], env=env, cfg=cfg)
         with pytest.raises(ValueError):
@@ -485,16 +479,17 @@ class TestInitMlp:
 
     def test_from_training_runs_and_fills_shared_memory(self):
         overhead = lambda f, r: 50 + f // 10
-        cfg = DqnConfig(budget=6, start_threshold=4, minibatch=2)
-        mem = ReplayMemory(cfg.replay_capacity, cfg.start_threshold,
-                           cfg.minibatch)
+        cfg = AgentConfig(budget=20)
+        mem = ReplayMemory()
         sets = [ThresholdConfig(130, 0), ThresholdConfig(0, 300)]
         net = init_mlp("from_training", training_sets=sets,
                        env=FakeEnv(overhead), cfg=cfg, seed=6, memory=mem)
-        assert len(mem) == 12  # both runs hit the 6-episode cap
+        assert len(mem) == 40  # both runs hit the 20-episode cap
         net2 = init_mlp("from_training", training_sets=sets,
                         env=FakeEnv(overhead), cfg=cfg, seed=6)
         assert nets_equal(net, net2)
+        # only a memory shared by both runs reaches the start threshold 32
+        assert not nets_equal(net, init_mlp("random", seed=6))
 
 
 # -- bit-exactness against the snapshot-copy learn step ----------------------
@@ -552,8 +547,8 @@ class RefPolicy(_DqnPolicy):
         if len(memory) >= memory.start_threshold:
             snapshot = self.net.copy()
             for e in memory.sample(memory.minibatch, rng):
-                ref_sgd_step(self.net, e.s, e.a, ref_dqn_target(e, snapshot, self.cfg.gamma),
-                             self.cfg.sgd_learning_rate)
+                ref_sgd_step(self.net, e.s, e.a, ref_dqn_target(e, snapshot, self.gamma),
+                             LEARNING_RATE)
         self.s_vec = next_vec
 
 
@@ -597,20 +592,22 @@ GRID_INDICES = st.tuples(st.integers(0, len(FREQ_GRID) - 1), st.integers(0, len(
     minibatch=st.integers(1, 4),
     extra_start=st.integers(0, 4),
     gamma=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
-    lr=st.sampled_from([0.01, 0.0625, 0.25]),
     seed=st.integers(0, 2**16),
     transitions=st.lists(
         st.tuples(st.sampled_from(list(Action)), st.integers(-1, 1), GRID_INDICES),
         min_size=4, max_size=24,
     ),
 )
-def test_lean_learn_matches_snapshot_copy(net, minibatch, extra_start, gamma, lr, seed,
+def test_lean_learn_matches_snapshot_copy(net, minibatch, extra_start, gamma, seed,
                                           transitions):
-    cfg = DqnConfig(gamma=gamma, sgd_learning_rate=lr, start_threshold=minibatch + extra_start,
-                    minibatch=minibatch)
+    cfg = AgentConfig(gamma=gamma)
     state = ThresholdConfig(130, 0)
-    lean = _DqnPolicy(net.copy(), cfg, None, state)
-    ref = RefPolicy(net.copy(), cfg, None, state)
+
+    def memory():
+        return ReplayMemory(start_threshold=minibatch + extra_start, minibatch=minibatch)
+
+    lean = _DqnPolicy(net.copy(), cfg, memory(), state)
+    ref = RefPolicy(net.copy(), cfg, memory(), state)
     lean_rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
     fi, ri = 13, 0

@@ -96,6 +96,13 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="line 2"):
             load_config(path)
 
+    def test_non_utf8_bytes_name_the_line(self, tmp_path):
+        # line ends as text mode reads them: a lone \r ends line 2
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"seed=1\r\nmode=ql\r# caf\xe9\n")
+        with pytest.raises(ParseError, match="^line 3: .*not UTF-8"):
+            load_config(path)
+
     def test_unparsable_value(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("seed=three\n")
@@ -493,6 +500,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 1
         assert "error [flowrl.harness.ValidationError]" in captured.err
+
+    @pytest.mark.parametrize("mode", ["mbf", "oracle", "significance"])
+    @pytest.mark.parametrize("flag", ["--save-policy", "--load-policy"])
+    def test_policy_flags_need_an_agent_mode(self, tmp_path, capsys, mode, flag):
+        policy = tmp_path / "p"
+        rc = cli.main(["--mode", mode, "--out", str(tmp_path / "r.csv"),
+                       flag, str(policy)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error [flowrl.harness.ValidationError]: ")
+        assert flag[2:].replace("-", "_") in captured.err
+        assert not policy.exists() and not (tmp_path / "r.csv").exists()
 
     def test_ql_policy_save_load_round_trip(self, tmp_path, capsys):
         policy = str(tmp_path / "q.csv")

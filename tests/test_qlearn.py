@@ -45,6 +45,7 @@ class TestAgentConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(alpha=0.0), dict(alpha=1.5), dict(gamma=-0.1), dict(gamma=1.1),
+         dict(gamma=1.5), dict(gamma=float("nan")),
          dict(epsilon0=-0.1), dict(epsilon0=1.1), dict(budget=0)],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -120,6 +121,16 @@ class TestQTable:
         lines[lineno - 1] = line
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedQTable, match="^line %d: .*%s" % (lineno, reason)):
+            QTable.load(path)
+
+    def test_load_rejects_non_utf8_bytes(self, tmp_path):
+        # far past the first 8 KiB, which a text-mode reader decodes at once
+        path = tmp_path / "q.csv"
+        QTable().save(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2999] = b"0,0,NoOp,\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(MalformedQTable, match="^line 3000: .*not UTF-8"):
             QTable.load(path)
 
     def test_load_rejects_missing_cells(self, tmp_path):

@@ -35,8 +35,8 @@ class ScriptedPolicy:
     def __init__(self):
         self.calls = []
 
-    def select(self, fi, ri, eps, rng):
-        self.calls.append(("select", GRID_STATES[fi][ri], eps, rng))
+    def greedy(self, fi, ri):
+        self.calls.append(("greedy", GRID_STATES[fi][ri]))
         return Action.IncFreq
 
     def learn(self, fi, ri, action, reward, nfi, nri, rng):
@@ -56,11 +56,12 @@ def sequence_env(overheads):
 def test_select_and_learn_alternate_once_per_step():
     policy = ScriptedPolicy()
     rng = np.random.default_rng(0)
-    res = train(FakeEnv(lambda f, r: 50), policy, AgentConfig(budget=5), START, rng)
-    assert [c[0] for c in policy.calls] == ["select", "learn"] * 5
+    cfg = AgentConfig(epsilon0=0.0, budget=5)
+    res = train(FakeEnv(lambda f, r: 50), policy, cfg, START, rng)
+    assert [c[0] for c in policy.calls] == ["greedy", "learn"] * 5
     state = START
-    for select, learn in zip(policy.of("select"), policy.of("learn")):
-        assert select[1] == state and select[3] is rng
+    for greedy, learn in zip(policy.of("greedy"), policy.of("learn")):
+        assert greedy[1] == state
         assert learn[1] == state and learn[2] is Action.IncFreq and learn[5] is rng
         state = apply_action(state, Action.IncFreq)
         assert learn[4] == state
@@ -80,11 +81,11 @@ def test_learn_sees_reward_against_updated_best():
 def test_goal_at_step_k_stops_there():
     policy = ScriptedPolicy()
     env = sequence_env([100, 90, 90, 50] + [10] * 10)
-    res = train(env, policy, AgentConfig(budget=10, goal_mu=0.4), START)
+    res = train(env, policy, AgentConfig(epsilon0=0.0, budget=10, goal_mu=0.4), START)
     assert res.episodes_run == 3
     assert res.goal_met
     assert len(res.trace) == 4
-    assert [c[0] for c in policy.calls] == ["select", "learn"] * 3
+    assert [c[0] for c in policy.calls] == ["greedy", "learn"] * 3
     assert env.calls == 4
 
 
@@ -98,17 +99,26 @@ def test_cap_returns_budget_without_goal():
 
 @pytest.mark.parametrize("decay", [True, False])
 def test_epsilon_decays_only_when_enabled(decay):
-    policy = ScriptedPolicy()
     cfg = AgentConfig(budget=6, epsilon0=0.8, epsilon_decay=decay)
-    train(FakeEnv(lambda f, r: 50), policy, cfg, START)
+    res = train(FakeEnv(lambda f, r: 50), ScriptedPolicy(), cfg, START)
     expected = []
     eps = 0.8
     for step in range(6):
         expected.append(eps)
         if decay:
             eps = decay_epsilon(eps, step, 6)
-    assert [c[2] for c in policy.of("select")] == expected
+    assert [row.epsilon for row in res.trace[1:]] == expected
     assert (expected[-1] < 0.8) is decay
+
+
+@pytest.mark.parametrize("epsilon0,greedy_calls", [(1.0, 0), (0.0, 8)])
+def test_greedy_only_when_not_exploring(epsilon0, greedy_calls):
+    # rng.random() < 1.0 always explores; < 0.0 never does
+    policy = ScriptedPolicy()
+    cfg = AgentConfig(budget=8, epsilon0=epsilon0, epsilon_decay=False)
+    train(FakeEnv(lambda f, r: 50), policy, cfg, START)
+    assert len(policy.of("greedy")) == greedy_calls
+    assert len(policy.of("learn")) == 8
 
 
 def test_zero_overhead_baseline_never_calls_the_policy():
@@ -123,7 +133,7 @@ def test_zero_overhead_baseline_never_calls_the_policy():
 
 
 def test_untraced_run_builds_no_rows_and_ends_alike():
-    cfg = AgentConfig(budget=10, goal_mu=0.4)
+    cfg = AgentConfig(epsilon0=0.0, budget=10, goal_mu=0.4)
     overheads = [100, 90, 90, 50] + [10] * 10
     traced = train(sequence_env(overheads), ScriptedPolicy(), cfg, START)
     policy = ScriptedPolicy()
@@ -131,7 +141,7 @@ def test_untraced_run_builds_no_rows_and_ends_alike():
     assert bare.trace is None
     assert (bare.episodes_run, bare.goal_met, bare.best) == (
         traced.episodes_run, traced.goal_met, traced.best)
-    assert [c[0] for c in policy.calls] == ["select", "learn"] * 3
+    assert [c[0] for c in policy.calls] == ["greedy", "learn"] * 3
 
 
 # -- the index walk against a loop of the public functions --------------------
