@@ -1,9 +1,10 @@
 # baselines.py -- two reference points for the learned policies: an aging
 # multiple-bloom-filter (MBF) eviction cache run reactively, and the exact
-# rule-partition oracle (0/1 knapsack by dynamic programming, with a
-# brute-force enumerator for cross-checks).
+# rule-partition oracle (0/1 knapsack: top-k for equal-size rules; DP for
+# general sizes, with a brute-force enumerator for cross-checks).
 
 import hashlib
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -206,19 +207,39 @@ def knapsack_exact(inst):
     """Minimize controller-resident overhead: equivalently a 0/1 knapsack
     maximizing the on-switch overhead sum under the bit capacity.
 
-    Exact dynamic program over capacity scaled by gcd(sizes), clamped to
-    the summed sizes: beyond them every rule fits, so neither the optimum
-    nor the reconstruction below can change. The optimal
+    Top-k for equal-size rules; DP for general sizes. The optimal
     objective is unique; among optimal assignments the lexicographically
-    smallest on_switch index set is returned.
+    smallest on_switch index set is returned, and a proper prefix sorts
+    before any extension of it by zero-value rules.
     """
     if inst.capacity < 0:
         raise CapacityNegative(str(inst.capacity))
     n = inst.n
-    total = sum(t for t, _ in inst.rules)
     if n == 0:
         return Assignment(on_switch=frozenset(), objective=0)
+    sizes = {s for _, s in inst.rules}
+    if len(sizes) > 1:
+        return _knapsack_dp(inst)
 
+    # k rules fit: the k largest values, earliest first among ties (nlargest
+    # keeps sorted's stable order), less the zero-value rules after the
+    # last positive one
+    values = [t for t, _ in inst.rules]
+    k = min(inst.capacity // sizes.pop(), n)
+    chosen = heapq.nlargest(k, range(n), key=values.__getitem__)
+    last = max((i for i in chosen if values[i] > 0), default=-1)
+    chosen = [i for i in chosen if i <= last]
+    return Assignment(on_switch=frozenset(i + 1 for i in chosen),
+                      objective=sum(values) - sum(values[i] for i in chosen))
+
+
+def _knapsack_dp(inst):
+    """knapsack_exact for any sizes and n >= 1: an exact dynamic program
+    over capacity scaled by gcd(sizes), clamped to the summed sizes: beyond
+    them every rule fits, so neither the optimum nor the reconstruction
+    below can change."""
+    n = inst.n
+    total = sum(t for t, _ in inst.rules)
     g = 0
     for _, s in inst.rules:
         g = math.gcd(g, s)

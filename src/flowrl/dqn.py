@@ -200,11 +200,6 @@ class ReplayMemory:
         return [self.buffer[int(i)] for i in idx]
 
 
-def relu(x):
-    """max(0, x), element-wise on arrays."""
-    return np.maximum(0.0, x)
-
-
 def encode_state(s, last_action, last_reward):
     """4-vector input: thresholds scaled to [0, 1] by their grid maxima,
     action index scaled by 4, and the raw reward value."""
@@ -221,7 +216,7 @@ def encode_state(s, last_action, last_reward):
 def _activations(net, x):
     """Forward pass keeping every layer's activation: the input, each
     hidden layer's ReLU output, and the linear output last. Each layer is
-    relu(w @ a + b), computed in place in the product's buffer."""
+    max(0, w @ a + b), computed in place in the product's buffer."""
     a = np.asarray(x, dtype=float)
     if a.shape != (net.layer_sizes[0],):
         raise ValueError("input length must be %d" % net.layer_sizes[0])
@@ -231,7 +226,7 @@ def _activations(net, x):
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         a = w.dot(a)
         a += b
-        # relu's operand order: it decides the sign of a zero result
+        # ReLU as np.maximum(0.0, a): the operand order decides the sign of a zero
         np.maximum(0.0, a, out=a)
         activations.append(a)
     out = net.weights[-1].dot(a)

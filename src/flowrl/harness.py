@@ -3,6 +3,7 @@
 # the closed-form episode environment, the five run modes (ql, dqn, mbf,
 # oracle, significance), and CSV/summary report emission.
 
+import copy
 import dataclasses
 import operator
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from flowrl.dqn import LAYER_SIZES, MalformedNetwork, Mlp, ReplayMemory, dqn_tra
 # select_rules and run_episode stay bound: bench/layers.py traces them by name here
 from flowrl.model import (  # noqa: F401
     FREQ_GRID, GRID_STEP, REC_GRID, FlowTable, ThresholdConfig, placement_landscape,
-    read_text, select_rules,
+    rank_pool, read_text, select_rules,
 )
 from flowrl.qlearn import AgentConfig, QTable, TraceRow, _trace_row, init_qtable, q_train
 from flowrl.simnet import (  # noqa: F401
@@ -65,6 +66,11 @@ MAX_HOSTS = 65_536
 # Longest orchestration window, in one-second ticks: one simulated day. An
 # MBF episode walks every tick of it.
 MAX_WINDOW = 86_400
+
+# Most agent episodes one experiment may run: n_training_sets pre-training
+# runs and the reported run, each of at most episodes_cap episodes. A DQN
+# episode costs about 0.2 ms; the acceptance suite asks for 21 x 10,000.
+MAX_EPISODES = 1_000_000
 
 # Exploration rates; the other agent hyperparameters are the AgentConfig
 # defaults.
@@ -117,6 +123,9 @@ class ExperimentConfig:
             raise ValidationError("qtable_init must be random|from_training")
         if self.n_training_sets < 1:
             raise ValidationError("n_training_sets must be >= 1")
+        if (self.n_training_sets + 1) * self.episodes_cap > MAX_EPISODES:
+            raise ValidationError("(n_training_sets + 1) * episodes_cap must be <= %d"
+                                  % MAX_EPISODES)
         if self.param_mode not in ("both", "freq_only", "recentness_only"):
             raise ValidationError("param_mode must be both|freq_only|recentness_only")
         try:
@@ -257,13 +266,26 @@ class EpisodeEnv:
         self.window_close = window_close
         self.param_mode = param_mode
         self._cells = None
+        # the ranked pool and the episode's total packets: filled by the
+        # first run of this environment or of any of its variants
+        self._ranking = {}
+
+    def variant(self, param_mode):
+        """This workload under another param_mode, sharing its ranking."""
+        env = copy.copy(self)
+        env.param_mode = param_mode
+        env._cells = None
+        return env
 
     def run(self, thresholds):
         if self._cells is None:
-            packets = _episode_packets(self.eval_schedule)
-            total = sum(packets.values())
-            hits = placement_landscape(self.pool, packets, self.capacity_bits,
-                                       self.window_close, self.param_mode)
+            if not self._ranking:
+                packets = _episode_packets(self.eval_schedule)
+                self._ranking["total"] = sum(packets.values())
+                self._ranking["ranked"] = rank_pool(self.pool, packets, self.window_close)
+            total = self._ranking["total"]
+            hits = placement_landscape(self._ranking["ranked"], self.capacity_bits,
+                                       self.param_mode)
             # cells with equal hits have equal metrics and share one object
             horizon = self.eval_schedule.horizon
             metrics = {
@@ -370,7 +392,9 @@ def _oracle_instance(pool, eval_schedule, capacity_bits):
     """t_i = the flow's packet count in the evaluation episode (0 for pool
     flows that never reappear), s_i = one table entry, in FlowId order."""
     packets = _episode_packets(eval_schedule)
-    order = sorted(pool.records)
+    # FlowId order without its generated comparisons; proto is always "tcp"
+    order = sorted(pool.records,
+                   key=operator.attrgetter("src_host", "dst_host", "src_port", "dst_port"))
     rules = tuple((packets.get(fid, 0), 356) for fid in order)
     return IlpInstance(rules=rules, capacity=capacity_bits), order
 
@@ -437,9 +461,7 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
     reductions = {}
     for pm in ("freq_only", "recentness_only", "both"):
         sub_cfg = dataclasses.replace(cfg, mode="ql", param_mode=pm)
-        sub_env = EpisodeEnv(env.pool, env.eval_schedule, env.capacity_bits,
-                             env.window_close, pm)
-        result, _ = _run_agent(sub_cfg, sub_env)
+        result, _ = _run_agent(sub_cfg, env.variant(pm))
         subreports[pm] = RunReport(
             config=sub_cfg,
             rows=result.trace[1:],

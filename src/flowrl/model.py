@@ -210,17 +210,12 @@ def select_rules(pool, thresholds, capacity_bits, window_close, param_mode="both
     return sorted(fid for fid, _, _ in eligible)
 
 
-def placement_landscape(pool, packets, capacity_bits, window_close, param_mode="both"):
-    """Hit packets of every grid cell's placement, in one numpy pass.
-
-    packets maps a FlowId to its packets in the episode (absent flows
-    count 0). Cell [f // GRID_STEP, r // GRID_STEP] of the returned int64
-    array sums the packets of the flows select_rules places for (f, r):
-    the pool is ranked once in that function's order, and each frequency
-    row cuts the eligible flows of all recentness columns with one cumsum.
-    """
-    if param_mode not in ("both", "freq_only", "recentness_only"):
-        raise ValueError("unknown param_mode %r" % (param_mode,))
+def rank_pool(pool, packets, window_close):
+    """The pool in select_rules' rank order, as int64 arrays (freq,
+    recentness, episode packets). packets maps a FlowId to its packets in
+    the episode (absent flows count 0). The ranking does not depend on the
+    thresholds or the param_mode, so one serves every landscape of a
+    workload."""
     # FlowId order is its field order; proto is "tcp" for every flow
     freq, last_seen, *ids, flow_packets = np.array(
         [(r.freq, r.last_seen, f.src_host, f.dst_host, f.src_port, f.dst_port,
@@ -231,8 +226,20 @@ def placement_landscape(pool, packets, capacity_bits, window_close, param_mode="
         raise ValueError("window_close precedes a pool record")
     recentness = window_close - last_seen
     rank = np.lexsort((*ids[::-1], recentness, -freq))
-    freq, recentness, flow_packets = freq[rank], recentness[rank], flow_packets[rank]
+    return freq[rank], recentness[rank], flow_packets[rank]
 
+
+def placement_landscape(ranked, capacity_bits, param_mode="both"):
+    """Hit packets of every grid cell's placement, in one numpy pass.
+
+    ranked is rank_pool's output. Cell [f // GRID_STEP, r // GRID_STEP] of
+    the returned int64 array sums the packets of the flows select_rules
+    places for (f, r): each frequency row cuts the eligible flows of all
+    recentness columns with one cumsum.
+    """
+    if param_mode not in ("both", "freq_only", "recentness_only"):
+        raise ValueError("unknown param_mode %r" % (param_mode,))
+    freq, recentness, flow_packets = ranked
     limit = capacity_bits // ENTRY_BITS
     use_freq = param_mode != "recentness_only"
     by_rec = (recentness <= np.array(REC_GRID)[:, None]) & (param_mode != "freq_only")

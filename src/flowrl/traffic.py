@@ -18,6 +18,12 @@ class InvalidProfile(Exception):
 # benchmark workload 1,500 and the paper-scale defaults 796.
 MAX_EXPECTED_FLOWS = 100_000
 
+# Most packets one flow may carry: twice MAX_EXPECTED_FLOWS such flows sum
+# below 2^63, the bound of the landscape's int64 sums (a Poisson flow count
+# of mean at most MAX_EXPECTED_FLOWS exceeds twice it with probability
+# below e^-38,000). The paper's elephant is 17,896 packets.
+MAX_FLOW_PACKETS = 2**63 // (2 * MAX_EXPECTED_FLOWS)
+
 
 @dataclass(frozen=True)
 class TrafficProfile:
@@ -51,6 +57,10 @@ class TrafficProfile:
             raise InvalidProfile(
                 "per_flow_rate rounds to zero packets per tick; flows could never emit"
             )
+        if total_packets(max(self.mice_size, self.elephant_size),
+                         self.packet_size) > MAX_FLOW_PACKETS:
+            raise InvalidProfile("mice_size and elephant_size must each fit in %d packets"
+                                 % MAX_FLOW_PACKETS)
         if self.arrival_rate() * horizon > MAX_EXPECTED_FLOWS:
             raise InvalidProfile(
                 "aggregate_rate implies %.3g flows over %d ticks, above %d"

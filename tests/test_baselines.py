@@ -1,6 +1,8 @@
 """Tests for the baselines: the aging bloom-filter cache and the exact
 rule-partition solvers."""
 import dataclasses
+import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -14,13 +16,14 @@ from flowrl.baselines import (
     MbfState,
     TooLarge,
     _hash64,
+    _knapsack_dp,
     brute_force_partition,
     knapsack_exact,
     mbf_importance,
     mbf_step,
     run_mbf_episode,
 )
-from flowrl.harness import REFERENCE_TRAFFIC, ExperimentConfig, run_experiment
+from flowrl.harness import REFERENCE_TRAFFIC, ExperimentConfig, run_experiment, write_report
 from flowrl.model import ENTRY_BITS, FlowRule, FlowTable
 from flowrl.simnet import EpisodeMetrics
 from flowrl.traffic import packets_for_tick
@@ -283,6 +286,50 @@ def test_contended_mbf_metrics_pinned(seed, overhead, hits):
     assert (summary["overhead"], summary["hits"], summary["misses"]) == (overhead, hits, overhead)
 
 
+CONTENDED_TRAFFIC = dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5.4e6)
+
+# SHA-256 over the oracle's report files (CSV, .summary, .cfg), by sorted
+# file name, taken while the oracle solved every instance by dynamic
+# programming. The contended seeds place 64 of 1,481 and 1,463 rules for
+# objectives 1,380 and 1,161; the 8-entry reference leaves 39 packets at
+# the controller. Seed 1 at 10**18 bits places 122 of its 135 rules: the
+# 13 it leaves off carry no packets and come after the last rule that does.
+PINNED_ORACLE_BYTES = [
+    (ExperimentConfig(mode="oracle", seed=0, table_capacity_bits=64 * ENTRY_BITS,
+                      traffic=CONTENDED_TRAFFIC),
+     "2da79d38f871e8d1889a4b135652d35767908920607a852faca5cf1bc3a72a73"),
+    (ExperimentConfig(mode="oracle", seed=1, table_capacity_bits=64 * ENTRY_BITS,
+                      traffic=CONTENDED_TRAFFIC),
+     "e575bbc0bf525a1f2f8eef6b39fe7b2fc4fd78d48c8342f26fbb7eb3f1faa463"),
+    (ExperimentConfig(mode="oracle", seed=0, table_capacity_bits=8 * ENTRY_BITS),
+     "48d3307bf0a1b6e9936f5ff71b547c5f987cc02c37c3e4cde906d56b764f94c9"),
+    (ExperimentConfig(mode="oracle", seed=1, table_capacity_bits=10**18),
+     "9b8648bc9bdc958a37d96064acda2f9ac32c696362600f269990bff28f8e7bb1"),
+]
+
+
+@pytest.mark.parametrize("cfg,digest", PINNED_ORACLE_BYTES,
+                         ids=["contended-0", "contended-1", "8-entry", "huge-table"])
+def test_oracle_bytes_pinned(tmp_path, cfg, digest):
+    write_report(run_experiment(cfg), str(tmp_path / "report.csv"))
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == digest
+
+
+def test_oracle_on_a_24k_flow_pool_with_room_for_all():
+    # about 24,400 expected flows against a table that holds them all: a
+    # dynamic program over n x n cells would run for about 25 minutes
+    cfg = ExperimentConfig(mode="oracle", seed=0, table_capacity_bits=10**18,
+                           traffic=dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=8.8e7))
+    start = time.monotonic()
+    summary = run_experiment(cfg).summary
+    assert time.monotonic() - start < 10.0
+    assert summary["objective"] == 0
+    assert summary["n_rules"] > 20_000
+
+
 class TestIlpInstance:
     def test_rejects_negative_overhead_rate(self):
         with pytest.raises(ValueError):
@@ -369,6 +416,67 @@ class TestKnapsackExact:
         assert summary["objective"] == 0
         assert summary["on_switch_count"] > 0
         assert summary["capacity_bits"] == 10**18
+
+
+def equal_size_instances(seed, n_max, count):
+    """Random equal-size instances: values from 1-5 levels, so that ties
+    and zero ties are common, now and then scaled by 2^61 so that an int64
+    sum would wrap; capacities from 0 to n + 2 entries plus a remainder
+    below one entry."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(0, n_max + 1))
+        size = int(rng.choice((1, 7, ENTRY_BITS)))
+        scale = 2**61 if rng.random() < 0.2 else 1
+        values = [int(v) * scale for v in rng.integers(0, rng.integers(1, 6), n)]
+        capacity = int(rng.integers(0, n + 3)) * size + int(rng.integers(0, size))
+        yield IlpInstance(rules=tuple((v, size) for v in values), capacity=capacity)
+
+
+S = ENTRY_BITS
+
+
+class TestKnapsackTopK:
+    """knapsack_exact on equal-size rules, where it ranks instead of
+    running the dynamic program."""
+
+    @pytest.mark.parametrize("values,capacity,on_switch,objective", [
+        # ties at the k-th value: the earliest ones
+        ((5, 3, 3, 3, 1), 2 * S + 100, {1, 2}, 7),
+        ((1, 3, 5, 3, 3), 3 * S, {2, 3, 4}, 4),
+        # zero ties before the last positive rule fill the spare room
+        ((0, 4, 0, 2, 0), 3 * S, {1, 2, 4}, 0),
+        ((0, 4, 0, 2, 0), 4 * S, {1, 2, 3, 4}, 0),
+        # ... and never come after it
+        ((0, 4, 0, 2, 0), 5 * S, {1, 2, 3, 4}, 0),
+        ((4, 2, 0, 0), 10**18, {1, 2}, 0),
+        ((0, 0, 0), 3 * S, set(), 0),
+        # capacity 0, and a capacity below one entry
+        ((3, 1), 0, set(), 4),
+        ((3, 1), S - 1, set(), 4),
+        # a capacity that is not a multiple of the size
+        ((1, 2, 3), 2 * S + S - 1, {2, 3}, 1),
+        # capacity for every rule
+        ((2, 0, 1, 0), 4 * S, {1, 2, 3}, 0),
+        # sums past 2^63 stay exact
+        ((2**62, 2**62, 2**62, 1), S, {1}, 2**63 + 1),
+        ((2**63, 2**63, 0), 2 * S + 1, {1, 2}, 0),
+    ])
+    def test_hand_cases(self, values, capacity, on_switch, objective):
+        inst = IlpInstance(rules=tuple((v, S) for v in values), capacity=capacity)
+        out = knapsack_exact(inst)
+        assert (out.on_switch, out.objective) == (frozenset(on_switch), objective)
+        assert out == _knapsack_dp(inst) == brute_force_partition(inst)
+        assert out.check(inst)
+
+    def test_matches_brute_force_up_to_14_rules(self):
+        for inst in equal_size_instances(seed=0, n_max=14, count=150):
+            assert knapsack_exact(inst) == brute_force_partition(inst), inst
+
+    def test_matches_the_dynamic_program_up_to_300_rules(self):
+        for inst in equal_size_instances(seed=1, n_max=300, count=40):
+            if inst.n:
+                assert knapsack_exact(inst) == _knapsack_dp(inst), inst
 
 
 class TestBruteForcePartition:

@@ -22,7 +22,6 @@ from flowrl.dqn import (
     encode_state,
     init_mlp,
     mlp_forward,
-    relu,
     sgd_step,
 )
 from flowrl.harness import ExperimentConfig, run_experiment, write_report
@@ -173,11 +172,6 @@ class TestMlp:
 
 
 class TestForward:
-    def test_relu(self):
-        out = relu(np.array([-1.0, 0.0, 2.5]))
-        assert np.array_equal(out, [0.0, 0.0, 2.5])
-        assert np.array_equal(relu(out), out)
-
     def test_encode_state(self):
         v = encode_state(ThresholdConfig(90, 30), Action.NoOp, 0)
         assert np.allclose(v, [0.45, 0.10, 0.0, 0.0])
@@ -513,7 +507,7 @@ def ref_forward_trace(net, x):
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = w @ activations[-1] + b
         pre_acts.append(z)
-        activations.append(z if l == last else relu(z))
+        activations.append(z if l == last else np.maximum(0.0, z))
     return pre_acts, activations
 
 

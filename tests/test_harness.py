@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config files, the evaluation
 schedule, the memoized environment, run modes, reports, and the CLI."""
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from flowrl import cli, harness
 from flowrl.harness import (
     EPSILON_STATIC,
+    MAX_EPISODES,
     MAX_HOSTS,
     MAX_WINDOW,
     REFERENCE_TRAFFIC,
@@ -166,6 +168,26 @@ class TestLoadConfig:
         path.write_text("aggregate_rate=3.5e8\n")
         assert load_config(path).traffic.aggregate_rate == 3.5e8
 
+    def test_episode_bound(self):
+        at_bound = ExperimentConfig(n_training_sets=9, episodes_cap=MAX_EPISODES // 10)
+        assert at_bound.validate() is at_bound
+        with pytest.raises(ValidationError, match=r"n_training_sets \+ 1\) \* episodes_cap"):
+            dataclasses.replace(at_bound, episodes_cap=MAX_EPISODES // 10 + 1).validate()
+
+    def test_huge_training_set_count_refused_at_once(self):
+        start = time.monotonic()
+        with pytest.raises(ValidationError, match="n_training_sets"):
+            run_experiment(ExperimentConfig(n_training_sets=10**11))
+        assert time.monotonic() - start < 1.0
+
+    def test_flow_packets_that_could_wrap_int64_refused(self):
+        # 599 expected flows of up to 6e18 episode packets each: their sum
+        # wrapped in the landscape's int64 product
+        traffic = TrafficProfile(mice_size=10**19, elephant_size=10**19, packet_size=1,
+                                 per_flow_rate=8e17, aggregate_rate=8e20)
+        with pytest.raises(ValidationError, match="packets"):
+            run_experiment(ExperimentConfig(traffic=traffic))
+
     def test_save_load_round_trip(self, tmp_path):
         cfg = ExperimentConfig(
             mode="significance",
@@ -256,6 +278,15 @@ class TestBuildEvalSchedule:
         assert build_eval_schedule(sched, 10, 3).flows == []
 
 
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The arguments of every rank_pool call that EpisodeEnv makes."""
+    calls = []
+    rank_pool = harness.rank_pool
+    monkeypatch.setattr(harness, "rank_pool", lambda *a: calls.append(a) or rank_pool(*a))
+    return calls
+
+
 class TestEpisodeEnv:
     def _env(self):
         pool = hand_pool({fid(1): (120, 9), fid(2): (3, 9), fid(3): (40, 5)})
@@ -278,6 +309,22 @@ class TestEpisodeEnv:
         _, _, env = self._env()
         first = env.run(ThresholdConfig(100, 0))
         assert env.run(ThresholdConfig(100, 0)) is first
+
+    def test_variants_rank_the_pool_once_on_first_run(self, rank_calls):
+        pool, eval_sched, env = self._env()
+        variants = [env.variant(pm) for pm in ("freq_only", "recentness_only", "both")]
+        assert rank_calls == []
+        cells = [[v.run(ThresholdConfig(f, 0)) for f in (0, 100, 200)] for v in variants]
+        assert len(rank_calls) == 1
+        for variant, row in zip(variants, cells):
+            fresh = EpisodeEnv(pool, eval_sched, 2 * ENTRY_BITS, 10, variant.param_mode)
+            assert row == [fresh.run(ThresholdConfig(f, 0)) for f in (0, 100, 200)]
+
+    @pytest.mark.parametrize("mode,rankings",
+                             [("ql", 1), ("significance", 1), ("mbf", 0), ("oracle", 0)])
+    def test_one_ranking_per_experiment(self, rank_calls, mode, rankings):
+        run_experiment(ExperimentConfig(mode=mode, episodes_cap=3, n_training_sets=2))
+        assert len(rank_calls) == rankings
 
 
 class TestDrawTrainingSets:

@@ -20,6 +20,7 @@ from flowrl.model import (
     FlowTable,
     ThresholdConfig,
     placement_landscape,
+    rank_pool,
     select_rules,
 )
 from flowrl.simnet import run_episode
@@ -99,9 +100,9 @@ def test_counts_are_python_ints():
 def test_landscape_rejects_bad_inputs():
     pool = hand_pool({fid(1): (30, 9)})
     with pytest.raises(ValueError):
-        placement_landscape(pool, {}, ENTRY_BITS, 8)
+        rank_pool(pool, {}, 8)
     with pytest.raises(ValueError):
-        placement_landscape(pool, {}, ENTRY_BITS, 9, "neither")
+        placement_landscape(rank_pool(pool, {}, 9), ENTRY_BITS, "neither")
 
 
 @pytest.mark.parametrize("param_mode", PARAM_MODES)

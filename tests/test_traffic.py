@@ -2,6 +2,8 @@
 import pytest
 
 from flowrl.traffic import (
+    MAX_EXPECTED_FLOWS,
+    MAX_FLOW_PACKETS,
     FlowSchedule,
     FlowSpec,
     InvalidProfile,
@@ -34,6 +36,14 @@ class TestTrafficProfile:
             TrafficProfile(**{field: 0}).validate()
         with pytest.raises(InvalidProfile):
             TrafficProfile(**{field: -1}).validate()
+
+    @pytest.mark.parametrize("field", ["mice_size", "elephant_size"])
+    def test_flow_packet_bound(self, field):
+        # twice MAX_EXPECTED_FLOWS flows of the largest size sum below 2^63
+        assert 2 * MAX_EXPECTED_FLOWS * MAX_FLOW_PACKETS < 2**63
+        TrafficProfile(**{field: MAX_FLOW_PACKETS * 1500}).validate()
+        with pytest.raises(InvalidProfile, match="packets"):
+            TrafficProfile(**{field: MAX_FLOW_PACKETS * 1500 + 1}).validate()
 
     @pytest.mark.parametrize("field", ["aggregate_rate", "per_flow_rate"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
