@@ -150,13 +150,7 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
             table.insert(FlowRule(id=fid, install_time=tick))
             hits += count - 1
 
-    return EpisodeMetrics(
-        overhead=misses,
-        hits=hits,
-        misses=misses,
-        total_lookups=hits + misses,
-        duration=duration,
-    )
+    return EpisodeMetrics(hits=hits, misses=misses, duration=duration)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,24 @@
 # overrides, run the experiment, and write the report files.
 
 import argparse
+import dataclasses
 import sys
 
-from flowrl.harness import (
-    ExperimentConfig,
-    load_config,
-    run_experiment,
-    write_report,
-)
+from flowrl.harness import MODES, ExperimentConfig, load_config, run_experiment, write_report
+
+# flag -> (config key, help) of every flag that overrides one config key;
+# the flag parses its value as the key's field type, and its help names
+# the key's default
+OVERRIDES = {
+    "--mode": ("mode", "experiment mode"),
+    "--seed": ("seed", "experiment seed"),
+    "--episodes": ("episodes_cap", "episode cap per training run"),
+    "--goal": ("goal_mu", "target overhead-reduction fraction in (0, 1)"),
+    "--table-bits": ("table_capacity_bits", "switch table capacity in bits"),
+    "--out": ("output_path", "report CSV path; also writes <out>.summary and <out>.cfg"),
+}
+
+_METAVARS = {int: "N", float: "F", str: "PATH"}
 
 
 def build_parser():
@@ -23,52 +33,29 @@ def build_parser():
             "the documented defaults."
         ),
     )
-    parser.add_argument(
-        "--mode",
-        choices=["ql", "dqn", "mbf", "oracle", "significance"],
-        help="experiment mode (default: ql)",
-    )
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="experiment seed (default: 0)")
-    parser.add_argument(
-        "--episodes", type=int, help="episode cap per training run (default: 1000)"
-    )
-    parser.add_argument(
-        "--goal", type=float,
-        help="target overhead-reduction fraction in (0, 1) (default: 0.4)",
-    )
-    parser.add_argument(
-        "--table-bits", type=int,
-        help="switch table capacity in bits (default: 22784 = 64 entries)",
-    )
-    parser.add_argument(
-        "--out", help="report CSV path (default: report.csv); also writes "
-        "<out>.summary and <out>.cfg",
-    )
-    parser.add_argument(
-        "--save-policy", help="write the trained policy (Q-table or network) here"
-    )
-    parser.add_argument(
-        "--load-policy",
-        help="start from a saved policy instead of fresh/pre-trained init",
-    )
+    parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
+    defaults = ExperimentConfig()
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    for flag, (key, text) in OVERRIDES.items():
+        choices = MODES if key == "mode" else None
+        parser.add_argument(
+            flag, dest=key, type=types[key], choices=choices,
+            metavar="|".join(MODES) if choices else _METAVARS[types[key]],
+            help="%s (default: %s)" % (text, getattr(defaults, key)),
+        )
+    parser.add_argument("--save-policy", metavar="PATH",
+                        help="write the trained policy (Q-table or network) here")
+    parser.add_argument("--load-policy", metavar="PATH",
+                        help="start from a saved policy instead of fresh/pre-trained init")
     return parser
 
 
 def compose_config(args):
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.episodes is not None:
-        cfg.episodes_cap = args.episodes
-    if args.goal is not None:
-        cfg.goal_mu = args.goal
-    if args.table_bits is not None:
-        cfg.table_capacity_bits = args.table_bits
-    if args.out is not None:
-        cfg.output_path = args.out
+    for key, _ in OVERRIDES.values():
+        value = getattr(args, key)
+        if value is not None:
+            setattr(cfg, key, value)
     return cfg.validate()
 
 

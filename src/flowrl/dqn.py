@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowrl.model import FREQ_GRID, REC_GRID, read_text
-from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, _pretraining_sets, train
+from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, train
 
 LAYER_SIZES = (4, 24, 24, 24, 5)
 LEARNING_RATE = 0.01  # sgd_step's rate in every learn step
@@ -322,19 +322,16 @@ def dqn_train(env, net, cfg, initial_state, rng=None, memory=None, trace=True):
     return train(env, _DqnPolicy(net, cfg, memory, initial_state), cfg, initial_state, rng, trace)
 
 
-def init_mlp(mode, training_sets=None, seed=0, env=None, cfg=None, memory=None):
-    """Build a network.
-
-    mode "random": fresh seeded net, parameters uniform in [-0.1, 0.1).
-    mode "from_training": random init, then one full dqn_train run per
-    training set (each set as the initial state) without trace rows, all
-    through memory, a fresh ReplayMemory() unless one is given (pass one
-    to keep the experience buffer afterwards); requires env and cfg.
-    """
+def init_mlp(seed, training_sets=(), env=None, cfg=None, memory=None):
+    """Build a network: parameters uniform in [-0.1, 0.1), seeded, then
+    one full dqn_train run on env under cfg per training set (each set as
+    the initial state) without trace rows, all through memory, a fresh
+    ReplayMemory() unless one is given (pass one to keep the experience
+    buffer afterwards). No training sets leave the random network."""
     rng = np.random.default_rng(seed)
     net = Mlp.random(rng)
     if memory is None:
         memory = ReplayMemory()
-    for state in _pretraining_sets(mode, training_sets, env, cfg):
+    for state in training_sets:
         dqn_train(env, net, cfg, state, rng, memory, trace=False)
     return net

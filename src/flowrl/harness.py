@@ -19,12 +19,12 @@ from flowrl.baselines import (
 from flowrl.dqn import LAYER_SIZES, MalformedNetwork, Mlp, ReplayMemory, dqn_train, init_mlp
 # select_rules and run_episode stay bound: bench/layers.py traces them by name here
 from flowrl.model import (  # noqa: F401
-    FREQ_GRID, GRID_STEP, REC_GRID, FlowTable, ThresholdConfig, placement_landscape,
-    rank_pool, read_text, select_rules,
+    ENTRY_BITS, FREQ_GRID, GRID_STEP, PARAM_MODES, REC_GRID, FlowTable, ThresholdConfig,
+    placement_landscape, rank_pool, read_text, select_rules,
 )
 from flowrl.qlearn import AgentConfig, QTable, TraceRow, _trace_row, init_qtable, q_train
 from flowrl.simnet import (  # noqa: F401
-    EpisodeMetrics, hit_ratio, run_episode, run_orchestration,
+    EpisodeMetrics, hit_ratio, reduction_fraction, run_episode, run_orchestration,
 )
 from flowrl.traffic import (
     FlowSchedule,
@@ -72,6 +72,10 @@ MAX_WINDOW = 86_400
 # episode costs about 0.2 ms; the acceptance suite asks for 21 x 10,000.
 MAX_EPISODES = 1_000_000
 
+# The run modes: two learners, the MBF baseline, the placement oracle, and
+# the parameter-significance comparison.
+MODES = ("ql", "dqn", "mbf", "oracle", "significance")
+
 # Exploration rates; the other agent hyperparameters are the AgentConfig
 # defaults.
 EPSILON_FRESH = 1.0
@@ -105,8 +109,8 @@ class ExperimentConfig:
     traffic: TrafficProfile = field(default_factory=lambda: REFERENCE_TRAFFIC)
 
     def validate(self):
-        if self.mode not in ("ql", "dqn", "mbf", "oracle", "significance"):
-            raise ValidationError("mode must be ql|dqn|mbf|oracle|significance")
+        if self.mode not in MODES:
+            raise ValidationError("mode must be " + "|".join(MODES))
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         if self.episodes_cap < 1:
@@ -126,18 +130,18 @@ class ExperimentConfig:
         if (self.n_training_sets + 1) * self.episodes_cap > MAX_EPISODES:
             raise ValidationError("(n_training_sets + 1) * episodes_cap must be <= %d"
                                   % MAX_EPISODES)
-        if self.param_mode not in ("both", "freq_only", "recentness_only"):
-            raise ValidationError("param_mode must be both|freq_only|recentness_only")
+        if self.param_mode not in PARAM_MODES:
+            raise ValidationError("param_mode must be " + "|".join(PARAM_MODES))
         try:
             ThresholdConfig(self.initial_freq, self.initial_rec)
         except ValueError as exc:
             raise ValidationError(str(exc))
+        if not 1 <= self.orchestration_window <= MAX_WINDOW:
+            raise ValidationError("orchestration_window must be in [1, %d]" % MAX_WINDOW)
         try:
             self.traffic.validate(self.orchestration_window)
         except InvalidProfile as exc:
             raise ValidationError(str(exc))
-        if not 1 <= self.orchestration_window <= MAX_WINDOW:
-            raise ValidationError("orchestration_window must be in [1, %d]" % MAX_WINDOW)
         return self
 
     def initial_state(self):
@@ -289,8 +293,7 @@ class EpisodeEnv:
             # cells with equal hits have equal metrics and share one object
             horizon = self.eval_schedule.horizon
             metrics = {
-                h: EpisodeMetrics(overhead=total - h, hits=h, misses=total - h,
-                                  total_lookups=total, duration=horizon)
+                h: EpisodeMetrics(hits=h, misses=total - h, duration=horizon)
                 for h in np.unique(hits).tolist()
             }
             self._cells = [[metrics[h] for h in row] for row in hits.tolist()]
@@ -338,7 +341,7 @@ def _train_summary(cfg, result):
         "seed": cfg.seed,
         "initial_overhead": initial,
         "best_overhead": best.best_overhead,
-        "reduction": (initial - best.best_overhead) / initial if initial else 0.0,
+        "reduction": reduction_fraction(initial, best.best_overhead) if initial else 0.0,
         "best_freq_thr": best.best_thresholds.freq_threshold,
         "best_rec_thr": best.best_thresholds.recentness_threshold,
         "best_hit_ratio": hit_ratio(best.best_metrics),
@@ -372,16 +375,15 @@ def _run_agent(cfg, env, load_policy=None):
         shared = {"memory": ReplayMemory()}
     pretrain_cfg = AgentConfig(epsilon0=EPSILON_FRESH, budget=cfg.episodes_cap,
                                goal_mu=cfg.goal_mu, epsilon_decay=True)
-    initialized = load_policy is not None or cfg.qtable_init == "from_training"
+    sets = ()
+    if load_policy is None and cfg.qtable_init == "from_training":
+        sets = _draw_training_sets(cfg.n_training_sets, np.random.default_rng(sets_ss))
     if load_policy is not None:
         policy = load(load_policy)
-    elif initialized:
-        sets = _draw_training_sets(cfg.n_training_sets, np.random.default_rng(sets_ss))
-        policy = init("from_training", sets, init_ss, env, pretrain_cfg, **shared)
     else:
-        policy = init("random", seed=init_ss)
+        policy = init(init_ss, sets, env, pretrain_cfg, **shared)
     final_cfg = pretrain_cfg
-    if initialized:
+    if load_policy is not None or sets:
         final_cfg = dataclasses.replace(final_cfg, epsilon0=EPSILON_STATIC, epsilon_decay=False)
     result = train_fn(env, policy, final_cfg, cfg.initial_state(),
                       np.random.default_rng(train_ss), **shared)
@@ -395,7 +397,7 @@ def _oracle_instance(pool, eval_schedule, capacity_bits):
     # FlowId order without its generated comparisons; proto is always "tcp"
     order = sorted(pool.records,
                    key=operator.attrgetter("src_host", "dst_host", "src_port", "dst_port"))
-    rules = tuple((packets.get(fid, 0), 356) for fid in order)
+    rules = tuple((packets.get(fid, 0), ENTRY_BITS) for fid in order)
     return IlpInstance(rules=rules, capacity=capacity_bits), order
 
 
@@ -459,7 +461,7 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
     # significance: three param modes on the one workload and seed streams
     subreports = {}
     reductions = {}
-    for pm in ("freq_only", "recentness_only", "both"):
+    for pm in PARAM_MODES:
         sub_cfg = dataclasses.replace(cfg, mode="ql", param_mode=pm)
         result, _ = _run_agent(sub_cfg, env.variant(pm))
         subreports[pm] = RunReport(
@@ -468,15 +470,10 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
             summary=_train_summary(sub_cfg, result),
         )
         reductions[pm] = subreports[pm].summary["reduction"]
-    summary = {
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "reduction_freq_only": reductions["freq_only"],
-        "reduction_recentness_only": reductions["recentness_only"],
-        "reduction_both": reductions["both"],
-        "both_dominates": reductions["both"]
-        > max(reductions["freq_only"], reductions["recentness_only"]),
-    }
+    summary = {"mode": cfg.mode, "seed": cfg.seed}
+    summary.update(("reduction_" + pm, reductions[pm]) for pm in PARAM_MODES)
+    summary["both_dominates"] = reductions["both"] > max(reductions["freq_only"],
+                                                          reductions["recentness_only"])
     return RunReport(config=cfg, rows=[], summary=summary, subreports=subreports)
 
 

@@ -18,6 +18,10 @@ REC_MAX = 300
 FREQ_GRID = tuple(range(0, FREQ_MAX + 1, GRID_STEP))
 REC_GRID = tuple(range(0, REC_MAX + 1, GRID_STEP))
 
+# Which threshold predicates select a rule: one branch or their OR. A
+# significance run trains one policy per mode, in this order.
+PARAM_MODES = ("freq_only", "recentness_only", "both")
+
 
 def read_text(path, error):
     """The file loaders' reader: path's UTF-8 text as a file object that
@@ -70,22 +74,17 @@ class FlowId:
 
 @dataclass
 class FlowRule:
-    """A forwarding rule; size_bits is constant."""
+    """A forwarding rule; it occupies one ENTRY_BITS-bit entry."""
 
     id: FlowId
     install_time: int
-    size_bits: int = ENTRY_BITS
-
-    def __post_init__(self):
-        if self.size_bits != ENTRY_BITS:
-            raise ValueError("flow entries are fixed at %d bits" % ENTRY_BITS)
 
 
 class FlowTable:
     """Capacity-bounded flow table keyed by FlowId.
 
     The sum of entry sizes never exceeds capacity_bits, so at most
-    floor(capacity_bits / 356) entries fit.
+    floor(capacity_bits / ENTRY_BITS) entries fit.
     """
 
     def __init__(self, capacity_bits):
@@ -106,10 +105,9 @@ class FlowTable:
         """Install a rule; raises DuplicateRule / CapacityExceeded."""
         if rule.id in self.entries:
             raise DuplicateRule(str(rule.id))
-        if self.used_bits + rule.size_bits > self.capacity_bits:
+        if self.used_bits + ENTRY_BITS > self.capacity_bits:
             raise CapacityExceeded(
-                "%d + %d bits > capacity %d"
-                % (self.used_bits, rule.size_bits, self.capacity_bits)
+                "%d + %d bits > capacity %d" % (self.used_bits, ENTRY_BITS, self.capacity_bits)
             )
         self.entries[rule.id] = rule
 
@@ -179,16 +177,16 @@ def select_rules(pool, thresholds, capacity_bits, window_close, param_mode="both
     disable one branch ("freq_only" / "recentness_only"); "both" keeps the
     OR of the two predicates.
 
-    If more flows are eligible than fit (floor(capacity_bits/356) entries),
+    If more flows are eligible than fit (capacity_bits // ENTRY_BITS entries),
     rank by freq descending, recentness ascending, then FlowId order, and
     truncate.
 
     Returns a list of FlowIds (deterministic for identical inputs).
     """
-    if param_mode not in ("both", "freq_only", "recentness_only"):
+    if param_mode not in PARAM_MODES:
         raise ValueError("unknown param_mode %r" % (param_mode,))
-    use_freq = param_mode in ("both", "freq_only")
-    use_rec = param_mode in ("both", "recentness_only")
+    use_freq = param_mode != "recentness_only"
+    use_rec = param_mode != "freq_only"
 
     eligible = []
     for fid, rec in pool.records.items():
@@ -237,7 +235,7 @@ def placement_landscape(ranked, capacity_bits, param_mode="both"):
     places for (f, r): each frequency row cuts the eligible flows of all
     recentness columns with one cumsum.
     """
-    if param_mode not in ("both", "freq_only", "recentness_only"):
+    if param_mode not in PARAM_MODES:
         raise ValueError("unknown param_mode %r" % (param_mode,))
     freq, recentness, flow_packets = ranked
     limit = capacity_bits // ENTRY_BITS

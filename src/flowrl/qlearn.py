@@ -1,6 +1,6 @@
 # qlearn.py -- tabular Q-learning over the threshold grid: epsilon-greedy
 # selection with iterative epsilon decay, the one-cell Q update, table
-# initialization (random or from training runs), persistence, and the
+# initialization (random, then optional training runs), persistence, and the
 # goal-driven training loop that both learners run.
 
 import math
@@ -25,10 +25,6 @@ class Action(IntEnum):
 
 ACTIONS = tuple(Action)
 N_ACTIONS = len(ACTIONS)
-
-
-class EmptyTrainingSets(Exception):
-    """from_training initialization needs at least one training set."""
 
 
 class MalformedQTable(Exception):
@@ -257,34 +253,16 @@ def decay_epsilon(eps, step, budget):
     return eps * (1.0 - step / budget)
 
 
-def init_qtable(mode, training_sets=None, seed=0, env=None, cfg=None):
-    """Build a Q-table.
-
-    mode "random": every cell uniform in [0, 0.01), seeded.
-    mode "from_training": random init, then one full training run per
-    training set (each set as the initial state), accumulating into the
-    same table; requires env and cfg. These runs build no trace rows.
-    """
+def init_qtable(seed, training_sets=(), env=None, cfg=None):
+    """Build a Q-table: every cell uniform in [0, 0.01), seeded, then one
+    full training run on env under cfg per training set (each set as the
+    initial state), accumulating into the same table without trace rows.
+    No training sets leave the random table."""
     rng = np.random.default_rng(seed)
     q = QTable.random(rng)
-    for state in _pretraining_sets(mode, training_sets, env, cfg):
+    for state in training_sets:
         q_train(env, q, cfg, state, rng, trace=False)
     return q
-
-
-def _pretraining_sets(mode, training_sets, env, cfg):
-    """The initial states of the pre-training runs of an init mode: none
-    for "random", the training sets for "from_training" (which needs a
-    non-empty list, env and cfg)."""
-    if mode == "random":
-        return []
-    if mode != "from_training":
-        raise ValueError("unknown init mode %r" % (mode,))
-    if not training_sets:
-        raise EmptyTrainingSets("from_training needs a non-empty training set list")
-    if env is None or cfg is None:
-        raise ValueError("from_training needs env and cfg")
-    return training_sets
 
 
 def _trace_row(episode, metrics, state, reward, eps, initial):

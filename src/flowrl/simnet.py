@@ -2,7 +2,7 @@
 # pool building, production-phase episodes over a fixed preinstalled
 # ruleset, overhead accounting, and reward computation.
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from flowrl.model import ENTRY_BITS, FlowPool, FlowRule, FlowTable
 from flowrl.traffic import (
@@ -20,22 +20,21 @@ class ZeroInitial(Exception):
 
 @dataclass
 class EpisodeMetrics:
-    """Counts for one episode. hits + misses = total_lookups and
-    overhead = misses under one-exchange-per-miss accounting."""
+    """Counts for one episode. Every miss costs one control-plane exchange,
+    so overhead = misses, and total_lookups = hits + misses; both are set
+    from the counts (plain attributes: train reads overhead every step)."""
 
-    overhead: int
     hits: int
     misses: int
-    total_lookups: int
     duration: int
+    overhead: int = field(init=False)
+    total_lookups: int = field(init=False)
 
     def __post_init__(self):
-        if min(self.overhead, self.hits, self.misses, self.total_lookups) < 0:
+        if min(self.hits, self.misses) < 0:
             raise ValueError("negative count")
-        if self.hits + self.misses != self.total_lookups:
-            raise ValueError("hits + misses must equal total_lookups")
-        if self.overhead != self.misses:
-            raise ValueError("overhead must equal misses")
+        self.overhead = self.misses
+        self.total_lookups = self.hits + self.misses
 
 
 @dataclass
@@ -101,13 +100,7 @@ def run_episode(ruleset, schedule, table, duration=None):
             else:
                 misses += count
 
-    return EpisodeMetrics(
-        overhead=misses,
-        hits=hits,
-        misses=misses,
-        total_lookups=hits + misses,
-        duration=duration,
-    )
+    return EpisodeMetrics(hits=hits, misses=misses, duration=duration)
 
 
 def compute_reward(best, current_overhead, thresholds=None, metrics=None):

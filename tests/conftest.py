@@ -78,9 +78,7 @@ class FakeEnv:
         o = int(self.overhead_fn(thresholds.freq_threshold,
                                  thresholds.recentness_threshold))
         hits = max(self.total - o, 0)
-        return EpisodeMetrics(
-            overhead=o, hits=hits, misses=o, total_lookups=hits + o, duration=1
-        )
+        return EpisodeMetrics(hits=hits, misses=o, duration=1)
 
 
 @pytest.fixture

@@ -75,10 +75,7 @@ def naive_mbf_episode(schedule, table, state, duration):
                 table.remove(victim.id)
             table.insert(FlowRule(id=f, install_time=tick))
             hits += count - 1
-    return EpisodeMetrics(
-        overhead=misses, hits=hits, misses=misses,
-        total_lookups=hits + misses, duration=duration,
-    )
+    return EpisodeMetrics(hits=hits, misses=misses, duration=duration)
 
 
 class TestMbfState:
@@ -162,6 +159,15 @@ class TestRunMbfEpisode:
         assert metrics.hits == 4
         assert metrics.total_lookups == 6
         assert metrics.duration == 3
+
+    def test_counts_one_exchange_per_miss(self):
+        sched = hand_schedule(
+            [(fid(i), "mice", 4500, i % 3) for i in range(6)], horizon=10,
+        )
+        metrics = run_mbf_episode(sched, FlowTable(2 * ENTRY_BITS))
+        assert metrics.misses > 6  # evictions force repeat misses
+        assert metrics.overhead == metrics.misses
+        assert metrics.total_lookups == metrics.hits + metrics.misses == 18
 
     def test_single_entry_thrashing(self):
         # two concurrent flows fighting over one slot: every packet misses

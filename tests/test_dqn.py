@@ -26,7 +26,7 @@ from flowrl.dqn import (
 )
 from flowrl.harness import ExperimentConfig, run_experiment, write_report
 from flowrl.model import FREQ_GRID, REC_GRID, ThresholdConfig
-from flowrl.qlearn import GRID_STATES, Action, AgentConfig, EmptyTrainingSets
+from flowrl.qlearn import GRID_STATES, Action, AgentConfig
 from conftest import FakeEnv
 
 
@@ -453,37 +453,43 @@ class TestDqnTrain:
 
 class TestInitMlp:
     def test_random_mode_deterministic(self):
-        a = init_mlp("random", seed=4)
-        b = init_mlp("random", seed=4)
-        c = init_mlp("random", seed=5)
+        a = init_mlp(4)
+        b = init_mlp(4)
+        c = init_mlp(5)
         assert nets_equal(a, b)
         assert not nets_equal(a, c)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            init_mlp("kaiming")
+    # SHA-256 of every weight and bias, as the earlier init_mlp("random",
+    # seed=s) built them; the last seed is the harness's init stream of seed 0
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "37df5374f5260ae022826ab8e65bcf81ddc399048cc412d49a69f60f8658a675"),
+        (9, "df0a014f5f002b68f4b8f6ac8b9688e41163b8a3718f01e17bea3ee4ed714bb4"),
+        (np.random.SeedSequence(0).spawn(3)[1],
+         "95fee8e52d72d24a5be27eb8b963950025068e040183c514fcb81b6a9b2cb9e6"),
+    ])
+    def test_random_init_pinned(self, seed, digest):
+        net = init_mlp(seed)
+        data = b"".join(p.tobytes() for p in net.weights + net.biases)
+        assert hashlib.sha256(data).hexdigest() == digest
 
-    def test_from_training_requires_sets_env_cfg(self):
-        env = FakeEnv(lambda f, r: 50)
-        cfg = AgentConfig(budget=5)
-        with pytest.raises(EmptyTrainingSets):
-            init_mlp("from_training", training_sets=[], env=env, cfg=cfg)
-        with pytest.raises(ValueError):
-            init_mlp("from_training", training_sets=[ThresholdConfig(0, 0)])
+    def test_no_training_sets_leave_the_random_network(self):
+        env = FakeEnv(lambda f, r: 50 + f // 10)
+        mem = ReplayMemory()
+        net = init_mlp(6, (), env, AgentConfig(budget=20), mem)
+        assert env.calls == 0 and len(mem) == 0
+        assert nets_equal(net, init_mlp(6))
 
     def test_from_training_runs_and_fills_shared_memory(self):
         overhead = lambda f, r: 50 + f // 10
         cfg = AgentConfig(budget=20)
         mem = ReplayMemory()
         sets = [ThresholdConfig(130, 0), ThresholdConfig(0, 300)]
-        net = init_mlp("from_training", training_sets=sets,
-                       env=FakeEnv(overhead), cfg=cfg, seed=6, memory=mem)
+        net = init_mlp(6, sets, FakeEnv(overhead), cfg, mem)
         assert len(mem) == 40  # both runs hit the 20-episode cap
-        net2 = init_mlp("from_training", training_sets=sets,
-                        env=FakeEnv(overhead), cfg=cfg, seed=6)
+        net2 = init_mlp(6, sets, FakeEnv(overhead), cfg)
         assert nets_equal(net, net2)
         # only a memory shared by both runs reaches the start threshold 32
-        assert not nets_equal(net, init_mlp("random", seed=6))
+        assert not nets_equal(net, init_mlp(6))
 
 
 # -- bit-exactness against the snapshot-copy learn step ----------------------

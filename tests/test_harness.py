@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config files, the evaluation
 schedule, the memoized environment, run modes, reports, and the CLI."""
 import dataclasses
+import os
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ from flowrl.harness import (
     MAX_EPISODES,
     MAX_HOSTS,
     MAX_WINDOW,
+    MODES,
     REFERENCE_TRAFFIC,
     EpisodeEnv,
     ExperimentConfig,
@@ -27,7 +29,9 @@ from flowrl.harness import (
 )
 from flowrl.baselines import brute_force_partition, knapsack_exact
 from flowrl.dqn import Mlp
-from flowrl.model import ENTRY_BITS, FlowTable, ThresholdConfig, select_rules
+from flowrl.model import (
+    ENTRY_BITS, FREQ_GRID, REC_GRID, FlowTable, ThresholdConfig, select_rules,
+)
 from flowrl.simnet import run_episode
 from flowrl.traffic import FlowSpec, TrafficProfile
 from conftest import fid, hand_pool, hand_schedule
@@ -154,13 +158,20 @@ class TestLoadConfig:
     # never generate a schedule here: these configs ask for 10**5-10**11 flows
     @pytest.mark.parametrize("text", [
         "aggregate_rate=1e15\n",  # about 2.8e11 flows over 60 ticks
-        "orchestration_window=10000000\n",  # 2.5e7 reference flows
+        "orchestration_window=50000\n",  # 1.25e5 reference flows
     ])
     def test_flow_count_cap(self, tmp_path, text):
         path = tmp_path / "c.cfg"
         path.write_text(text)
         with pytest.raises(ValidationError, match="aggregate_rate implies"):
             load_config(path)
+
+    # at the reference rate these windows also imply too many flows; the
+    # window, the field out of range, is the one named
+    @pytest.mark.parametrize("window", [MAX_WINDOW + 1, 10**7])
+    def test_long_window_names_the_window(self, window):
+        with pytest.raises(ValidationError, match="orchestration_window must be in"):
+            ExperimentConfig(orchestration_window=window).validate()
 
     def test_flow_count_below_cap_accepted(self, tmp_path):
         # 3.5e8 bit/s of 27 KB flows: about 97,000 flows over 60 ticks
@@ -319,6 +330,14 @@ class TestEpisodeEnv:
         for variant, row in zip(variants, cells):
             fresh = EpisodeEnv(pool, eval_sched, 2 * ENTRY_BITS, 10, variant.param_mode)
             assert row == [fresh.run(ThresholdConfig(f, 0)) for f in (0, 100, 200)]
+
+    def test_cells_count_one_exchange_per_miss(self):
+        _, _, env = self._env()
+        for f in FREQ_GRID:
+            for r in REC_GRID:
+                m = env.run(ThresholdConfig(f, r))
+                assert m.overhead == m.misses
+                assert m.total_lookups == m.hits + m.misses == 5
 
     @pytest.mark.parametrize("mode,rankings",
                              [("ql", 1), ("significance", 1), ("mbf", 0), ("oracle", 0)])
@@ -621,3 +640,24 @@ class TestCli:
                        "--out", str(tmp_path / "b.csv"),
                        "--load-policy", policy])
         assert rc == 0
+
+
+class TestCliFlags:
+    def test_overrides_read_their_config_field(self):
+        fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+        defaults = ExperimentConfig()
+        actions = cli.build_parser()._option_string_actions
+        for flag, (key, _) in cli.OVERRIDES.items():
+            assert key in fields, flag
+            assert actions[flag].dest == key
+            assert actions[flag].type is fields[key].type
+            assert actions[flag].help.endswith("(default: %s)" % getattr(defaults, key))
+
+    def test_mode_choices_are_the_modes(self):
+        assert tuple(cli.build_parser()._option_string_actions["--mode"].choices) == MODES
+
+    def test_readme_usage_matches_the_parser(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            assert cli.build_parser().format_usage() in fh.read()

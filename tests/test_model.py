@@ -54,8 +54,12 @@ class TestFlowTable:
         assert FlowTable(ENTRY_BITS - 1).max_entries == 0
 
     def test_entry_size_fixed(self):
-        with pytest.raises(ValueError):
+        # a rule has no size of its own: every entry is ENTRY_BITS
+        with pytest.raises(TypeError):
             FlowRule(id=fid(1), install_time=0, size_bits=100)
+        t = FlowTable(3 * ENTRY_BITS)
+        t.insert(FlowRule(id=fid(1), install_time=0))
+        assert t.used_bits == ENTRY_BITS
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from flowrl.qlearn import (
     N_ACTIONS,
     Action,
     AgentConfig,
-    EmptyTrainingSets,
     MalformedQTable,
     QTable,
     apply_action,
@@ -300,29 +299,29 @@ class TestDecayEpsilon:
 
 class TestInitQTable:
     def test_random_mode(self):
-        a = init_qtable("random", seed=9)
-        b = init_qtable("random", seed=9)
-        c = init_qtable("random", seed=10)
+        a = init_qtable(9)
+        b = init_qtable(9)
+        c = init_qtable(10)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
         assert (a.values >= 0.0).all() and (a.values < 0.01).all()
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            init_qtable("xavier")
+    # SHA-256 of the table's bytes, as the earlier init_qtable("random",
+    # seed=s) built it; the last seed is the harness's init stream of seed 0
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "d67efea0c79689d9e55513654cdc613a7a8f5d912dfe31b4bf8876874294c89f"),
+        (9, "1a6d35c2666b19a5d298825fe4c49f8d6823c502e5be56ff635f9bd378cc0135"),
+        (np.random.SeedSequence(0).spawn(3)[1],
+         "280da420a0b565789672e5abca13435a3efbd291e5045dc9ccd2713d86449a84"),
+    ])
+    def test_random_init_pinned(self, seed, digest):
+        assert hashlib.sha256(init_qtable(seed).values.tobytes()).hexdigest() == digest
 
-    def test_from_training_requires_sets(self):
-        env = FakeEnv(lambda f, r: 50)
-        cfg = AgentConfig(budget=5)
-        with pytest.raises(EmptyTrainingSets):
-            init_qtable("from_training", training_sets=[], env=env, cfg=cfg)
-        with pytest.raises(EmptyTrainingSets):
-            init_qtable("from_training", training_sets=None, env=env, cfg=cfg)
-
-    def test_from_training_requires_env_and_cfg(self):
-        sets = [ThresholdConfig(130, 0)]
-        with pytest.raises(ValueError):
-            init_qtable("from_training", training_sets=sets)
+    def test_no_training_sets_leave_the_random_table(self):
+        env = FakeEnv(lambda f, r: 100 if (f, r) == (130, 0) else 50)
+        q = init_qtable(9, (), env, AgentConfig(budget=20))
+        assert env.calls == 0
+        assert np.array_equal(q.values, init_qtable(9).values)
 
     def test_from_training_learns_something(self):
         # the landscape rewards the first move away from the start cell, so
@@ -332,12 +331,10 @@ class TestInitQTable:
 
         sets = [ThresholdConfig(130, 0), ThresholdConfig(0, 300)]
         cfg = AgentConfig(budget=20)
-        q1 = init_qtable("from_training", training_sets=sets,
-                         env=FakeEnv(landscape), cfg=cfg, seed=9)
-        q2 = init_qtable("from_training", training_sets=sets,
-                         env=FakeEnv(landscape), cfg=cfg, seed=9)
+        q1 = init_qtable(9, sets, FakeEnv(landscape), cfg)
+        q2 = init_qtable(9, sets, FakeEnv(landscape), cfg)
         assert np.array_equal(q1.values, q2.values)
-        assert not np.array_equal(q1.values, init_qtable("random", seed=9).values)
+        assert not np.array_equal(q1.values, init_qtable(9).values)
         assert q1.values.max() > 0.01
 
 

@@ -32,22 +32,29 @@ def replay_orchestration(schedule, window):
 
 class TestEpisodeMetrics:
     def test_valid(self):
-        EpisodeMetrics(overhead=2, hits=3, misses=2, total_lookups=5, duration=4)
+        m = EpisodeMetrics(hits=3, misses=2, duration=4)
+        assert (m.overhead, m.total_lookups) == (2, 5)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            EpisodeMetrics(overhead=-1, hits=0, misses=-1, total_lookups=-1,
-                           duration=0)
-
-    def test_rejects_bad_total(self):
+            EpisodeMetrics(hits=0, misses=-1, duration=0)
         with pytest.raises(ValueError):
-            EpisodeMetrics(overhead=1, hits=3, misses=1, total_lookups=5,
-                           duration=4)
+            EpisodeMetrics(hits=-1, misses=0, duration=0)
+
+    # overhead and total_lookups are derived, so a record whose total or
+    # overhead disagrees with its counts cannot be built
+    def test_rejects_bad_total(self):
+        with pytest.raises(TypeError):
+            EpisodeMetrics(hits=3, misses=1, duration=4, total_lookups=5)
 
     def test_rejects_overhead_not_misses(self):
-        with pytest.raises(ValueError):
-            EpisodeMetrics(overhead=0, hits=3, misses=2, total_lookups=5,
-                           duration=4)
+        with pytest.raises(TypeError):
+            EpisodeMetrics(hits=3, misses=2, duration=4, overhead=0)
+
+    def test_derived_counts_are_plain_attributes(self):
+        # train reads overhead on every step: a field, not a property
+        m = EpisodeMetrics(hits=3, misses=2, duration=4)
+        assert vars(m) == dict(hits=3, misses=2, duration=4, overhead=2, total_lookups=5)
 
 
 class TestRunOrchestration:
@@ -195,17 +202,10 @@ class TestFractions:
             reduction_fraction(0, 5)
 
     def test_hit_ratio(self):
-        m = EpisodeMetrics(overhead=1, hits=3, misses=1, total_lookups=4,
-                           duration=1)
+        m = EpisodeMetrics(hits=3, misses=1, duration=1)
         assert hit_ratio(m) == pytest.approx(0.75)
-        all_hits = EpisodeMetrics(overhead=0, hits=4, misses=0,
-                                  total_lookups=4, duration=1)
-        assert hit_ratio(all_hits) == 1.0
-        all_miss = EpisodeMetrics(overhead=4, hits=0, misses=4,
-                                  total_lookups=4, duration=1)
-        assert hit_ratio(all_miss) == 0.0
+        assert hit_ratio(EpisodeMetrics(hits=4, misses=0, duration=1)) == 1.0
+        assert hit_ratio(EpisodeMetrics(hits=0, misses=4, duration=1)) == 0.0
 
     def test_hit_ratio_no_lookups(self):
-        empty = EpisodeMetrics(overhead=0, hits=0, misses=0, total_lookups=0,
-                               duration=0)
-        assert hit_ratio(empty) == 0.0
+        assert hit_ratio(EpisodeMetrics(hits=0, misses=0, duration=0)) == 0.0
