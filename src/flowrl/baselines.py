@@ -29,30 +29,26 @@ def _hash64(data, key):
     )
 
 
+# The MBF design: one aged filter per importance weight, newest first
+# (strictly decreasing powers of two), each of MBF_BITS bits probed
+# MBF_PROBES times per flow, aged every MBF_WINDOW ticks.
+MBF_WEIGHTS = (8, 4, 2, 1)
+MBF_BITS = 4096
+MBF_PROBES = 3
+MBF_WINDOW = 5
+
+
 class MbfState:
-    """k aged bloom filters, newest first, with power-of-two importance
-    weights. Membership positions come from double hashing (two keyed
-    64-bit hashes; the stride is forced odd so all h probes are distinct
-    for power-of-two m). The positions depend only on the flow id, seed,
-    m and h, so each flow is hashed once per state.
+    """The aged bloom filters, newest first. Membership positions come
+    from double hashing (two keyed 64-bit hashes; the stride is forced odd
+    so all MBF_PROBES probes are distinct for the power-of-two MBF_BITS).
+    The positions depend only on the flow id and the seed, so each flow is
+    hashed once per state.
     """
 
-    def __init__(self, k=4, m=4096, h=3, weights=(8, 4, 2, 1), window=5, seed=0):
-        if k < 1 or h < 1 or m < 1 or window < 1:
-            raise ValueError("k, m, h, window must be >= 1")
-        if len(weights) != k:
-            raise ValueError("need one weight per filter")
-        if any(b >= a for a, b in zip(weights, weights[1:])):
-            raise ValueError("weights must be strictly decreasing")
-        if any(w < 1 or (w & (w - 1)) for w in weights):
-            raise ValueError("weights must be powers of two")
-        self.k = k
-        self.m = m
-        self.h = h
-        self.weights = tuple(weights)
-        self.window = window
+    def __init__(self, seed=0):
         self.seed = seed
-        self.filters = [np.zeros(m, dtype=bool) for _ in range(k)]
+        self.filters = [np.zeros(MBF_BITS, dtype=bool) for _ in MBF_WEIGHTS]
         self._key1 = ("mbf1-%d" % seed).encode()
         self._key2 = ("mbf2-%d" % seed).encode()
         self._probes = {}
@@ -63,7 +59,7 @@ class MbfState:
             data = flow_id.text().encode()
             h1 = _hash64(data, self._key1)
             h2 = _hash64(data, self._key2) | 1
-            positions = [(h1 + i * h2) % self.m for i in range(self.h)]
+            positions = [(h1 + i * h2) % MBF_BITS for i in range(MBF_PROBES)]
             self._probes[flow_id] = positions
         return positions
 
@@ -79,14 +75,14 @@ class MbfState:
         """Discard the oldest filter, shift the rest one slot older, and
         start a fresh newest filter."""
         self.filters.pop()
-        self.filters.insert(0, np.zeros(self.m, dtype=bool))
+        self.filters.insert(0, np.zeros(MBF_BITS, dtype=bool))
 
 
 def mbf_step(state, matched_flows, tick):
     """Advance the filter bank one tick: age at each window boundary, then
     insert every flow matched during this tick into the newest filter
     (setting bits is an OR, so the order of insertion cannot matter)."""
-    if tick % state.window == 0:
+    if tick % MBF_WINDOW == 0:
         state.age()
     for fid in matched_flows:
         state.insert(fid)
@@ -94,12 +90,12 @@ def mbf_step(state, matched_flows, tick):
 
 
 def mbf_importance(state, flow_id):
-    """Weighted membership score: the sum of filter weights over filters
-    reporting the flow, newest weighted highest. Range [0, sum(weights)];
-    older-filter false positives can inflate it (a property of the
-    structure, not an error)."""
+    """Weighted membership score: the sum of MBF_WEIGHTS over filters
+    reporting the flow, newest weighted highest. Range
+    [0, sum(MBF_WEIGHTS)]; older-filter false positives can inflate it (a
+    property of the structure, not an error)."""
     return sum(
-        w for slot, w in enumerate(state.weights) if state.contains(slot, flow_id)
+        w for slot, w in enumerate(MBF_WEIGHTS) if state.contains(slot, flow_id)
     )
 
 

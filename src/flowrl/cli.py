@@ -1,11 +1,14 @@
 # cli.py -- command-line front end: compose a config from a file plus flag
-# overrides, run the experiment, and write the report files.
+# overrides, run the experiment, write the report files, and print the
+# summary block as <out>.summary holds it.
 
 import argparse
 import dataclasses
 import sys
 
-from flowrl.harness import MODES, ExperimentConfig, load_config, run_experiment, write_report
+from flowrl.harness import (
+    MODES, ExperimentConfig, load_config, run_experiment, summary_text, write_report,
+)
 
 # flag -> (config key, help) of every flag that overrides one config key;
 # the flag parses its value as the key's field type, and its help names
@@ -72,8 +75,7 @@ def main(argv=None):
         name = type(exc).__name__
         print("error [%s.%s]: %s" % (module, name, exc), file=sys.stderr)
         return 1
-    for key, value in report.summary.items():
-        print("%s=%s" % (key, value))
+    sys.stdout.write(summary_text(report.summary))
     return 0
 
 

@@ -394,9 +394,7 @@ def _oracle_instance(pool, eval_schedule, capacity_bits):
     """t_i = the flow's packet count in the evaluation episode (0 for pool
     flows that never reappear), s_i = one table entry, in FlowId order."""
     packets = _episode_packets(eval_schedule)
-    # FlowId order without its generated comparisons; proto is always "tcp"
-    order = sorted(pool.records,
-                   key=operator.attrgetter("src_host", "dst_host", "src_port", "dst_port"))
+    order = sorted(pool.records)
     rules = tuple((packets.get(fid, 0), ENTRY_BITS) for fid in order)
     return IlpInstance(rules=rules, capacity=capacity_bits), order
 
@@ -484,12 +482,17 @@ _CSV_ROW = ",".join("%.6f" if f.type is float else "%d" for f in _ROW_FIELDS) + 
 _row_values = operator.attrgetter(*(f.name for f in _ROW_FIELDS))
 
 
-def _format_summary_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.6f" % value
-    return str(value)
+def summary_text(summary):
+    """The summary block: one key=value line per entry, booleans as
+    true/false and floats to six decimals."""
+    lines = []
+    for key, value in summary.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = "%.6f" % value
+        lines.append("%s=%s\n" % (key, value))
+    return "".join(lines)
 
 
 def write_report(report, path):
@@ -501,8 +504,7 @@ def write_report(report, path):
         for row in report.rows:
             fh.write(_CSV_ROW % _row_values(row))
     with open(path + ".summary", "w", newline="\n") as fh:
-        for key, value in report.summary.items():
-            fh.write("%s=%s\n" % (key, _format_summary_value(value)))
+        fh.write(summary_text(report.summary))
     save_config(report.config, path + ".cfg")
     for name, sub in report.subreports.items():
         write_report(sub, path + "." + name)

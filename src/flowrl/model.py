@@ -4,6 +4,7 @@
 
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,31 +46,36 @@ class DuplicateRule(Exception):
     """A rule with the same FlowId is already installed."""
 
 
-@dataclass(frozen=True, order=True)
-class FlowId:
-    """5-tuple flow identity. Ordering is the tuple order of the fields,
-    which doubles as the deterministic lexicographic tie-break."""
-
+class _FlowFields(NamedTuple):
     src_host: int
     dst_host: int
     src_port: int
     dst_port: int
-    proto: str = "tcp"
 
-    def __post_init__(self):
-        if self.src_host == self.dst_host:
+
+class FlowId(_FlowFields):
+    """A TCP flow's identity: the tuple of its hosts and ports. Its order
+    is the tuple's, which doubles as the deterministic lexicographic
+    tie-break."""
+
+    __slots__ = ()
+
+    def __new__(cls, src_host, dst_host, src_port, dst_port):
+        if src_host == dst_host:
             raise ValueError("src_host and dst_host must differ")
-        for port in (self.src_port, self.dst_port):
+        for port in (src_port, dst_port):
             if not 1 <= port <= 65535:
                 raise ValueError("ports must be in [1, 65535]")
-        if self.proto != "tcp":
-            raise ValueError("only tcp flows are modeled")
+        return super().__new__(cls, src_host, dst_host, src_port, dst_port)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and so _replace) would skip the checks above
+        return cls(*iterable)
 
     def text(self):
         """The flow as one text token (the key MBF hashes)."""
-        return "%d-%d-%d-%d-%s" % (
-            self.src_host, self.dst_host, self.src_port, self.dst_port, self.proto
-        )
+        return "%d-%d-%d-%d-tcp" % self
 
 
 @dataclass
@@ -214,10 +220,8 @@ def rank_pool(pool, packets, window_close):
     the episode (absent flows count 0). The ranking does not depend on the
     thresholds or the param_mode, so one serves every landscape of a
     workload."""
-    # FlowId order is its field order; proto is "tcp" for every flow
     freq, last_seen, *ids, flow_packets = np.array(
-        [(r.freq, r.last_seen, f.src_host, f.dst_host, f.src_port, f.dst_port,
-          packets.get(f, 0)) for f, r in pool.records.items()],
+        [(r.freq, r.last_seen, *f, packets.get(f, 0)) for f, r in pool.records.items()],
         np.int64,
     ).reshape(len(pool.records), 7).T
     if (last_seen > window_close).any():

@@ -62,8 +62,9 @@ class AgentConfig:
 
 
 class QTable:
-    """Dense Q-values over the full state grid: shape (21, 31, 5) indexed
-    by (freq_threshold/10, recentness_threshold/10, action)."""
+    """Dense Q-values over the full state grid: rows[fi][ri] holds the five
+    action values of the state (FREQ_GRID[fi], REC_GRID[ri]) as Python
+    floats, built from any (21, 31, 5) array."""
 
     def __init__(self, values=None):
         shape = (len(FREQ_GRID), len(REC_GRID), N_ACTIONS)
@@ -72,7 +73,7 @@ class QTable:
         values = np.asarray(values, dtype=float)
         if values.shape != shape:
             raise ValueError("expected shape %r" % (shape,))
-        self.values = values
+        self.rows = values.tolist()
 
     @staticmethod
     def random(rng):
@@ -87,27 +88,22 @@ class QTable:
 
     def row(self, state):
         fi, ri = self._index(state)
-        return self.values[fi, ri]
+        return self.rows[fi][ri]
 
     def get(self, state, action):
-        fi, ri = self._index(state)
-        return self.values[fi, ri, int(action)]
+        return self.row(state)[int(action)]
 
     def set(self, state, action, value):
-        fi, ri = self._index(state)
-        self.values[fi, ri, int(action)] = value
+        self.row(state)[int(action)] = float(value)
 
     def save(self, path):
         """One `freq_thr,rec_thr,action,q_value` line per cell, sorted,
         with 17-significant-digit decimals (round-trip exact)."""
         with open(path, "w", newline="\n") as fh:
-            for fi, f in enumerate(FREQ_GRID):
-                for ri, r in enumerate(REC_GRID):
+            for f, f_rows in zip(FREQ_GRID, self.rows):
+                for r, row in zip(REC_GRID, f_rows):
                     for a in ACTIONS:
-                        fh.write(
-                            "%d,%d,%s,%s\n"
-                            % (f, r, a.name, "%.17g" % self.values[fi, ri, int(a)])
-                        )
+                        fh.write("%d,%d,%s,%.17g\n" % (f, r, a.name, row[a]))
 
     @staticmethod
     def load(path):
@@ -217,7 +213,8 @@ def epsilon_greedy_select(q, state, eps, rng):
         raise ValueError("eps must be in [0, 1]")
     if rng.random() < eps:
         return Action(int(rng.integers(N_ACTIONS)))
-    return Action(int(np.argmax(q.row(state))))
+    row = q.row(state)
+    return Action(row.index(max(row)))
 
 
 def apply_action(state, action):
@@ -240,7 +237,7 @@ def q_update(q, state, action, reward, next_state, cfg):
     """One-cell temporal-difference update:
     Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))."""
     current = q.get(state, action)
-    target = reward + cfg.gamma * float(np.max(q.row(next_state)))
+    target = reward + cfg.gamma * max(q.row(next_state))
     q.set(state, action, current + cfg.alpha * (target - current))
     return q
 
@@ -336,40 +333,24 @@ def train(env, policy, cfg, initial_state, rng=None, trace=True):
 
 class _TabularPolicy:
     """train's policy over a Q-table: the greedy action and the q_update
-    rule on Python float lists, one per Q row, each loaded from the table
-    when the run first touches it."""
+    rule, on the table's rows in place."""
 
     def __init__(self, q, cfg):
-        self.q = q
+        self.rows = q.rows
         self.alpha = cfg.alpha
         self.gamma = cfg.gamma
-        self.rows = [[None] * len(REC_GRID) for _ in FREQ_GRID]
-        self.touched = []
-
-    def _row(self, fi, ri):
-        row = self.rows[fi][ri]
-        if row is None:
-            row = self.rows[fi][ri] = self.q.values[fi, ri].tolist()
-            self.touched.append((fi, ri))
-        return row
 
     def greedy(self, fi, ri):
-        row = self._row(fi, ri)
+        row = self.rows[fi][ri]
         return row.index(max(row))  # the first maximum, as np.argmax
 
     def learn(self, fi, ri, action, reward, nfi, nri, rng):
-        row = self._row(fi, ri)
+        row = self.rows[fi][ri]
         current = row[action]
-        target = reward + self.gamma * max(self._row(nfi, nri))
+        target = reward + self.gamma * max(self.rows[nfi][nri])
         row[action] = current + self.alpha * (target - current)
 
 
 def q_train(env, q, cfg, initial_state, rng=None, trace=True):
-    """Run train with the tabular policy on q; the rows the run touched
-    are written back to q when it ends."""
-    policy = _TabularPolicy(q, cfg)
-    try:
-        return train(env, policy, cfg, initial_state, rng, trace)
-    finally:
-        for fi, ri in policy.touched:
-            q.values[fi, ri] = policy.rows[fi][ri]
+    """Run train with the tabular policy, updating q in place."""
+    return train(env, _TabularPolicy(q, cfg), cfg, initial_state, rng, trace)

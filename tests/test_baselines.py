@@ -3,13 +3,17 @@ rule-partition solvers."""
 import dataclasses
 import hashlib
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowrl import baselines
 from flowrl.baselines import (
+    MBF_PROBES,
+    MBF_WEIGHTS,
     Assignment,
     CapacityNegative,
     IlpInstance,
@@ -36,14 +40,14 @@ def naive_positions(state, flow_id):
     data = flow_id.text().encode()
     h1 = _hash64(data, state._key1)
     h2 = _hash64(data, state._key2) | 1
-    return [(h1 + i * h2) % state.m for i in range(state.h)]
+    return [(h1 + i * h2) % baselines.MBF_BITS for i in range(MBF_PROBES)]
 
 
 def naive_importance(state, flow_id):
     """mbf_importance with both hashes recomputed on every call."""
     positions = naive_positions(state, flow_id)
     return sum(
-        w for f, w in zip(state.filters, state.weights) if f[positions].all()
+        w for f, w in zip(state.filters, MBF_WEIGHTS) if f[positions].all()
     )
 
 
@@ -54,9 +58,9 @@ def naive_mbf_episode(schedule, table, state, duration):
     misses = 0
     for tick in range(duration):
         batch = packets_for_tick(schedule, tick)
-        if tick % state.window == 0:
+        if tick % baselines.MBF_WINDOW == 0:
             state.filters.pop()
-            state.filters.insert(0, np.zeros(state.m, dtype=bool))
+            state.filters.insert(0, np.zeros(baselines.MBF_BITS, dtype=bool))
         for f in sorted({f for f, _ in batch}):
             state.filters[0][naive_positions(state, f)] = True
         for f, count in batch:
@@ -79,16 +83,12 @@ def naive_mbf_episode(schedule, table, state, duration):
 
 
 class TestMbfState:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(k=0), dict(h=0), dict(m=0), dict(window=0),
-         dict(weights=(8, 4, 2)),        # wrong length
-         dict(weights=(8, 8, 2, 1)),     # not strictly decreasing
-         dict(weights=(8, 4, 3, 1))],    # not a power of two
-    )
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            MbfState(**kwargs)
+    def test_design_constants(self):
+        assert MBF_WEIGHTS == (8, 4, 2, 1)
+        assert (baselines.MBF_BITS, MBF_PROBES, baselines.MBF_WINDOW) == (4096, 3, 5)
+        state = MbfState()
+        assert len(state.filters) == len(MBF_WEIGHTS)
+        assert all(f.shape == (baselines.MBF_BITS,) for f in state.filters)
 
     def test_fresh_state_reports_nothing(self):
         state = MbfState()
@@ -132,7 +132,7 @@ class TestMbfState:
 
 class TestMbfStep:
     def test_ages_at_window_boundaries_before_inserting(self):
-        state = MbfState(window=5)
+        state = MbfState()  # MBF_WINDOW = 5
         mbf_step(state, {fid(1)}, 0)  # tick 0 ages (no-op) then inserts
         assert state.contains(0, fid(1))
         mbf_step(state, set(), 3)  # mid-window: no aging
@@ -240,8 +240,9 @@ class TestRunMbfEpisode:
 def mbf_cases(draw):
     """Hand-built schedules of up to 8 flows over 1-25 ticks, with flows of
     up to 24 ticks so that many outlive several agings, 0-4 table entries
-    and windows of 1-5 ticks. Small filters (m=16) make false positives,
-    and so importance ties and inflated scores, common."""
+    and windows of 1-5 ticks (MBF_WINDOW). Small filters (MBF_BITS = 16)
+    make false positives, and so importance ties and inflated scores,
+    common."""
     horizon = draw(st.integers(1, 25))
     specs = draw(st.lists(
         st.tuples(
@@ -255,26 +256,38 @@ def mbf_cases(draw):
         unique_by=lambda spec: spec[0],
     ))
     profile = draw(st.sampled_from((ONE_PPS, THREE_PPS)))
-    params = dict(
-        m=draw(st.sampled_from((16, 64, 4096))),
-        window=draw(st.integers(1, 5)),
-        seed=draw(st.integers(0, 3)),
-    )
+    bits = draw(st.sampled_from((16, 64, 4096)))
+    window = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 3))
     entries = draw(st.integers(0, 4))
-    return hand_schedule(specs, horizon, profile), entries, params
+    return hand_schedule(specs, horizon, profile), entries, bits, window, seed
+
+
+# Three 5-tick flows start together against 2 entries, aging every tick:
+# each tick's miss evicts a resident whose score has grown since the last
+# tick, so an episode that keeps scores across ticks evicts the wrong one.
+STALE_SCORE_CASE = (
+    hand_schedule([(fid(3), "mice", 7500, 0), (fid(2), "mice", 7500, 0),
+                   (fid(1), "mice", 7500, 0)], horizon=6, profile=ONE_PPS),
+    2, 4096, 1, 0,
+)
 
 
 @settings(max_examples=200)
 @given(mbf_cases())
+@example(STALE_SCORE_CASE)
 def test_mbf_episode_equals_naive_reference(case):
-    sched, entries, params = case
+    sched, entries, bits, window, seed = case
     duration = sched.horizon
-    table = FlowTable(entries * ENTRY_BITS)
-    state = MbfState(**params)
-    ref_table = FlowTable(entries * ENTRY_BITS)
-    ref_state = MbfState(**params)
-    got = run_mbf_episode(sched, table, state, duration=duration)
-    assert got == naive_mbf_episode(sched, ref_table, ref_state, duration)
+    with mock.patch.object(baselines, "MBF_BITS", bits), \
+            mock.patch.object(baselines, "MBF_WINDOW", window):
+        table = FlowTable(entries * ENTRY_BITS)
+        state = MbfState(seed)
+        ref_table = FlowTable(entries * ENTRY_BITS)
+        ref_state = MbfState(seed)
+        assert state.filters[0].shape == (bits,)
+        got = run_mbf_episode(sched, table, state, duration=duration)
+        assert got == naive_mbf_episode(sched, ref_table, ref_state, duration)
     assert table.entries == ref_table.entries
     assert all(np.array_equal(a, b) for a, b in zip(state.filters, ref_state.filters))
 

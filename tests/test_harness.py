@@ -554,6 +554,15 @@ class TestCli:
         assert (tmp_path / "r.csv").exists()
         assert (tmp_path / "r.csv.summary").exists()
 
+    @pytest.mark.parametrize("mode", ["ql", "significance"])
+    def test_main_prints_the_summary_file(self, tmp_path, capsys, mode):
+        out = tmp_path / "r.csv"
+        rc = cli.main(["--mode", mode, "--episodes", "3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out == (tmp_path / "r.csv.summary").read_text()
+        assert "=True" not in captured.out and "=False" not in captured.out
+
     def test_main_missing_config_fails(self, tmp_path, capsys):
         rc = cli.main(["--config", str(tmp_path / "nope.cfg")])
         captured = capsys.readouterr()

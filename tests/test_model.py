@@ -1,5 +1,9 @@
+import dataclasses
+import operator
+
 import pytest
 
+from flowrl.harness import REFERENCE_TRAFFIC, ExperimentConfig, _build_env
 from flowrl.model import (
     ENTRY_BITS,
     CapacityExceeded,
@@ -32,6 +36,36 @@ class TestFlowId:
         b = FlowId(0, 1, 1024, 1025)
         c = FlowId(0, 2, 1024, 1024)
         assert a < b < c
+
+    def test_every_construction_is_checked(self):
+        with pytest.raises(ValueError):
+            FlowId(src_host=2, dst_host=2, src_port=1024, dst_port=1024)
+        with pytest.raises(ValueError):
+            FlowId._make((2, 2, 1024, 1024))
+        with pytest.raises(ValueError):
+            FlowId(0, 1, 1024, 1024)._replace(dst_port=0)
+
+    def test_text_token(self):
+        # the key MBF hashes: the four fields and the protocol
+        assert FlowId(0, 1, 1024, 2024).text() == "0-1-1024-2024-tcp"
+
+    def test_is_the_tuple_of_its_fields(self):
+        f = FlowId(0, 1, 1024, 2024)
+        assert f == (0, 1, 1024, 2024)
+        assert f == (f.src_host, f.dst_host, f.src_port, f.dst_port)
+        assert hash(f) == hash((0, 1, 1024, 2024))
+
+    def test_sorted_pool_is_the_field_order(self):
+        # the contended seed-0 pool (about 1,480 flows): plain sorting gives
+        # the order of the four fields, as an explicit key spells it out
+        cfg = ExperimentConfig(
+            mode="oracle", seed=0, table_capacity_bits=64 * ENTRY_BITS,
+            traffic=dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5.4e6),
+        )
+        pool = _build_env(cfg).pool
+        key = operator.attrgetter("src_host", "dst_host", "src_port", "dst_port")
+        assert len(pool) > 1000
+        assert sorted(pool.records) == sorted(pool.records, key=key)
 
 
 class TestFlowTable:

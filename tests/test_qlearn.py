@@ -55,9 +55,11 @@ class TestAgentConfig:
 class TestQTable:
     def test_shape_and_zero_default(self):
         q = QTable()
-        assert q.values.shape == (len(FREQ_GRID), len(REC_GRID), N_ACTIONS)
-        assert q.values.shape == (21, 31, 5)
-        assert not q.values.any()
+        values = np.array(q.rows)
+        assert values.shape == (len(FREQ_GRID), len(REC_GRID), N_ACTIONS)
+        assert values.shape == (21, 31, 5)
+        assert not values.any()
+        assert all(type(v) is float for row in q.rows for cell in row for v in cell)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -66,8 +68,9 @@ class TestQTable:
     def test_random_range_and_determinism(self):
         a = QTable.random(np.random.default_rng(5))
         b = QTable.random(np.random.default_rng(5))
-        assert np.array_equal(a.values, b.values)
-        assert (a.values >= 0.0).all() and (a.values < 0.01).all()
+        assert a.rows == b.rows
+        values = np.array(a.rows)
+        assert (values >= 0.0).all() and (values < 0.01).all()
 
     def test_get_set_row(self):
         q = QTable()
@@ -75,7 +78,7 @@ class TestQTable:
         q.set(s, Action.IncRec, 0.7)
         assert q.get(s, Action.IncRec) == 0.7
         assert q.row(s)[int(Action.IncRec)] == 0.7
-        assert q.values[9, 3, 3] == 0.7
+        assert q.rows[9][3][3] == 0.7
 
     def test_save_load_exact_round_trip(self, tmp_path):
         q = QTable.random(np.random.default_rng(17))
@@ -83,7 +86,7 @@ class TestQTable:
         path = tmp_path / "q.csv"
         q.save(path)
         back = QTable.load(path)
-        assert np.array_equal(back.values, q.values)
+        assert back.rows == q.rows
 
     def test_save_format(self, tmp_path):
         q = QTable()
@@ -152,8 +155,9 @@ class TestQTable:
         path = tmp_path / "noop.csv"
         path.write_text("\n".join(reversed(lines)) + "\n")
         q = QTable.load(path)
-        assert (q.values[:, :, int(Action.NoOp)] == 1).all()
-        assert q.values.sum() == len(FREQ_GRID) * len(REC_GRID)
+        values = np.array(q.rows)
+        assert (values[:, :, int(Action.NoOp)] == 1).all()
+        assert values.sum() == len(FREQ_GRID) * len(REC_GRID)
 
 
 class TestEpsilonGreedySelect:
@@ -241,10 +245,10 @@ class TestQUpdate:
 
     def test_touches_exactly_one_cell(self):
         q = QTable.random(np.random.default_rng(2))
-        before = q.values.copy()
+        before = np.array(q.rows)
         s, s2 = ThresholdConfig(100, 150), ThresholdConfig(100, 160)
         q_update(q, s, Action.IncRec, 1, s2, self.CFG)
-        diff = (q.values != before).nonzero()
+        diff = (np.array(q.rows) != before).nonzero()
         assert [idx.tolist() for idx in diff] == [[10], [15], [3]]
 
     def test_step_size_is_alpha_times_td_error(self):
@@ -258,7 +262,7 @@ class TestQUpdate:
             a = Action(int(rng.integers(5)))
             r = int(rng.integers(-1, 2))
             old = q.get(s, a)
-            td = r + self.CFG.gamma * q.row(s2).max() - old
+            td = r + self.CFG.gamma * max(q.row(s2)) - old
             q_update(q, s, a, r, s2, self.CFG)
             assert q.get(s, a) - old == pytest.approx(self.CFG.alpha * td)
 
@@ -273,7 +277,7 @@ class TestQUpdate:
                                  int(rng.integers(31)) * 10)
             q_update(q, s, Action(int(rng.integers(5))),
                      int(rng.integers(-1, 2)), s2, self.CFG)
-        assert np.abs(q.values).max() <= 21.0
+        assert np.abs(np.array(q.rows)).max() <= 21.0
 
 
 class TestDecayEpsilon:
@@ -302,9 +306,10 @@ class TestInitQTable:
         a = init_qtable(9)
         b = init_qtable(9)
         c = init_qtable(10)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
-        assert (a.values >= 0.0).all() and (a.values < 0.01).all()
+        assert a.rows == b.rows
+        assert a.rows != c.rows
+        values = np.array(a.rows)
+        assert (values >= 0.0).all() and (values < 0.01).all()
 
     # SHA-256 of the table's bytes, as the earlier init_qtable("random",
     # seed=s) built it; the last seed is the harness's init stream of seed 0
@@ -315,13 +320,13 @@ class TestInitQTable:
          "280da420a0b565789672e5abca13435a3efbd291e5045dc9ccd2713d86449a84"),
     ])
     def test_random_init_pinned(self, seed, digest):
-        assert hashlib.sha256(init_qtable(seed).values.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(np.array(init_qtable(seed).rows).tobytes()).hexdigest() == digest
 
     def test_no_training_sets_leave_the_random_table(self):
         env = FakeEnv(lambda f, r: 100 if (f, r) == (130, 0) else 50)
         q = init_qtable(9, (), env, AgentConfig(budget=20))
         assert env.calls == 0
-        assert np.array_equal(q.values, init_qtable(9).values)
+        assert q.rows == init_qtable(9).rows
 
     def test_from_training_learns_something(self):
         # the landscape rewards the first move away from the start cell, so
@@ -333,9 +338,9 @@ class TestInitQTable:
         cfg = AgentConfig(budget=20)
         q1 = init_qtable(9, sets, FakeEnv(landscape), cfg)
         q2 = init_qtable(9, sets, FakeEnv(landscape), cfg)
-        assert np.array_equal(q1.values, q2.values)
-        assert not np.array_equal(q1.values, init_qtable(9).values)
-        assert q1.values.max() > 0.01
+        assert q1.rows == q2.rows
+        assert q1.rows != init_qtable(9).rows
+        assert np.array(q1.rows).max() > 0.01
 
 
 class TestQTrain:
@@ -423,6 +428,34 @@ class TestQTrain:
         res = q_train(env, QTable(), cfg, ThresholdConfig(100, 100),
                       np.random.default_rng(0))
         assert all(row.epsilon == 0.1 for row in res.trace)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 30])
+    def test_failed_run_keeps_the_updates_made_before_it(self, k):
+        # env.run call k (call 0 evaluates the initial state) raises, so the
+        # run has learned steps 0 .. k-2: exactly what a run capped at k - 1
+        # episodes learns (no decay, an unreachable goal)
+        def landscape(f, r):
+            return 40 + abs(f - 70) // 10 + abs(r - 120) // 10
+
+        class FailingEnv(FakeEnv):
+            def run(self, thresholds):
+                if self.calls == k:
+                    raise RuntimeError("episode %d failed" % k)
+                return super().run(thresholds)
+
+        def config(budget):
+            return AgentConfig(epsilon0=0.3, budget=budget, goal_mu=0.99,
+                               epsilon_decay=False)
+
+        start = ThresholdConfig(130, 0)
+        q = QTable.random(np.random.default_rng(3))
+        with pytest.raises(RuntimeError, match="episode %d failed" % k):
+            q_train(FailingEnv(landscape), q, config(40), start, np.random.default_rng(5))
+        ref = QTable.random(np.random.default_rng(3))
+        if k > 1:
+            q_train(FakeEnv(landscape), ref, config(k - 1), start, np.random.default_rng(5))
+            assert ref.rows != QTable.random(np.random.default_rng(3)).rows
+        assert q.rows == ref.rows
 
 
 class TestToyMdpConvergence:

@@ -244,19 +244,19 @@ def test_index_walk_matches_public_function_loop(grid, q, start, budget, epsilon
     cfg = AgentConfig(alpha=alpha, gamma=gamma, epsilon0=epsilon0, budget=budget,
                       goal_mu=goal_mu, epsilon_decay=decay)
     state = GRID_STATES[start[0]][start[1]]
-    ref_q, lean_q, bare_q = QTable(q.values.copy()), QTable(q.values.copy()), q
+    ref_q, lean_q, bare_q = QTable(q.rows), QTable(q.rows), q
     ref_rng, lean_rng, bare_rng = (np.random.default_rng(seed) for _ in range(3))
     ref = ref_q_train(grid_env(grid), ref_q, cfg, state, ref_rng)
     lean = q_train(grid_env(grid), lean_q, cfg, state, lean_rng)
     bare = q_train(grid_env(grid), bare_q, cfg, state, bare_rng, trace=False)
     assert lean.trace == ref.trace
-    assert lean_q.values.tobytes() == ref_q.values.tobytes()
+    assert np.array(lean_q.rows).tobytes() == np.array(ref_q.rows).tobytes()
     assert lean.best == ref.best
     assert (lean.episodes_run, lean.goal_met) == (ref.episodes_run, ref.goal_met)
     next_draw = ref_rng.random()
     assert lean_rng.random() == next_draw
     assert bare.trace is None
-    assert bare_q.values.tobytes() == ref_q.values.tobytes()
+    assert np.array(bare_q.rows).tobytes() == np.array(ref_q.rows).tobytes()
     assert (bare.best, bare.episodes_run, bare.goal_met) == (
         ref.best, ref.episodes_run, ref.goal_met)
     assert bare_rng.random() == next_draw
