@@ -8,11 +8,11 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from flowrl.model import ENTRY_BITS, FlowRule
 from flowrl.simnet import EpisodeMetrics
-from flowrl.traffic import emission_extent, packets_for_tick
+# packets_for_tick stays bound: bench/layers.py traces it by name here
+from flowrl.traffic import (  # noqa: F401
+    emission_extent, last_emission_tick, packets_for_tick, total_packets)
 
 
 class TooLarge(Exception):
@@ -39,43 +39,46 @@ MBF_WINDOW = 5
 
 
 class MbfState:
-    """The aged bloom filters, newest first. Membership positions come
-    from double hashing (two keyed 64-bit hashes; the stride is forced odd
-    so all MBF_PROBES probes are distinct for the power-of-two MBF_BITS).
-    The positions depend only on the flow id and the seed, so each flow is
-    hashed once per state.
+    """The aged bloom filters, newest first, each an int of MBF_BITS bits.
+    Membership positions come from double hashing (two keyed 64-bit
+    hashes; the stride is forced odd so all MBF_PROBES probes are distinct
+    for the power-of-two MBF_BITS). The positions depend only on the flow
+    id and the seed, so each flow is hashed once per state, into one mask
+    (the sum of its distinct probe bits).
     """
 
     def __init__(self, seed=0):
         self.seed = seed
-        self.filters = [np.zeros(MBF_BITS, dtype=bool) for _ in MBF_WEIGHTS]
+        self.filters = [0] * len(MBF_WEIGHTS)
         self._key1 = ("mbf1-%d" % seed).encode()
         self._key2 = ("mbf2-%d" % seed).encode()
-        self._probes = {}
+        self._masks = {}
 
-    def _positions(self, flow_id):
-        positions = self._probes.get(flow_id)
-        if positions is None:
+    def mask(self, flow_id):
+        """The flow's probe positions as one bit mask."""
+        mask = self._masks.get(flow_id)
+        if mask is None:
             data = flow_id.text().encode()
             h1 = _hash64(data, self._key1)
             h2 = _hash64(data, self._key2) | 1
-            positions = [(h1 + i * h2) % MBF_BITS for i in range(MBF_PROBES)]
-            self._probes[flow_id] = positions
-        return positions
+            mask = sum(1 << (h1 + i * h2) % MBF_BITS for i in range(MBF_PROBES))
+            self._masks[flow_id] = mask
+        return mask
 
     def insert(self, flow_id):
         """Record the flow in the newest filter."""
-        self.filters[0][self._positions(flow_id)] = True
+        self.filters[0] |= self.mask(flow_id)
 
     def contains(self, slot, flow_id):
         """Membership report of filter `slot` (0 = newest)."""
-        return bool(self.filters[slot][self._positions(flow_id)].all())
+        mask = self.mask(flow_id)
+        return self.filters[slot] & mask == mask
 
     def age(self):
         """Discard the oldest filter, shift the rest one slot older, and
         start a fresh newest filter."""
         self.filters.pop()
-        self.filters.insert(0, np.zeros(MBF_BITS, dtype=bool))
+        self.filters.insert(0, 0)
 
 
 def mbf_step(state, matched_flows, tick):
@@ -94,9 +97,8 @@ def mbf_importance(state, flow_id):
     reporting the flow, newest weighted highest. Range
     [0, sum(MBF_WEIGHTS)]; older-filter false positives can inflate it (a
     property of the structure, not an error)."""
-    return sum(
-        w for slot, w in enumerate(MBF_WEIGHTS) if state.contains(slot, flow_id)
-    )
+    mask = state.mask(flow_id)
+    return sum(w for f, w in zip(state.filters, MBF_WEIGHTS) if f & mask == mask)
 
 
 def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
@@ -108,28 +110,40 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
     packets contiguous, so after a flow's first miss its remaining packets
     of that tick hit. Metrics use the same accounting as run_episode.
 
-    The filters change only in mbf_step, so a resident's importance holds
-    for the rest of its tick: each resident is scored at most once per
-    tick, however many misses the tick has.
+    Each tick's batch is packets_for_tick's, drawn from the flows active
+    at the tick: a flow joins at its start and leaves after its last
+    emission tick. The filters change only in mbf_step, so importance is
+    fixed within a tick: the tick's first eviction heaps the residents'
+    victim keys, later evictions pop the heap, and each later install
+    pushes its key. The heap is dropped when the tick ends.
     """
     if mbf_cfg is None:
         mbf_cfg = MbfState()
     if duration is None:
         duration = emission_extent(schedule)
+    profile = schedule.profile
+    rate = profile.packets_per_tick()
+    flows = []
+    for f in schedule.flows:
+        last = last_emission_tick(f, profile)
+        last_count = total_packets(f.size, profile.packet_size) - (last - f.start) * rate
+        flows.append((f.start, last, last_count, f.id))
+
+    def victim_key(fid):
+        return (mbf_importance(mbf_cfg, fid), table.entries[fid].install_time, fid)
 
     hits = 0
     misses = 0
+    active = []
+    joined = 0
     for tick in range(duration):
-        batch = packets_for_tick(schedule, tick)
-        mbf_step(mbf_cfg, {fid for fid, _ in batch}, tick)
-        scores = {}
-
-        def victim_key(rule):
-            score = scores.get(rule.id)
-            if score is None:
-                score = scores[rule.id] = mbf_importance(mbf_cfg, rule.id)
-            return (score, rule.install_time, rule.id)
-
+        while joined < len(flows) and flows[joined][0] <= tick:
+            active.append(flows[joined])
+            joined += 1
+        batch = [(fid, rate if tick < last else last_count) for _, last, last_count, fid in active]
+        active = [flow for flow in active if flow[1] > tick]
+        mbf_step(mbf_cfg, [fid for fid, _ in batch], tick)
+        heap = None
         for fid, count in batch:
             if fid in table.entries:
                 hits += count
@@ -141,9 +155,13 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
                 misses += count - 1
                 continue
             if len(table) >= table.max_entries:
-                victim = min(table.entries.values(), key=victim_key)
-                table.remove(victim.id)
+                if heap is None:
+                    heap = [victim_key(resident) for resident in table.entries]
+                    heapq.heapify(heap)
+                table.remove(heapq.heappop(heap)[2])
             table.insert(FlowRule(id=fid, install_time=tick))
+            if heap is not None:
+                heapq.heappush(heap, victim_key(fid))
             hits += count - 1
 
     return EpisodeMetrics(hits=hits, misses=misses, duration=duration)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowrl import baselines
+from flowrl import baselines, harness
 from flowrl.baselines import (
     MBF_PROBES,
     MBF_WEIGHTS,
@@ -30,39 +30,39 @@ from flowrl.baselines import (
 from flowrl.harness import REFERENCE_TRAFFIC, ExperimentConfig, run_experiment, write_report
 from flowrl.model import ENTRY_BITS, FlowRule, FlowTable
 from flowrl.simnet import EpisodeMetrics
-from flowrl.traffic import packets_for_tick
+from flowrl.traffic import FlowSchedule, FlowSpec, TrafficProfile, packets_for_tick
 from conftest import ONE_PPS, fid, hand_schedule
 
 THREE_PPS = dataclasses.replace(ONE_PPS, per_flow_rate=36_000.0)
 
 
-def naive_positions(state, flow_id):
+def naive_positions(seed, flow_id):
     data = flow_id.text().encode()
-    h1 = _hash64(data, state._key1)
-    h2 = _hash64(data, state._key2) | 1
+    h1 = _hash64(data, ("mbf1-%d" % seed).encode())
+    h2 = _hash64(data, ("mbf2-%d" % seed).encode()) | 1
     return [(h1 + i * h2) % baselines.MBF_BITS for i in range(MBF_PROBES)]
 
 
-def naive_importance(state, flow_id):
-    """mbf_importance with both hashes recomputed on every call."""
-    positions = naive_positions(state, flow_id)
-    return sum(
-        w for f, w in zip(state.filters, MBF_WEIGHTS) if f[positions].all()
-    )
+def naive_mbf_episode(schedule, table, seed, duration):
+    """The reference MBF episode over its own bank of numpy bool filters,
+    newest first: every miss on a full table rescores every resident from
+    scratch, and matched flows are inserted in sorted order. Returns the
+    metrics and the final bank."""
+    bank = [np.zeros(baselines.MBF_BITS, dtype=bool) for _ in MBF_WEIGHTS]
 
+    def importance(flow_id):
+        positions = naive_positions(seed, flow_id)
+        return sum(w for f, w in zip(bank, MBF_WEIGHTS) if f[positions].all())
 
-def naive_mbf_episode(schedule, table, state, duration):
-    """The reference MBF episode: every miss on a full table rescores every
-    resident from scratch, and matched flows are inserted in sorted order."""
     hits = 0
     misses = 0
     for tick in range(duration):
         batch = packets_for_tick(schedule, tick)
         if tick % baselines.MBF_WINDOW == 0:
-            state.filters.pop()
-            state.filters.insert(0, np.zeros(baselines.MBF_BITS, dtype=bool))
+            bank.pop()
+            bank.insert(0, np.zeros(baselines.MBF_BITS, dtype=bool))
         for f in sorted({f for f, _ in batch}):
-            state.filters[0][naive_positions(state, f)] = True
+            bank[0][naive_positions(seed, f)] = True
         for f, count in batch:
             if f in table.entries:
                 hits += count
@@ -74,12 +74,12 @@ def naive_mbf_episode(schedule, table, state, duration):
             if len(table) >= table.max_entries:
                 victim = min(
                     table.entries.values(),
-                    key=lambda r: (naive_importance(state, r.id), r.install_time, r.id),
+                    key=lambda r: (importance(r.id), r.install_time, r.id),
                 )
                 table.remove(victim.id)
             table.insert(FlowRule(id=f, install_time=tick))
             hits += count - 1
-    return EpisodeMetrics(hits=hits, misses=misses, duration=duration)
+    return EpisodeMetrics(hits=hits, misses=misses, duration=duration), bank
 
 
 class TestMbfState:
@@ -88,7 +88,7 @@ class TestMbfState:
         assert (baselines.MBF_BITS, MBF_PROBES, baselines.MBF_WINDOW) == (4096, 3, 5)
         state = MbfState()
         assert len(state.filters) == len(MBF_WEIGHTS)
-        assert all(f.shape == (baselines.MBF_BITS,) for f in state.filters)
+        assert all(0 <= f < 1 << baselines.MBF_BITS for f in state.filters)
 
     def test_fresh_state_reports_nothing(self):
         state = MbfState()
@@ -181,8 +181,6 @@ class TestRunMbfEpisode:
 
     def test_same_tick_packets_hit_after_install(self):
         # a 175-packet burst in one tick: one miss, then 174 hits
-        from flowrl.traffic import FlowSchedule, FlowSpec, TrafficProfile
-
         prof = TrafficProfile()
         spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
         sched = FlowSchedule(flows=[spec], horizon=5, profile=prof)
@@ -199,8 +197,6 @@ class TestRunMbfEpisode:
         assert metrics.misses == 6 and metrics.hits == 0
 
     def test_zero_capacity_counts_whole_burst(self):
-        from flowrl.traffic import FlowSchedule, FlowSpec, TrafficProfile
-
         prof = TrafficProfile()
         spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
         sched = FlowSchedule(flows=[spec], horizon=5, profile=prof)
@@ -272,10 +268,45 @@ STALE_SCORE_CASE = (
     2, 4096, 1, 0,
 )
 
+# The derandomized draw changes whenever the test's source does, so each
+# defect the episode's active-flow walk and victim heap could have keeps a
+# case here.
+# Against 2 entries, aging every tick, a tick-0 eviction heaps the keys of
+# fid(2) and fid(3), whose order the tick-1 scores reverse: a heap kept
+# across ticks evicts by the stale keys.
+HEAP_ACROSS_TICKS_CASE = (
+    hand_schedule([(fid(1), "mice", 1500, 0), (fid(2), "mice", 3000, 0),
+                   (fid(3), "mice", 1500, 0), (fid(4), "mice", 1500, 1)],
+                  horizon=3, profile=ONE_PPS),
+    2, 4096, 1, 0,
+)
+# Three flows miss on one tick against 1 entry: the second eviction must
+# find the rule the first one installed.
+TWO_EVICTIONS_IN_A_TICK_CASE = (
+    hand_schedule([(fid(i), "mice", 1500, 0) for i in range(3)], horizon=2,
+                  profile=ONE_PPS),
+    1, 4096, 5, 0,
+)
+# A 4-packet flow at 3 packets a tick emits 3, then 1 on its last tick.
+DRAIN_CASE = (
+    hand_schedule([(fid(1), "mice", 6000, 0)], horizon=3, profile=THREE_PPS),
+    1, 4096, 5, 0,
+)
+# Equal importance at tick 2, and the older install has the larger FlowId.
+INSTALL_TIME_BEFORE_ID_CASE = (
+    hand_schedule([(fid(2), "mice", 1500, 0), (fid(1), "mice", 1500, 1),
+                   (fid(3), "mice", 1500, 2)], horizon=4, profile=ONE_PPS),
+    2, 4096, 5, 0,
+)
+
 
 @settings(max_examples=200)
 @given(mbf_cases())
 @example(STALE_SCORE_CASE)
+@example(HEAP_ACROSS_TICKS_CASE)
+@example(TWO_EVICTIONS_IN_A_TICK_CASE)
+@example(DRAIN_CASE)
+@example(INSTALL_TIME_BEFORE_ID_CASE)
 def test_mbf_episode_equals_naive_reference(case):
     sched, entries, bits, window, seed = case
     duration = sched.horizon
@@ -284,12 +315,21 @@ def test_mbf_episode_equals_naive_reference(case):
         table = FlowTable(entries * ENTRY_BITS)
         state = MbfState(seed)
         ref_table = FlowTable(entries * ENTRY_BITS)
-        ref_state = MbfState(seed)
-        assert state.filters[0].shape == (bits,)
         got = run_mbf_episode(sched, table, state, duration=duration)
-        assert got == naive_mbf_episode(sched, ref_table, ref_state, duration)
+        want, bank = naive_mbf_episode(sched, ref_table, seed, duration)
+    assert got == want
     assert table.entries == ref_table.entries
-    assert all(np.array_equal(a, b) for a, b in zip(state.filters, ref_state.filters))
+    assert state.filters == [sum(1 << int(p) for p in np.flatnonzero(f)) for f in bank]
+
+
+# SHA-256 of the final residents' repr(sorted((tuple(FlowId), install_time)))
+# on the contended seeds, taken while every miss on a full table scanned
+# the residents for the victim. Unlike the counts, it changes when scores
+# are kept across ticks.
+CONTENDED_MBF_RESIDENTS = {
+    0: "4cbee7db31bd2bc192c9daa481e35fb4746e8b458beb8a20cbab8aa36fcb7427",
+    1: "74fecaf19dec58e35eb2a21849f2b72c28b8c8e15360ae6a46db70da5edbb291",
+}
 
 
 @pytest.mark.parametrize("seed, overhead, hits", [(0, 396, 3711), (1, 367, 3335)])
@@ -301,8 +341,27 @@ def test_contended_mbf_metrics_pinned(seed, overhead, hits):
         mode="mbf", seed=seed, table_capacity_bits=64 * ENTRY_BITS,
         traffic=dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5.4e6),
     )
-    summary = run_experiment(cfg).summary
+    with mock.patch.object(harness, "run_mbf_episode", wraps=run_mbf_episode) as episode:
+        summary = run_experiment(cfg).summary
     assert (summary["overhead"], summary["hits"], summary["misses"]) == (overhead, hits, overhead)
+    table = episode.call_args.args[1]
+    residents = sorted((tuple(r.id), r.install_time) for r in table.entries.values())
+    digest = hashlib.sha256(repr(residents).encode()).hexdigest()
+    assert digest == CONTENDED_MBF_RESIDENTS[seed]
+
+
+def test_mbf_episode_cost_on_a_thrashed_table():
+    # 300 never-draining elephants (3 packets a tick) against 64 entries
+    # for 1,000 ticks, in the reverse of FlowId order so that the FlowId
+    # tie-break disagrees with the order of the misses. A victim scan over
+    # the table and a per-tick loop over every flow took 13.2 s on a 2-core
+    # host.
+    flows = [FlowSpec(fid(i), "elephant", 10**9, 0) for i in reversed(range(300))]
+    sched = FlowSchedule(flows=flows, horizon=1000, profile=REFERENCE_TRAFFIC)
+    start = time.perf_counter()
+    metrics = run_mbf_episode(sched, FlowTable(64 * ENTRY_BITS), duration=1000)
+    assert time.perf_counter() - start < 6.0
+    assert (metrics.hits, metrics.misses) == (631_999, 268_001)
 
 
 CONTENDED_TRAFFIC = dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5.4e6)
