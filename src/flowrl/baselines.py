@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from flowrl.model import ENTRY_BITS, FlowRule
 from flowrl.simnet import EpisodeMetrics
 # packets_for_tick stays bound: bench/layers.py traces it by name here
-from flowrl.traffic import (  # noqa: F401
-    emission_extent, last_emission_tick, packets_for_tick, total_packets)
+from flowrl.traffic import last_emission_tick, packets_for_tick, total_packets  # noqa: F401
 
 
 class TooLarge(Exception):
@@ -47,8 +46,7 @@ class MbfState:
     (the sum of its distinct probe bits).
     """
 
-    def __init__(self, seed=0):
-        self.seed = seed
+    def __init__(self, seed):
         self.filters = [0] * len(MBF_WEIGHTS)
         self._key1 = ("mbf1-%d" % seed).encode()
         self._key2 = ("mbf2-%d" % seed).encode()
@@ -68,11 +66,6 @@ class MbfState:
     def insert(self, flow_id):
         """Record the flow in the newest filter."""
         self.filters[0] |= self.mask(flow_id)
-
-    def contains(self, slot, flow_id):
-        """Membership report of filter `slot` (0 = newest)."""
-        mask = self.mask(flow_id)
-        return self.filters[slot] & mask == mask
 
     def age(self):
         """Discard the oldest filter, shift the rest one slot older, and
@@ -101,10 +94,12 @@ def mbf_importance(state, flow_id):
     return sum(w for f, w in zip(state.filters, MBF_WEIGHTS) if f & mask == mask)
 
 
-def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
-    """Reactive baseline episode: a miss installs the rule, and when the
-    table is full the entry with minimum mbf_importance is evicted first
-    (ties: oldest install_time, then FlowId order).
+def run_mbf_episode(schedule, table, state):
+    """Reactive baseline episode over the schedule's horizon, aging state:
+    a miss installs the rule, and when the table is full the entry with
+    minimum mbf_importance is evicted first (ties: oldest install_time,
+    then FlowId order). Packets a flow would emit from the horizon on are
+    not offered.
 
     Packets are processed in schedule order with each flow's per-tick
     packets contiguous, so after a flow's first miss its remaining packets
@@ -117,10 +112,7 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
     victim keys, later evictions pop the heap, and each later install
     pushes its key. The heap is dropped when the tick ends.
     """
-    if mbf_cfg is None:
-        mbf_cfg = MbfState()
-    if duration is None:
-        duration = emission_extent(schedule)
+    duration = schedule.horizon
     profile = schedule.profile
     rate = profile.packets_per_tick()
     flows = []
@@ -130,7 +122,7 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
         flows.append((f.start, last, last_count, f.id))
 
     def victim_key(fid):
-        return (mbf_importance(mbf_cfg, fid), table.entries[fid].install_time, fid)
+        return (mbf_importance(state, fid), table.entries[fid].install_time, fid)
 
     hits = 0
     misses = 0
@@ -142,7 +134,7 @@ def run_mbf_episode(schedule, table, mbf_cfg=None, duration=None):
             joined += 1
         batch = [(fid, rate if tick < last else last_count) for _, last, last_count, fid in active]
         active = [flow for flow in active if flow[1] > tick]
-        mbf_step(mbf_cfg, [fid for fid, _ in batch], tick)
+        mbf_step(state, [fid for fid, _ in batch], tick)
         heap = None
         for fid, count in batch:
             if fid in table.entries:

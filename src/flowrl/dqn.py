@@ -313,25 +313,21 @@ class _DqnPolicy:
         self.s_vec = next_vec
 
 
-def dqn_train(env, net, cfg, initial_state, rng=None, memory=None, trace=True):
+def dqn_train(env, net, cfg, initial_state, rng, memory, trace=True):
     """Run train with the DQN policy on net, which is updated in place.
-    Learning goes through memory, a fresh ReplayMemory() unless one is
-    given; pass a shared one to persist experience across runs."""
-    if memory is None:
-        memory = ReplayMemory()
+    Learning goes through memory; share one to persist experience across
+    runs."""
     return train(env, _DqnPolicy(net, cfg, memory, initial_state), cfg, initial_state, rng, trace)
 
 
 def init_mlp(seed, training_sets=(), env=None, cfg=None, memory=None):
     """Build a network: parameters uniform in [-0.1, 0.1), seeded, then
     one full dqn_train run on env under cfg per training set (each set as
-    the initial state) without trace rows, all through memory, a fresh
-    ReplayMemory() unless one is given (pass one to keep the experience
-    buffer afterwards). No training sets leave the random network."""
+    the initial state) without trace rows, all through memory, which keeps
+    the experience buffer afterwards. No training sets leave the random
+    network, and need no env, cfg or memory."""
     rng = np.random.default_rng(seed)
     net = Mlp.random(rng)
-    if memory is None:
-        memory = ReplayMemory()
     for state in training_sets:
         dqn_train(env, net, cfg, state, rng, memory, trace=False)
     return net

@@ -67,6 +67,12 @@ MAX_HOSTS = 65_536
 # MBF episode walks every tick of it.
 MAX_WINDOW = 86_400
 
+# Most work one MBF episode may do: its flow-ticks plus the residents its
+# per-tick victim heaps score. mbf runs near the bound took 1.8-9.5 s on a
+# 2-core host (2-10 us a unit, the most when every flow-tick evicts); the
+# contended benchmark workload does 26,000 units.
+MAX_MBF_WORK = 1_000_000
+
 # Most agent episodes one experiment may run: n_training_sets pre-training
 # runs and the reported run, each of at most episodes_cap episodes. A DQN
 # episode costs about 0.2 ms; the acceptance suite asks for 21 x 10,000.
@@ -136,12 +142,30 @@ class ExperimentConfig:
             ThresholdConfig(self.initial_freq, self.initial_rec)
         except ValueError as exc:
             raise ValidationError(str(exc))
+        path = self.output_path
+        if not path or path != path.strip() or not path.isprintable():
+            raise ValidationError("output_path must be non-empty and printable, without "
+                                  "surrounding whitespace, for the config echo to reload")
         if not 1 <= self.orchestration_window <= MAX_WINDOW:
             raise ValidationError("orchestration_window must be in [1, %d]" % MAX_WINDOW)
         try:
             self.traffic.validate(self.orchestration_window)
         except InvalidProfile as exc:
             raise ValidationError(str(exc))
+        if self.mode == "mbf":
+            # the E flows expected over the window each emit on at most T
+            # ticks, the larger flow's drain time, and each of the window's
+            # ticks heaps at most min(entries, E) residents
+            t, window = self.traffic, self.orchestration_window
+            flows = t.arrival_rate() * window
+            drain = -(-total_packets(max(t.mice_size, t.elephant_size), t.packet_size)
+                      // t.packets_per_tick())
+            entries = self.table_capacity_bits // ENTRY_BITS
+            work = flows * min(window, drain) + min(entries, flows) * window
+            if work > MAX_MBF_WORK:
+                raise ValidationError("mbf: orchestration_window, table_capacity_bits and "
+                                      "traffic imply %.3g units of episode work, above %d"
+                                      % (work, MAX_MBF_WORK))
         return self
 
     def initial_state(self):
@@ -201,7 +225,7 @@ def save_config(cfg, path):
             return "%.17g" % value
         return str(value)
 
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, (is_traffic, _) in _CONFIG_KEYS.items():
             source = cfg.traffic if is_traffic else cfg
             fh.write("%s=%s\n" % (key, fmt(getattr(source, key))))
@@ -242,13 +266,9 @@ def build_eval_schedule(schedule, window, replay_lag):
 
 
 def _episode_packets(schedule):
-    """Each flow's packets in [0, horizon), summed over the flow's entries
-    in the schedule."""
-    packets = {}
-    for f in schedule.flows:
-        emitted = emitted_before(f, schedule.horizon, schedule.profile)
-        packets[f.id] = packets.get(f.id, 0) + emitted
-    return packets
+    """Each flow's packets in [0, horizon)."""
+    return {f.id: emitted_before(f, schedule.horizon, schedule.profile)
+            for f in schedule.flows}
 
 
 class EpisodeEnv:
@@ -425,12 +445,7 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
 
     if cfg.mode == "mbf":
         table = FlowTable(cfg.table_capacity_bits)
-        metrics = run_mbf_episode(
-            env.eval_schedule,
-            table,
-            MbfState(seed=cfg.seed),
-            duration=env.eval_schedule.horizon,
-        )
+        metrics = run_mbf_episode(env.eval_schedule, table, MbfState(cfg.seed))
         row = _trace_row(1, metrics, ThresholdConfig(0, 0), 0, 0.0, 0)
         summary = {
             "mode": cfg.mode,

@@ -135,21 +135,17 @@ class PoolRecord:
 
 class FlowPool:
     """Per-flow observation records collected during the orchestration
-    window: match count (freq) and the time the flow was last seen."""
+    window, one per flow: match count (freq) and the time the flow was
+    last seen."""
 
     def __init__(self):
         self.records = {}
 
-    def record(self, flow_id, now, count=1):
-        """Observe `count` matches of flow_id at time `now`."""
+    def record(self, flow_id, now, count):
+        """Record flow_id's `count` matches, the last at time `now`."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        rec = self.records.get(flow_id)
-        if rec is None:
-            self.records[flow_id] = PoolRecord(freq=count, last_seen=now)
-        else:
-            rec.freq += count
-            rec.last_seen = max(rec.last_seen, now)
+        self.records[flow_id] = PoolRecord(freq=count, last_seen=now)
 
     def __contains__(self, flow_id):
         return flow_id in self.records

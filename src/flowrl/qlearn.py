@@ -279,7 +279,7 @@ _NEXT_RI = tuple(tuple(min(max(i + s, 0), len(REC_GRID) - 1) for i in range(len(
                  for s in (0, 0, 0, 1, -1))
 
 
-def train(env, policy, cfg, initial_state, rng=None, trace=True):
+def train(env, policy, cfg, initial_state, rng, trace=True):
     """Goal-driven training loop of both learners, over the grid indices
     (fi, ri) of GRID_STATES.
 
@@ -296,8 +296,6 @@ def train(env, policy, cfg, initial_state, rng=None, trace=True):
     improved: the run returns at once with goal_met=True and the policy is
     never called. trace=False (pre-training) builds no trace rows.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     m0 = env.run(initial_state)
     initial = m0.overhead
     best = BestSoFar(initial, initial_state, m0)
@@ -351,6 +349,6 @@ class _TabularPolicy:
         row[action] = current + self.alpha * (target - current)
 
 
-def q_train(env, q, cfg, initial_state, rng=None, trace=True):
+def q_train(env, q, cfg, initial_state, rng, trace=True):
     """Run train with the tabular policy, updating q in place."""
     return train(env, _TabularPolicy(q, cfg), cfg, initial_state, rng, trace)

@@ -54,8 +54,7 @@ def run_orchestration(schedule, window):
     packets it emits in the window as freq and the tick of its last
     in-window packet as last_seen (recentness = window - last_seen). Flows
     are sorted by start and emit from their start tick on, so the pool's
-    insertion order is that of a tick-by-tick replay, and pool.record
-    merges a repeated FlowId as the replay would.
+    insertion order is that of a tick-by-tick replay.
     """
     if window > schedule.horizon:
         raise ValueError("window exceeds schedule horizon")

@@ -42,9 +42,9 @@ class TrafficProfile:
     packet_size: int = 1500
     per_flow_rate: float = 10_000_000.0
 
-    def validate(self, horizon=0):
-        """Check every field; with a horizon, also cap the expected flow
-        count of a schedule over it at MAX_EXPECTED_FLOWS."""
+    def validate(self, horizon):
+        """Check every field, and cap the expected flow count of a schedule
+        over horizon ticks at MAX_EXPECTED_FLOWS."""
         if not 0.0 <= self.elephant_fraction <= 1.0:
             raise InvalidProfile("elephant_fraction must be in [0, 1]")
         for name in ("mice_size", "elephant_size", "packet_size"):
@@ -105,8 +105,8 @@ class FlowSpec:
 
 @dataclass
 class FlowSchedule:
-    """An ordered (by start) list of FlowSpecs plus the horizon and the
-    profile whose rates drive per-tick emission."""
+    """An ordered (by start) list of FlowSpecs, each FlowId at most once,
+    plus the horizon and the profile whose rates drive per-tick emission."""
 
     flows: list
     horizon: int
@@ -118,6 +118,8 @@ class FlowSchedule:
             raise ValueError("flow starts must be sorted non-decreasing")
         if any(s >= self.horizon or s < 0 for s in starts):
             raise ValueError("all starts must lie in [0, horizon)")
+        if len({f.id for f in self.flows}) < len(self.flows):
+            raise ValueError("a FlowId repeats")
 
 
 def generate_schedule(profile, horizon, n_hosts, seed):

@@ -1,6 +1,7 @@
 # Shared fixtures and helpers: tiny deterministic workloads, hand-built
 # schedules, and a stub episode environment with a programmable landscape.
 
+import dataclasses
 import shutil
 import tempfile
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from flowrl.model import FlowId, FlowPool, ThresholdConfig
+from flowrl.harness import MAX_WINDOW, REFERENCE_TRAFFIC, ExperimentConfig
+from flowrl.model import ENTRY_BITS, FlowId, FlowPool, ThresholdConfig
 from flowrl.simnet import EpisodeMetrics
-from flowrl.traffic import FlowSchedule, FlowSpec, TrafficProfile
+from flowrl.traffic import MAX_EXPECTED_FLOWS, FlowSchedule, FlowSpec, TrafficProfile
 
 # Every property test draws the same examples on every run and host, has no
 # per-example deadline to trip on a slow host, and keeps no example database.
@@ -43,6 +45,25 @@ ONE_PPS = TrafficProfile(
     aggregate_rate=100_000.0,
     packet_size=1500,
     per_flow_rate=12_000.0,
+)
+
+
+# Two MBF runs whose episode work the config bound refuses: 20,000 one-packet
+# elephants over 1,000 ticks against 8,000 entries, whose episode took 16 s
+# on a 2-core host while doing only 20,000 flow-ticks (each tick heaps the
+# full table), and just under MAX_EXPECTED_FLOWS reference flows over the
+# longest window.
+SLOW_MBF_CONFIG = ExperimentConfig(
+    mode="mbf", orchestration_window=1000, table_capacity_bits=8000 * ENTRY_BITS,
+    traffic=TrafficProfile(elephant_fraction=1.0, mice_size=1500, elephant_size=1500,
+                           aggregate_rate=240_000.0, packet_size=1500,
+                           per_flow_rate=12_000.0),
+)
+CROWDED_DAY_MBF_CONFIG = ExperimentConfig(
+    mode="mbf", orchestration_window=MAX_WINDOW,
+    traffic=dataclasses.replace(
+        REFERENCE_TRAFFIC,
+        aggregate_rate=(MAX_EXPECTED_FLOWS - 1) / MAX_WINDOW * REFERENCE_TRAFFIC.mean_flow_bits()),
 )
 
 

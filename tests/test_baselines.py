@@ -82,38 +82,37 @@ def naive_mbf_episode(schedule, table, seed, duration):
     return EpisodeMetrics(hits=hits, misses=misses, duration=duration), bank
 
 
+# MBF_WEIGHTS are distinct powers of two, so mbf_importance is the bit mask
+# of the filter slots that report a flow: 8 is the newest filter alone, 4
+# the next one alone.
 class TestMbfState:
     def test_design_constants(self):
         assert MBF_WEIGHTS == (8, 4, 2, 1)
         assert (baselines.MBF_BITS, MBF_PROBES, baselines.MBF_WINDOW) == (4096, 3, 5)
-        state = MbfState()
+        state = MbfState(0)
         assert len(state.filters) == len(MBF_WEIGHTS)
         assert all(0 <= f < 1 << baselines.MBF_BITS for f in state.filters)
 
     def test_fresh_state_reports_nothing(self):
-        state = MbfState()
-        assert not any(state.contains(i, fid(1)) for i in range(4))
+        state = MbfState(0)
         assert mbf_importance(state, fid(1)) == 0
 
     def test_insert_lands_in_newest_filter(self):
-        state = MbfState()
+        state = MbfState(0)
         state.insert(fid(1))
-        assert state.contains(0, fid(1))
-        assert not state.contains(1, fid(1))
         assert mbf_importance(state, fid(1)) == 8
         assert mbf_importance(state, fid(2)) == 0
 
     def test_age_shifts_filters(self):
-        state = MbfState()
+        state = MbfState(0)
         state.insert(fid(1))
         state.age()
         state.insert(fid(2))
-        assert state.contains(0, fid(2)) and not state.contains(0, fid(1))
-        assert state.contains(1, fid(1)) and not state.contains(1, fid(2))
+        assert mbf_importance(state, fid(2)) == 8
         assert mbf_importance(state, fid(1)) == 4
 
     def test_reinserted_every_window_reaches_full_weight(self):
-        state = MbfState()
+        state = MbfState(0)
         for _ in range(4):
             state.insert(fid(1))
             state.age()
@@ -121,7 +120,7 @@ class TestMbfState:
         assert mbf_importance(state, fid(1)) == 8 + 4 + 2 + 1
 
     def test_forgotten_after_k_agings(self):
-        state = MbfState()
+        state = MbfState(0)
         state.insert(fid(1))
         for _ in range(3):
             state.age()
@@ -132,19 +131,18 @@ class TestMbfState:
 
 class TestMbfStep:
     def test_ages_at_window_boundaries_before_inserting(self):
-        state = MbfState()  # MBF_WINDOW = 5
+        state = MbfState(0)  # MBF_WINDOW = 5
         mbf_step(state, {fid(1)}, 0)  # tick 0 ages (no-op) then inserts
-        assert state.contains(0, fid(1))
+        assert mbf_importance(state, fid(1)) == 8
         mbf_step(state, set(), 3)  # mid-window: no aging
-        assert state.contains(0, fid(1))
+        assert mbf_importance(state, fid(1)) == 8
         mbf_step(state, set(), 5)  # boundary: the flow moves one slot older
-        assert not state.contains(0, fid(1))
-        assert state.contains(1, fid(1))
+        assert mbf_importance(state, fid(1)) == 4
 
     def test_inserts_all_matched_flows(self):
-        state = MbfState()
+        state = MbfState(0)
         mbf_step(state, {fid(2), fid(1)}, 1)
-        assert state.contains(0, fid(1)) and state.contains(0, fid(2))
+        assert mbf_importance(state, fid(1)) == mbf_importance(state, fid(2)) == 8
 
 
 class TestRunMbfEpisode:
@@ -154,17 +152,27 @@ class TestRunMbfEpisode:
             [(fid(1), "mice", 4500, 0), (fid(2), "mice", 4500, 0)],
             horizon=10,
         )
-        metrics = run_mbf_episode(sched, FlowTable(10 * ENTRY_BITS))
+        metrics = run_mbf_episode(sched, FlowTable(10 * ENTRY_BITS), MbfState(0))
         assert metrics.misses == 2
         assert metrics.hits == 4
         assert metrics.total_lookups == 6
-        assert metrics.duration == 3
+        assert metrics.duration == 10  # the horizon
+
+    def test_counts_only_packets_before_the_horizon(self):
+        # fid(1) would emit 5 packets from tick 0 and fid(2) 3 from tick 2,
+        # but the episode ends at the horizon, tick 4: 4 and 2 packets
+        sched = hand_schedule(
+            [(fid(1), "mice", 7500, 0), (fid(2), "mice", 4500, 2)],
+            horizon=4,
+        )
+        metrics = run_mbf_episode(sched, FlowTable(10 * ENTRY_BITS), MbfState(0))
+        assert (metrics.misses, metrics.hits, metrics.duration) == (2, 4, 4)
 
     def test_counts_one_exchange_per_miss(self):
         sched = hand_schedule(
             [(fid(i), "mice", 4500, i % 3) for i in range(6)], horizon=10,
         )
-        metrics = run_mbf_episode(sched, FlowTable(2 * ENTRY_BITS))
+        metrics = run_mbf_episode(sched, FlowTable(2 * ENTRY_BITS), MbfState(0))
         assert metrics.misses > 6  # evictions force repeat misses
         assert metrics.overhead == metrics.misses
         assert metrics.total_lookups == metrics.hits + metrics.misses == 18
@@ -175,7 +183,7 @@ class TestRunMbfEpisode:
             [(fid(1), "mice", 4500, 0), (fid(2), "mice", 4500, 0)],
             horizon=10,
         )
-        metrics = run_mbf_episode(sched, FlowTable(ENTRY_BITS))
+        metrics = run_mbf_episode(sched, FlowTable(ENTRY_BITS), MbfState(0))
         assert metrics.misses == 6
         assert metrics.hits == 0
 
@@ -184,7 +192,7 @@ class TestRunMbfEpisode:
         prof = TrafficProfile()
         spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
         sched = FlowSchedule(flows=[spec], horizon=5, profile=prof)
-        metrics = run_mbf_episode(sched, FlowTable(ENTRY_BITS))
+        metrics = run_mbf_episode(sched, FlowTable(ENTRY_BITS), MbfState(0))
         assert metrics.misses == 1
         assert metrics.hits == 174
 
@@ -193,14 +201,14 @@ class TestRunMbfEpisode:
             [(fid(1), "mice", 4500, 0), (fid(2), "mice", 4500, 0)],
             horizon=10,
         )
-        metrics = run_mbf_episode(sched, FlowTable(0))
+        metrics = run_mbf_episode(sched, FlowTable(0), MbfState(0))
         assert metrics.misses == 6 and metrics.hits == 0
 
     def test_zero_capacity_counts_whole_burst(self):
         prof = TrafficProfile()
         spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
         sched = FlowSchedule(flows=[spec], horizon=5, profile=prof)
-        metrics = run_mbf_episode(sched, FlowTable(0))
+        metrics = run_mbf_episode(sched, FlowTable(0), MbfState(0))
         assert metrics.misses == 175 and metrics.hits == 0
 
     def test_eviction_prefers_equal_importance_ties_by_id(self):
@@ -212,7 +220,7 @@ class TestRunMbfEpisode:
             horizon=10,
         )
         table = FlowTable(2 * ENTRY_BITS)
-        run_mbf_episode(sched, table)
+        run_mbf_episode(sched, table, MbfState(0))
         assert fid(1) not in table
         assert fid(2) in table and fid(3) in table
 
@@ -226,7 +234,7 @@ class TestRunMbfEpisode:
             horizon=10,
         )
         table = FlowTable(2 * ENTRY_BITS)
-        metrics = run_mbf_episode(sched, table)
+        metrics = run_mbf_episode(sched, table, MbfState(0))
         assert metrics.misses == 3
         assert fid(2) not in table
         assert fid(1) in table and fid(3) in table
@@ -292,6 +300,13 @@ DRAIN_CASE = (
     hand_schedule([(fid(1), "mice", 6000, 0)], horizon=3, profile=THREE_PPS),
     1, 4096, 5, 0,
 )
+# Both flows drain past the horizon, tick 2, where the episode ends before
+# fid(1) would evict fid(2) again.
+PAST_HORIZON_CASE = (
+    hand_schedule([(fid(1), "mice", 6000, 0), (fid(2), "mice", 3000, 1)],
+                  horizon=2, profile=ONE_PPS),
+    1, 4096, 5, 0,
+)
 # Equal importance at tick 2, and the older install has the larger FlowId.
 INSTALL_TIME_BEFORE_ID_CASE = (
     hand_schedule([(fid(2), "mice", 1500, 0), (fid(1), "mice", 1500, 1),
@@ -306,17 +321,17 @@ INSTALL_TIME_BEFORE_ID_CASE = (
 @example(HEAP_ACROSS_TICKS_CASE)
 @example(TWO_EVICTIONS_IN_A_TICK_CASE)
 @example(DRAIN_CASE)
+@example(PAST_HORIZON_CASE)
 @example(INSTALL_TIME_BEFORE_ID_CASE)
 def test_mbf_episode_equals_naive_reference(case):
     sched, entries, bits, window, seed = case
-    duration = sched.horizon
     with mock.patch.object(baselines, "MBF_BITS", bits), \
             mock.patch.object(baselines, "MBF_WINDOW", window):
         table = FlowTable(entries * ENTRY_BITS)
         state = MbfState(seed)
         ref_table = FlowTable(entries * ENTRY_BITS)
-        got = run_mbf_episode(sched, table, state, duration=duration)
-        want, bank = naive_mbf_episode(sched, ref_table, seed, duration)
+        got = run_mbf_episode(sched, table, state)
+        want, bank = naive_mbf_episode(sched, ref_table, seed, sched.horizon)
     assert got == want
     assert table.entries == ref_table.entries
     assert state.filters == [sum(1 << int(p) for p in np.flatnonzero(f)) for f in bank]
@@ -359,7 +374,7 @@ def test_mbf_episode_cost_on_a_thrashed_table():
     flows = [FlowSpec(fid(i), "elephant", 10**9, 0) for i in reversed(range(300))]
     sched = FlowSchedule(flows=flows, horizon=1000, profile=REFERENCE_TRAFFIC)
     start = time.perf_counter()
-    metrics = run_mbf_episode(sched, FlowTable(64 * ENTRY_BITS), duration=1000)
+    metrics = run_mbf_episode(sched, FlowTable(64 * ENTRY_BITS), MbfState(0))
     assert time.perf_counter() - start < 6.0
     assert (metrics.hits, metrics.misses) == (631_999, 268_001)
 

@@ -383,7 +383,8 @@ class TestDqnTrain:
         env = FakeEnv(lambda f, r: next(overheads))
         cfg = AgentConfig(budget=50, goal_mu=0.4)
         net = Mlp.random(np.random.default_rng(0))
-        res = dqn_train(env, net, cfg, ThresholdConfig(130, 0))
+        res = dqn_train(env, net, cfg, ThresholdConfig(130, 0), np.random.default_rng(0),
+                        ReplayMemory())
         assert res.episodes_run == 1
         assert res.goal_met
         assert len(res.trace) == 2
@@ -395,7 +396,7 @@ class TestDqnTrain:
         mem = ReplayMemory(start_threshold=4, minibatch=2)
         net = Mlp.random(np.random.default_rng(0))
         res = dqn_train(env, net, AgentConfig(budget=40), ThresholdConfig(100, 100),
-                        memory=mem)
+                        np.random.default_rng(0), mem)
         assert res.episodes_run == 40
         assert not res.goal_met
         assert len(res.trace) == 41
@@ -403,7 +404,8 @@ class TestDqnTrain:
     def test_zero_initial_overhead_returns_immediately(self):
         env = FakeEnv(lambda f, r: 0)
         net = Mlp.random(np.random.default_rng(0))
-        res = dqn_train(env, net, AgentConfig(), ThresholdConfig(0, 0))
+        res = dqn_train(env, net, AgentConfig(), ThresholdConfig(0, 0),
+                        np.random.default_rng(0), ReplayMemory())
         assert res.episodes_run == 0
         assert res.goal_met
         assert len(res.trace) == 1
@@ -413,7 +415,8 @@ class TestDqnTrain:
         cfg = AgentConfig(budget=10)  # default start_threshold 32 > budget
         net = Mlp.random(np.random.default_rng(5))
         before = net.copy()
-        dqn_train(env, net, cfg, ThresholdConfig(100, 100))
+        dqn_train(env, net, cfg, ThresholdConfig(100, 100), np.random.default_rng(0),
+                  ReplayMemory())
         assert nets_equal(net, before)
 
     def test_learning_kicks_in_at_start_threshold(self):
@@ -422,7 +425,7 @@ class TestDqnTrain:
         net = Mlp.random(np.random.default_rng(5))
         before = net.copy()
         dqn_train(env, net, cfg, ThresholdConfig(100, 100),
-                  np.random.default_rng(1))
+                  np.random.default_rng(1), ReplayMemory())
         assert not nets_equal(net, before)
 
     def test_memory_accumulates_one_experience_per_episode(self):
@@ -430,7 +433,7 @@ class TestDqnTrain:
         mem = ReplayMemory()
         net = Mlp.random(np.random.default_rng(0))
         res = dqn_train(env, net, AgentConfig(budget=12), ThresholdConfig(100, 100),
-                        memory=mem)
+                        np.random.default_rng(0), mem)
         assert len(mem) == res.episodes_run == 12
 
     def test_deterministic_given_seed(self):
@@ -486,7 +489,7 @@ class TestInitMlp:
         sets = [ThresholdConfig(130, 0), ThresholdConfig(0, 300)]
         net = init_mlp(6, sets, FakeEnv(overhead), cfg, mem)
         assert len(mem) == 40  # both runs hit the 20-episode cap
-        net2 = init_mlp(6, sets, FakeEnv(overhead), cfg)
+        net2 = init_mlp(6, sets, FakeEnv(overhead), cfg, ReplayMemory())
         assert nets_equal(net, net2)
         # only a memory shared by both runs reaches the start threshold 32
         assert not nets_equal(net, init_mlp(6))

@@ -18,6 +18,7 @@ from flowrl.harness import (
 )
 from flowrl.model import ENTRY_BITS, FREQ_GRID, PARAM_MODES, REC_GRID
 from flowrl.traffic import MAX_FLOW_PACKETS, TrafficProfile
+from conftest import CROWDED_DAY_MBF_CONFIG, SLOW_MBF_CONFIG
 
 # seconds one example may take: its run plus the exact recount
 ALARM_S = 30
@@ -176,8 +177,9 @@ def built_envs(monkeypatch):
     signal.signal(signal.SIGALRM, previous)
 
 
-# the two runs the input bounds exist for: 599 flows of up to 6e18 episode
-# packets each, whose landscape sums wrapped int64, and 10**11 training sets
+# the runs the input bounds exist for: 599 flows of up to 6e18 episode
+# packets each, whose landscape sums wrapped int64, 10**11 training sets, and
+# two MBF episodes of 16 s and of hours
 WRAPPING_TRAFFIC = TrafficProfile(mice_size=10**19, elephant_size=10**19, packet_size=1,
                                   per_flow_rate=8e17, aggregate_rate=8e20)
 
@@ -186,6 +188,8 @@ WRAPPING_TRAFFIC = TrafficProfile(mice_size=10**19, elephant_size=10**19, packet
 @given(cfg=configs())
 @example(cfg=ExperimentConfig(traffic=WRAPPING_TRAFFIC))
 @example(cfg=ExperimentConfig(n_training_sets=10**11))
+@example(cfg=SLOW_MBF_CONFIG)
+@example(cfg=CROWDED_DAY_MBF_CONFIG)
 def test_runs_finish_or_refuse_their_config(built_envs, cfg):
     signal.alarm(ALARM_S)
     try:

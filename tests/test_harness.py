@@ -34,7 +34,7 @@ from flowrl.model import (
 )
 from flowrl.simnet import run_episode
 from flowrl.traffic import FlowSpec, TrafficProfile
-from conftest import fid, hand_pool, hand_schedule
+from conftest import CROWDED_DAY_MBF_CONFIG, SLOW_MBF_CONFIG, fid, hand_pool, hand_schedule
 
 SMALL_TRAFFIC = dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=43_200.0)
 
@@ -198,6 +198,42 @@ class TestLoadConfig:
                                  per_flow_rate=8e17, aggregate_rate=8e20)
         with pytest.raises(ValidationError, match="packets"):
             run_experiment(ExperimentConfig(traffic=traffic))
+
+    @pytest.mark.parametrize("cfg", [SLOW_MBF_CONFIG, CROWDED_DAY_MBF_CONFIG],
+                             ids=["slow", "crowded-day"])
+    def test_mbf_episode_work_bound(self, cfg):
+        start = time.monotonic()
+        with pytest.raises(ValidationError,
+                           match="orchestration_window, table_capacity_bits and traffic"):
+            run_experiment(cfg)
+        assert time.monotonic() - start < 1.0
+        # the other modes are closed form: the work bound is the MBF episode's
+        for mode in ("ql", "oracle", "significance"):
+            assert dataclasses.replace(cfg, mode=mode).validate().mode == mode
+
+    # the acceptance suite's MBF runs (reference traffic, 64 entries) and
+    # the benchmark's: the reference against 8 entries, and 10x its arrival
+    # rate against 64 entries (about 26,000 units of work)
+    @pytest.mark.parametrize("rate, entries", [(540_000.0, 64), (540_000.0, 8),
+                                               (5_400_000.0, 64)])
+    def test_mbf_work_bound_passes_the_suite_configs(self, rate, entries):
+        cfg = ExperimentConfig(mode="mbf", table_capacity_bits=entries * ENTRY_BITS,
+                               traffic=dataclasses.replace(REFERENCE_TRAFFIC,
+                                                           aggregate_rate=rate))
+        assert cfg.validate() is cfg
+
+    # a lone surrogate is what a non-UTF-8 byte in a --out argument decodes to
+    @pytest.mark.parametrize("path", ["", " ", " c.csv", "c.csv ", "c.csv\t", "a\nb.csv",
+                                      "a\rb.csv", "c.csv\n", "r\udcff.csv"])
+    def test_output_path_the_echo_cannot_reload_rejected(self, path):
+        with pytest.raises(ValidationError, match="output_path"):
+            ExperimentConfig(output_path=path).validate()
+
+    def test_printable_output_path_reloads_equal(self, tmp_path):
+        cfg = ExperimentConfig(output_path=str(tmp_path / "run 1 = a#b é.csv"))
+        path = tmp_path / "c.cfg"
+        save_config(cfg.validate(), str(path))
+        assert load_config(path) == cfg
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = ExperimentConfig(
@@ -575,6 +611,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 1
         assert "error [flowrl.harness.ValidationError]" in captured.err
+
+    def test_main_refuses_an_out_path_with_a_line_break(self, tmp_path, capsys):
+        out = tmp_path / "a\nb.csv"
+        rc = cli.main(["--mode", "oracle", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error [flowrl.harness.ValidationError]: output_path")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["mbf", "oracle", "significance"])
     @pytest.mark.parametrize("flag", ["--save-policy", "--load-policy"])

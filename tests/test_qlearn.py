@@ -347,7 +347,7 @@ class TestQTrain:
     def test_flat_landscape_hits_the_cap(self):
         env = FakeEnv(lambda f, r: 50)
         cfg = AgentConfig(budget=30)
-        res = q_train(env, QTable(), cfg, ThresholdConfig(100, 100))
+        res = q_train(env, QTable(), cfg, ThresholdConfig(100, 100), np.random.default_rng(0))
         assert res.episodes_run == 30
         assert not res.goal_met
         assert len(res.trace) == 31
@@ -360,7 +360,8 @@ class TestQTrain:
             return 100 if (f, r) == (130, 0) else 10
 
         cfg = AgentConfig(budget=40, goal_mu=0.999)
-        res = q_train(FakeEnv(landscape), QTable(), cfg, ThresholdConfig(130, 0))
+        res = q_train(FakeEnv(landscape), QTable(), cfg, ThresholdConfig(130, 0),
+                      np.random.default_rng(0))
         assert res.episodes_run == 40
         assert not res.goal_met
         assert res.best.best_overhead == 10
@@ -369,7 +370,7 @@ class TestQTrain:
         overheads = iter([100] + [10] * 1000)
         env = FakeEnv(lambda f, r: next(overheads))
         cfg = AgentConfig(budget=50, goal_mu=0.4)
-        res = q_train(env, QTable(), cfg, ThresholdConfig(130, 0))
+        res = q_train(env, QTable(), cfg, ThresholdConfig(130, 0), np.random.default_rng(0))
         assert res.episodes_run == 1
         assert res.goal_met
         assert len(res.trace) == 2
@@ -380,7 +381,8 @@ class TestQTrain:
 
     def test_zero_initial_overhead_returns_immediately(self):
         env = FakeEnv(lambda f, r: 0)
-        res = q_train(env, QTable(), AgentConfig(), ThresholdConfig(0, 0))
+        res = q_train(env, QTable(), AgentConfig(), ThresholdConfig(0, 0),
+                      np.random.default_rng(0))
         assert res.episodes_run == 0
         assert res.goal_met
         assert len(res.trace) == 1

@@ -18,13 +18,13 @@ from conftest import ONE_PPS, fid, hand_schedule
 
 class TestTrafficProfile:
     def test_defaults_are_valid(self):
-        TrafficProfile().validate()
+        TrafficProfile().validate(60)
 
     def test_elephant_fraction_out_of_range(self):
         with pytest.raises(InvalidProfile):
-            TrafficProfile(elephant_fraction=1.5).validate()
+            TrafficProfile(elephant_fraction=1.5).validate(60)
         with pytest.raises(InvalidProfile):
-            TrafficProfile(elephant_fraction=-0.1).validate()
+            TrafficProfile(elephant_fraction=-0.1).validate(60)
 
     @pytest.mark.parametrize(
         "field",
@@ -33,29 +33,36 @@ class TestTrafficProfile:
     )
     def test_non_positive_fields_rejected(self, field):
         with pytest.raises(InvalidProfile):
-            TrafficProfile(**{field: 0}).validate()
+            TrafficProfile(**{field: 0}).validate(60)
         with pytest.raises(InvalidProfile):
-            TrafficProfile(**{field: -1}).validate()
+            TrafficProfile(**{field: -1}).validate(60)
 
     @pytest.mark.parametrize("field", ["mice_size", "elephant_size"])
     def test_flow_packet_bound(self, field):
         # twice MAX_EXPECTED_FLOWS flows of the largest size sum below 2^63
         assert 2 * MAX_EXPECTED_FLOWS * MAX_FLOW_PACKETS < 2**63
-        TrafficProfile(**{field: MAX_FLOW_PACKETS * 1500}).validate()
+        TrafficProfile(**{field: MAX_FLOW_PACKETS * 1500}).validate(60)
         with pytest.raises(InvalidProfile, match="packets"):
-            TrafficProfile(**{field: MAX_FLOW_PACKETS * 1500 + 1}).validate()
+            TrafficProfile(**{field: MAX_FLOW_PACKETS * 1500 + 1}).validate(60)
 
     @pytest.mark.parametrize("field", ["aggregate_rate", "per_flow_rate"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_rates_rejected(self, field, value):
         # never generate a schedule here: an infinite rate never advances time
         with pytest.raises(InvalidProfile, match=field):
-            TrafficProfile(**{field: value}).validate()
+            TrafficProfile(**{field: value}).validate(60)
+
+    def test_expected_flows_capped_over_the_horizon(self):
+        prof = TrafficProfile()
+        horizon = int(MAX_EXPECTED_FLOWS / prof.arrival_rate())
+        prof.validate(horizon)
+        with pytest.raises(InvalidProfile, match="flows over %d ticks" % (horizon + 1)):
+            prof.validate(horizon + 1)
 
     def test_sub_packet_rate_rejected(self):
         # 1000 bits/s over 1500-byte packets rounds to 0 packets per tick
         with pytest.raises(InvalidProfile):
-            TrafficProfile(per_flow_rate=1000.0).validate()
+            TrafficProfile(per_flow_rate=1000.0).validate(60)
 
     def test_packets_per_tick_default(self):
         # 10e6 / (1500 * 8) = 833.33 -> 833
@@ -100,6 +107,13 @@ class TestFlowSchedule:
         a = FlowSpec(id=fid(1), klass="mice", size=3000, start=10)
         with pytest.raises(ValueError):
             FlowSchedule(flows=[a], horizon=10, profile=ONE_PPS)
+
+    def test_rejects_repeated_flow_id(self):
+        # each flow has one rule and one pool record, so one entry
+        a = FlowSpec(id=fid(1), klass="mice", size=3000, start=2)
+        b = FlowSpec(id=fid(1), klass="elephant", size=4500, start=5)
+        with pytest.raises(ValueError, match="FlowId"):
+            FlowSchedule(flows=[a, b], horizon=10, profile=ONE_PPS)
 
 
 class TestGenerateSchedule:

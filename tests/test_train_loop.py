@@ -72,7 +72,8 @@ def test_learn_sees_reward_against_updated_best():
     # best: 100 -> 80 -> 80 -> 80 -> 70 -> 70; the second 80 earns 0, not +1
     policy = ScriptedPolicy()
     cfg = AgentConfig(budget=5, goal_mu=0.9)
-    res = train(sequence_env([100, 80, 80, 90, 70, 70]), policy, cfg, START)
+    res = train(sequence_env([100, 80, 80, 90, 70, 70]), policy, cfg, START,
+                np.random.default_rng(0))
     assert [c[3] for c in policy.of("learn")] == [1, 0, -1, 1, 0]
     assert [row.reward for row in res.trace[1:]] == [1, 0, -1, 1, 0]
     assert res.best.best_overhead == 70
@@ -81,7 +82,8 @@ def test_learn_sees_reward_against_updated_best():
 def test_goal_at_step_k_stops_there():
     policy = ScriptedPolicy()
     env = sequence_env([100, 90, 90, 50] + [10] * 10)
-    res = train(env, policy, AgentConfig(epsilon0=0.0, budget=10, goal_mu=0.4), START)
+    res = train(env, policy, AgentConfig(epsilon0=0.0, budget=10, goal_mu=0.4), START,
+                np.random.default_rng(0))
     assert res.episodes_run == 3
     assert res.goal_met
     assert len(res.trace) == 4
@@ -91,7 +93,8 @@ def test_goal_at_step_k_stops_there():
 
 def test_cap_returns_budget_without_goal():
     policy = ScriptedPolicy()
-    res = train(FakeEnv(lambda f, r: 50), policy, AgentConfig(budget=7), START)
+    res = train(FakeEnv(lambda f, r: 50), policy, AgentConfig(budget=7), START,
+                np.random.default_rng(0))
     assert res.episodes_run == 7
     assert res.goal_met is False
     assert len(res.trace) == 8
@@ -100,7 +103,7 @@ def test_cap_returns_budget_without_goal():
 @pytest.mark.parametrize("decay", [True, False])
 def test_epsilon_decays_only_when_enabled(decay):
     cfg = AgentConfig(budget=6, epsilon0=0.8, epsilon_decay=decay)
-    res = train(FakeEnv(lambda f, r: 50), ScriptedPolicy(), cfg, START)
+    res = train(FakeEnv(lambda f, r: 50), ScriptedPolicy(), cfg, START, np.random.default_rng(0))
     expected = []
     eps = 0.8
     for step in range(6):
@@ -116,7 +119,7 @@ def test_greedy_only_when_not_exploring(epsilon0, greedy_calls):
     # rng.random() < 1.0 always explores; < 0.0 never does
     policy = ScriptedPolicy()
     cfg = AgentConfig(budget=8, epsilon0=epsilon0, epsilon_decay=False)
-    train(FakeEnv(lambda f, r: 50), policy, cfg, START)
+    train(FakeEnv(lambda f, r: 50), policy, cfg, START, np.random.default_rng(0))
     assert len(policy.of("greedy")) == greedy_calls
     assert len(policy.of("learn")) == 8
 
@@ -124,7 +127,7 @@ def test_greedy_only_when_not_exploring(epsilon0, greedy_calls):
 def test_zero_overhead_baseline_never_calls_the_policy():
     policy = ScriptedPolicy()
     env = FakeEnv(lambda f, r: 0)
-    res = train(env, policy, AgentConfig(budget=5), START)
+    res = train(env, policy, AgentConfig(budget=5), START, np.random.default_rng(0))
     assert policy.calls == []
     assert res.episodes_run == 0
     assert res.goal_met
@@ -135,9 +138,11 @@ def test_zero_overhead_baseline_never_calls_the_policy():
 def test_untraced_run_builds_no_rows_and_ends_alike():
     cfg = AgentConfig(epsilon0=0.0, budget=10, goal_mu=0.4)
     overheads = [100, 90, 90, 50] + [10] * 10
-    traced = train(sequence_env(overheads), ScriptedPolicy(), cfg, START)
+    traced = train(sequence_env(overheads), ScriptedPolicy(), cfg, START,
+                   np.random.default_rng(0))
     policy = ScriptedPolicy()
-    bare = train(sequence_env(overheads), policy, cfg, START, trace=False)
+    bare = train(sequence_env(overheads), policy, cfg, START, np.random.default_rng(0),
+                 trace=False)
     assert bare.trace is None
     assert (bare.episodes_run, bare.goal_met, bare.best) == (
         traced.episodes_run, traced.goal_met, traced.best)
