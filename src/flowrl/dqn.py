@@ -13,10 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowrl.model import FREQ_GRID, REC_GRID, read_text
-from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, train
+from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, AgentConfig, train
 
 LAYER_SIZES = (4, 24, 24, 24, 5)
+INIT_SCALE = 0.1  # Mlp.random's parameters are uniform in [-INIT_SCALE, INIT_SCALE)
 LEARNING_RATE = 0.01  # sgd_step's rate in every learn step
+# The replay memory keeps the last REPLAY_CAPACITY experiences; learning
+# starts once it holds REPLAY_START, and each learn step samples MINIBATCH.
+REPLAY_CAPACITY = 1000
+REPLAY_START = 32
+MINIBATCH = 4
 
 
 class NonFiniteInput(Exception):
@@ -36,8 +42,8 @@ class Mlp:
     """Fully-connected network: ReLU on hidden layers, linear output.
 
     weights[l] has shape (layer_sizes[l+1], layer_sizes[l]); biases[l] has
-    shape (layer_sizes[l+1],). Arbitrary layer_sizes are accepted so small
-    hand-built nets stay easy to construct.
+    shape (layer_sizes[l+1],). Any layer sizes are accepted, as a loaded
+    file may hold any; random draws the agent's LAYER_SIZES.
 
     The parameters are copied in. The hidden layers' weights and biases
     are views into one flat buffer, flat (their gradients: grad_weights and
@@ -74,13 +80,14 @@ class Mlp:
         self.layer_sizes = tuple(sizes)
 
     @staticmethod
-    def random(rng, layer_sizes=LAYER_SIZES, scale=0.1):
-        """All parameters uniform in [-scale, scale), seeded."""
+    def random(rng):
+        """A LAYER_SIZES net, all parameters uniform in [-INIT_SCALE,
+        INIT_SCALE), seeded."""
         weights = []
         biases = []
-        for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            weights.append(rng.uniform(-scale, scale, size=(n_out, n_in)))
-            biases.append(rng.uniform(-scale, scale, size=n_out))
+        for n_in, n_out in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]):
+            weights.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n_out, n_in)))
+            biases.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=n_out))
         return Mlp(weights, biases)
 
     def copy(self):
@@ -170,18 +177,11 @@ class Experience:
 
 
 class ReplayMemory:
-    """Bounded FIFO of experiences with uniform minibatch sampling; the
-    defaults are the DQN agent's replay sizes. Sizes need 1 <= minibatch
-    <= start_threshold <= capacity, or the memory could never fill a
-    minibatch or start learning (ValueError)."""
+    """FIFO of the last REPLAY_CAPACITY experiences with uniform minibatch
+    sampling."""
 
-    def __init__(self, capacity=1000, start_threshold=32, minibatch=4):
-        if not 1 <= minibatch <= start_threshold <= capacity:
-            raise ValueError("replay sizes need 1 <= minibatch <= start_threshold <= capacity")
-        self.capacity = capacity
-        self.start_threshold = start_threshold
-        self.minibatch = minibatch
-        self.buffer = deque(maxlen=capacity)
+    def __init__(self):
+        self.buffer = deque(maxlen=REPLAY_CAPACITY)
 
     def __len__(self):
         return len(self.buffer)
@@ -190,13 +190,13 @@ class ReplayMemory:
         self.buffer.append(e)
         return self
 
-    def sample(self, n, rng):
-        """Uniform without replacement within one minibatch."""
-        if len(self.buffer) < n:
+    def sample(self, rng):
+        """MINIBATCH experiences, uniform without replacement."""
+        if len(self.buffer) < MINIBATCH:
             raise InsufficientExperiences(
-                "buffer holds %d < %d experiences" % (len(self.buffer), n)
+                "buffer holds %d < %d experiences" % (len(self.buffer), MINIBATCH)
             )
-        idx = rng.choice(len(self.buffer), size=n, replace=False)
+        idx = rng.choice(len(self.buffer), size=MINIBATCH, replace=False)
         return [self.buffer[int(i)] for i in idx]
 
 
@@ -240,10 +240,10 @@ def mlp_forward(net, x):
     return _activations(net, x)[-1]
 
 
-def dqn_target(e, net_prev, gamma):
+def dqn_target(e, net_prev):
     """r + gamma * max over forward(net_prev, s_next) -- net_prev holds the
     parameters from before the minibatch's first SGD step."""
-    return e.r + gamma * float(np.maximum.reduce(mlp_forward(net_prev, e.s_next)))
+    return e.r + AgentConfig.gamma * float(np.maximum.reduce(mlp_forward(net_prev, e.s_next)))
 
 
 def sgd_step(net, x, action, target, lr):
@@ -286,14 +286,13 @@ class _DqnPolicy:
     """train's policy over a network. It keeps the encoded state vector
     (thresholds, last action, last reward), and greedy takes the argmax of
     the network's output for it; learn stores each transition and, once
-    the memory holds start_threshold experiences, samples a minibatch,
+    the memory holds REPLAY_START experiences, samples a minibatch,
     computes every sample's target with the parameters from before the
     minibatch's first step (no copy of the network), then takes one
     sgd_step per sample."""
 
-    def __init__(self, net, cfg, memory, state):
+    def __init__(self, net, memory, state):
         self.net = net
-        self.gamma = cfg.gamma
         self.memory = memory
         self.s_vec = encode_state(state, Action.NoOp, 0)
 
@@ -304,10 +303,10 @@ class _DqnPolicy:
         next_vec = encode_state(GRID_STATES[nfi][nri], action, reward)
         memory = self.memory
         memory.store(Experience(self.s_vec, action, reward, next_vec))
-        if len(memory) >= memory.start_threshold:
-            net, gamma = self.net, self.gamma
-            batch = memory.sample(memory.minibatch, rng)
-            targets = [dqn_target(e, net, gamma) for e in batch]
+        if len(memory) >= REPLAY_START:
+            net = self.net
+            batch = memory.sample(rng)
+            targets = [dqn_target(e, net) for e in batch]
             for e, target in zip(batch, targets):
                 sgd_step(net, e.s, e.a, target, LEARNING_RATE)
         self.s_vec = next_vec
@@ -317,15 +316,15 @@ def dqn_train(env, net, cfg, initial_state, rng, memory, trace=True):
     """Run train with the DQN policy on net, which is updated in place.
     Learning goes through memory; share one to persist experience across
     runs."""
-    return train(env, _DqnPolicy(net, cfg, memory, initial_state), cfg, initial_state, rng, trace)
+    return train(env, _DqnPolicy(net, memory, initial_state), cfg, initial_state, rng, trace)
 
 
 def init_mlp(seed, training_sets=(), env=None, cfg=None, memory=None):
-    """Build a network: parameters uniform in [-0.1, 0.1), seeded, then
-    one full dqn_train run on env under cfg per training set (each set as
-    the initial state) without trace rows, all through memory, which keeps
-    the experience buffer afterwards. No training sets leave the random
-    network, and need no env, cfg or memory."""
+    """Build a network: Mlp.random's, seeded, then one full dqn_train run
+    on env under cfg per training set (each set as the initial state)
+    without trace rows, all through memory, which keeps the experience
+    buffer afterwards. No training sets leave the random network, and
+    need no env, cfg or memory."""
     rng = np.random.default_rng(seed)
     net = Mlp.random(rng)
     for state in training_sets:

@@ -23,13 +23,21 @@ REC_GRID = tuple(range(0, REC_MAX + 1, GRID_STEP))
 # significance run trains one policy per mode, in this order.
 PARAM_MODES = ("freq_only", "recentness_only", "both")
 
+# Most characters a loaded file may hold: a saved Q-table is about 150 kB,
+# so the bound only stops an endless file (/dev/zero) filling the memory.
+MAX_TEXT_CHARS = 16 * 1024 * 1024
+
 
 def read_text(path, error):
     """The file loaders' reader: path's UTF-8 text as a file object that
-    splits lines as text mode does. Bytes that are not UTF-8 raise error,
-    its message starting with the number of their line."""
+    splits lines as text mode does. A file longer than MAX_TEXT_CHARS and
+    bytes that are not UTF-8 raise error, its message starting with the
+    number of the line where the bound or the bytes lie."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
+        text = fh.read(MAX_TEXT_CHARS + 1)
+    if len(text) > MAX_TEXT_CHARS:
+        lineno = text.count("\n", 0, MAX_TEXT_CHARS) + 1
+        raise error("line %d: the file is longer than %d characters" % (lineno, MAX_TEXT_CHARS))
     try:
         text.encode()
     except UnicodeEncodeError as exc:

@@ -6,6 +6,7 @@
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,8 +35,9 @@ class MalformedQTable(Exception):
 
 @dataclass
 class AgentConfig:
-    """Hyperparameters of both learners; alpha is the tabular step size
-    (the DQN's is its fixed LEARNING_RATE).
+    """Hyperparameters of both learners. The constants alpha (the tabular
+    step size; the DQN's is its LEARNING_RATE) and gamma (the discount of
+    both) are not settable.
 
     epsilon decays from epsilon0 each episode when epsilon_decay is True
     (fresh tables); initialized tables run a static small epsilon instead.
@@ -43,18 +45,14 @@ class AgentConfig:
     overhead-reduction fraction.
     """
 
-    alpha: float = 0.1
-    gamma: float = 0.95
+    alpha: ClassVar[float] = 0.1
+    gamma: ClassVar[float] = 0.95
     epsilon0: float = 1.0
     budget: int = 1000
     goal_mu: float = 0.4
     epsilon_decay: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
         if not 0.0 <= self.epsilon0 <= 1.0:
             raise ValueError("epsilon0 must be in [0, 1]")
         if self.budget < 1:
@@ -333,10 +331,10 @@ class _TabularPolicy:
     """train's policy over a Q-table: the greedy action and the q_update
     rule, on the table's rows in place."""
 
-    def __init__(self, q, cfg):
+    def __init__(self, q):
         self.rows = q.rows
-        self.alpha = cfg.alpha
-        self.gamma = cfg.gamma
+        # read per step: an instance attribute is cheaper than a class's
+        self.alpha, self.gamma = AgentConfig.alpha, AgentConfig.gamma
 
     def greedy(self, fi, ri):
         row = self.rows[fi][ri]
@@ -351,4 +349,4 @@ class _TabularPolicy:
 
 def q_train(env, q, cfg, initial_state, rng, trace=True):
     """Run train with the tabular policy, updating q in place."""
-    return train(env, _TabularPolicy(q, cfg), cfg, initial_state, rng, trace)
+    return train(env, _TabularPolicy(q), cfg, initial_state, rng, trace)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from flowrl.dqn import INIT_SCALE, Mlp
 from flowrl.harness import MAX_WINDOW, REFERENCE_TRAFFIC, ExperimentConfig
 from flowrl.model import ENTRY_BITS, FlowId, FlowPool, ThresholdConfig
 from flowrl.simnet import EpisodeMetrics
@@ -80,6 +81,17 @@ def hand_pool(entries):
     for f, (freq, last_seen) in entries.items():
         pool.record(f, last_seen, freq)
     return pool
+
+
+def random_net(rng, layer_sizes, scale=INIT_SCALE):
+    """A net of any layer sizes, drawn as Mlp.random draws the agent's:
+    every parameter uniform in [-scale, scale), layer by layer."""
+    weights = []
+    biases = []
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(rng.uniform(-scale, scale, size=(n_out, n_in)))
+        biases.append(rng.uniform(-scale, scale, size=n_out))
+    return Mlp(weights, biases)
 
 
 class FakeEnv:

@@ -4,12 +4,17 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowrl import dqn
 from flowrl.dqn import (
+    INIT_SCALE,
     LAYER_SIZES,
     LEARNING_RATE,
+    MINIBATCH,
+    REPLAY_CAPACITY,
+    REPLAY_START,
     Experience,
     InsufficientExperiences,
     MalformedNetwork,
@@ -26,8 +31,8 @@ from flowrl.dqn import (
 )
 from flowrl.harness import ExperimentConfig, run_experiment, write_report
 from flowrl.model import FREQ_GRID, REC_GRID, ThresholdConfig
-from flowrl.qlearn import GRID_STATES, Action, AgentConfig
-from conftest import FakeEnv
+from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, AgentConfig
+from conftest import FakeEnv, random_net
 
 
 def nets_equal(a, b):
@@ -44,15 +49,44 @@ def zero_net(layer_sizes=LAYER_SIZES):
     return Mlp(weights, biases)
 
 
+def test_design_constants():
+    assert LAYER_SIZES == (4, 24, 24, 24, 5)
+    assert INIT_SCALE == 0.1
+    assert LEARNING_RATE == 0.01
+    assert (REPLAY_CAPACITY, REPLAY_START, MINIBATCH) == (1000, 32, 4)
+    assert (AgentConfig.alpha, AgentConfig.gamma) == (0.1, 0.95)
+
+
+# each call passes a parameter that became one of the constants above
+REMOVED_PARAMETERS = {
+    "ReplayMemory-capacity": lambda: ReplayMemory(capacity=1000),
+    "ReplayMemory-start_threshold": lambda: ReplayMemory(start_threshold=32),
+    "ReplayMemory-minibatch": lambda: ReplayMemory(minibatch=4),
+    "sample-n": lambda: ReplayMemory().sample(4, np.random.default_rng(0)),
+    "Mlp.random-layer_sizes": lambda: Mlp.random(np.random.default_rng(0),
+                                                 layer_sizes=LAYER_SIZES),
+    "Mlp.random-scale": lambda: Mlp.random(np.random.default_rng(0), scale=INIT_SCALE),
+    "dqn_target-gamma": lambda: dqn_target(
+        Experience(np.zeros(4), Action.NoOp, 0, np.zeros(4)), zero_net(), 0.95),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_PARAMETERS.values(), ids=REMOVED_PARAMETERS.keys())
+def test_removed_parameters_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 class TestMlp:
     def test_random_shapes_and_range(self):
         net = Mlp.random(np.random.default_rng(0))
-        assert net.layer_sizes == (4, 24, 24, 24, 5)
+        assert net.layer_sizes == LAYER_SIZES
         for w, (n_in, n_out) in zip(net.weights,
                                     zip(LAYER_SIZES[:-1], LAYER_SIZES[1:])):
             assert w.shape == (n_out, n_in)
         for p in net.weights + net.biases:
-            assert (np.abs(p) <= 0.1).all()
+            assert (np.abs(p) <= INIT_SCALE).all()
+        assert nets_equal(net, random_net(np.random.default_rng(0), LAYER_SIZES))
 
     def test_random_deterministic(self):
         a = Mlp.random(np.random.default_rng(12))
@@ -97,7 +131,7 @@ class TestMlp:
         assert nets_equal(Mlp.load(path), net)
 
     def test_save_load_arbitrary_shape(self, tmp_path):
-        net = Mlp.random(np.random.default_rng(2), layer_sizes=(3, 2, 1))
+        net = random_net(np.random.default_rng(2), (3, 2, 1))
         path = tmp_path / "tiny.csv"
         net.save(path)
         back = Mlp.load(path)
@@ -105,7 +139,7 @@ class TestMlp:
         assert nets_equal(back, net)
 
     def test_load_rejects_trailing_values(self, tmp_path):
-        net = Mlp.random(np.random.default_rng(2), layer_sizes=(3, 2, 1))
+        net = random_net(np.random.default_rng(2), (3, 2, 1))
         path = tmp_path / "bad.csv"
         net.save(path)
         with open(path, "a") as fh:
@@ -132,7 +166,7 @@ class TestMlp:
     )
     def test_load_rejects_malformed_line(self, tmp_path, lineno, line, reason):
         path = tmp_path / "net.csv"
-        Mlp.random(np.random.default_rng(2), layer_sizes=(3, 2, 1)).save(path)
+        random_net(np.random.default_rng(2), (3, 2, 1)).save(path)
         lines = path.read_text().splitlines()
         lines[lineno - 1] = line
         path.write_text("\n".join(lines) + "\n")
@@ -141,7 +175,7 @@ class TestMlp:
 
     def test_load_rejects_non_utf8_bytes(self, tmp_path):
         path = tmp_path / "net.csv"
-        Mlp.random(np.random.default_rng(2), layer_sizes=(3, 2, 1)).save(path)
+        random_net(np.random.default_rng(2), (3, 2, 1)).save(path)
         lines = path.read_bytes().split(b"\n")
         lines[2] = b"0.5\xff"
         path.write_bytes(b"\n".join(lines))
@@ -150,7 +184,7 @@ class TestMlp:
 
     def test_load_rejects_missing_values(self, tmp_path):
         path = tmp_path / "net.csv"
-        Mlp.random(np.random.default_rng(2), layer_sizes=(3, 2, 1)).save(path)
+        random_net(np.random.default_rng(2), (3, 2, 1)).save(path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n\n")
         with pytest.raises(MalformedNetwork,
@@ -225,14 +259,14 @@ class TestDqnTarget:
         net = zero_net()
         net.biases[-1][:] = [2.0, 0.0, 0.0, 0.0, 0.0]
         e = Experience(np.zeros(4), Action.NoOp, 1, np.zeros(4))
-        assert dqn_target(e, net, 0.95) == pytest.approx(2.9)
+        assert dqn_target(e, net) == pytest.approx(2.9)
 
     def test_zero_next_values(self):
         net = zero_net()
         e0 = Experience(np.zeros(4), Action.NoOp, 0, np.zeros(4))
         em = Experience(np.zeros(4), Action.NoOp, -1, np.zeros(4))
-        assert dqn_target(e0, net, 0.95) == 0.0
-        assert dqn_target(em, net, 0.95) == -1.0
+        assert dqn_target(e0, net) == 0.0
+        assert dqn_target(em, net) == -1.0
 
 
 class TestSgdStep:
@@ -324,57 +358,49 @@ class TestReplayMemory:
         return Experience(np.full(4, float(i)), Action.NoOp, i, np.zeros(4))
 
     def test_defaults_are_the_agents_replay_sizes(self):
-        mem = ReplayMemory()
-        assert (mem.capacity, mem.start_threshold, mem.minibatch) == (1000, 32, 4)
-        assert LEARNING_RATE == 0.01
+        assert ReplayMemory().buffer.maxlen == REPLAY_CAPACITY
 
     def test_fifo_eviction_at_capacity(self):
-        mem = ReplayMemory(capacity=1000)
+        mem = ReplayMemory()
         first = self._exp(0)
         mem.store(first)
-        for i in range(1, 1001):
+        for i in range(1, REPLAY_CAPACITY):
             mem.store(self._exp(i))
-        assert len(mem) == 1000
+        assert len(mem) == REPLAY_CAPACITY and mem.buffer[0] is first
+        mem.store(self._exp(REPLAY_CAPACITY))
+        assert len(mem) == REPLAY_CAPACITY
         assert not any(e is first for e in mem.buffer)
-        assert mem.buffer[0].r == 1 and mem.buffer[-1].r == 1000
+        assert mem.buffer[0].r == 1 and mem.buffer[-1].r == REPLAY_CAPACITY
 
     def test_exhaustive_sample(self, rng):
-        mem = ReplayMemory(capacity=10, start_threshold=4)
-        items = [self._exp(i) for i in range(4)]
+        mem = ReplayMemory()
+        items = [self._exp(i) for i in range(MINIBATCH)]
         for e in items:
             mem.store(e)
-        out = mem.sample(4, rng)
-        assert len(out) == 4
+        out = mem.sample(rng)
+        assert len(out) == MINIBATCH
         assert {id(e) for e in out} == {id(e) for e in items}
 
     def test_insufficient_experiences(self, rng):
-        mem = ReplayMemory(capacity=10, start_threshold=4)
-        for i in range(4):
+        mem = ReplayMemory()
+        for i in range(MINIBATCH - 1):
             mem.store(self._exp(i))
         with pytest.raises(InsufficientExperiences):
-            mem.sample(5, rng)
+            mem.sample(rng)
 
     def test_sampling_is_roughly_uniform(self):
-        mem = ReplayMemory(capacity=200)
+        mem = ReplayMemory()
         for i in range(100):
             mem.store(self._exp(i))
         rng = np.random.default_rng(3)
         counts = np.zeros(100, dtype=int)
         for _ in range(10_000):
-            counts[mem.sample(1, rng)[0].r] += 1
-        assert counts.min() >= 55
-        assert counts.max() <= 145
-
-    @pytest.mark.parametrize(
-        "capacity,start_threshold,minibatch",
-        [(0, 0, 0), (10, 32, 4), (10, 4, 5), (10, 4, 0)],
-        ids=["all-zero", "start-above-capacity", "minibatch-above-start",
-             "empty-minibatch"],
-    )
-    def test_rejects_sizes_that_cannot_learn(self, capacity, start_threshold,
-                                             minibatch):
-        with pytest.raises(ValueError):
-            ReplayMemory(capacity, start_threshold, minibatch)
+            batch = [e.r for e in mem.sample(rng)]
+            assert len(set(batch)) == MINIBATCH
+            counts[batch] += 1
+        # 400 expected draws of each experience
+        assert counts.min() >= 300
+        assert counts.max() <= 500
 
 
 class TestDqnTrain:
@@ -393,7 +419,7 @@ class TestDqnTrain:
 
     def test_flat_landscape_hits_the_cap(self):
         env = FakeEnv(lambda f, r: 50)
-        mem = ReplayMemory(start_threshold=4, minibatch=2)
+        mem = ReplayMemory()
         net = Mlp.random(np.random.default_rng(0))
         res = dqn_train(env, net, AgentConfig(budget=40), ThresholdConfig(100, 100),
                         np.random.default_rng(0), mem)
@@ -412,12 +438,28 @@ class TestDqnTrain:
 
     def test_parameters_frozen_below_start_threshold(self):
         env = FakeEnv(lambda f, r: 50)
-        cfg = AgentConfig(budget=10)  # default start_threshold 32 > budget
+        cfg = AgentConfig(budget=REPLAY_START - 1)  # one store short of learning
         net = Mlp.random(np.random.default_rng(5))
         before = net.copy()
         dqn_train(env, net, cfg, ThresholdConfig(100, 100), np.random.default_rng(0),
                   ReplayMemory())
         assert nets_equal(net, before)
+
+    def test_first_sgd_step_on_the_replay_start_store(self, monkeypatch):
+        mem = ReplayMemory()
+        fills = []
+
+        def counted_sgd_step(*args):
+            fills.append(len(mem))
+            return sgd_step(*args)
+
+        monkeypatch.setattr(dqn, "sgd_step", counted_sgd_step)
+        budget = REPLAY_START + 2
+        net = Mlp.random(np.random.default_rng(5))
+        dqn_train(FakeEnv(lambda f, r: 50), net, AgentConfig(budget=budget),
+                  ThresholdConfig(100, 100), np.random.default_rng(0), mem)
+        # each store from the REPLAY_START-th on takes one minibatch of steps
+        assert fills == [n for n in range(REPLAY_START, budget + 1) for _ in range(MINIBATCH)]
 
     def test_learning_kicks_in_at_start_threshold(self):
         env = FakeEnv(lambda f, r: 50 + f // 10)
@@ -447,7 +489,7 @@ class TestDqnTrain:
             net = Mlp.random(np.random.default_rng(2))
             res = dqn_train(FakeEnv(landscape), net, cfg,
                             ThresholdConfig(130, 0), np.random.default_rng(3),
-                            ReplayMemory(start_threshold=8, minibatch=2))
+                            ReplayMemory())
             finals.append(net)
             traces.append(res.trace)
         assert traces[0] == traces[1]
@@ -520,9 +562,9 @@ def ref_forward_trace(net, x):
     return pre_acts, activations
 
 
-def ref_dqn_target(e, net_prev, gamma):
+def ref_dqn_target(e, net_prev):
     _, activations = ref_forward_trace(net_prev, e.s_next)
-    return e.r + gamma * float(np.max(activations[-1]))
+    return e.r + AgentConfig.gamma * float(np.max(activations[-1]))
 
 
 def ref_sgd_step(net, x, action, target, lr):
@@ -547,11 +589,10 @@ class RefPolicy(_DqnPolicy):
         next_vec = encode_state(GRID_STATES[nfi][nri], action, reward)
         memory = self.memory
         memory.store(Experience(self.s_vec, action, reward, next_vec))
-        if len(memory) >= memory.start_threshold:
+        if len(memory) >= REPLAY_START:
             snapshot = self.net.copy()
-            for e in memory.sample(memory.minibatch, rng):
-                ref_sgd_step(self.net, e.s, e.a, ref_dqn_target(e, snapshot, self.gamma),
-                             LEARNING_RATE)
+            for e in memory.sample(rng):
+                ref_sgd_step(self.net, e.s, e.a, ref_dqn_target(e, snapshot), LEARNING_RATE)
         self.s_vec = next_vec
 
 
@@ -572,7 +613,7 @@ def networks(draw):
     two threshold inputs, whose pre-activations are often exactly 0."""
     sizes = [4] + draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 24]), max_size=3)) + [5]
     if draw(st.booleans()):
-        return Mlp.random(np.random.default_rng(draw(st.integers(0, 2**16))), sizes,
+        return random_net(np.random.default_rng(draw(st.integers(0, 2**16))), sizes,
                           scale=draw(st.sampled_from([0.1, 1.0])))
     weights = []
     biases = []
@@ -589,36 +630,53 @@ def networks(draw):
 GRID_INDICES = st.tuples(st.integers(0, len(FREQ_GRID) - 1), st.integers(0, len(REC_GRID) - 1))
 
 
+def prefill(policy, seed):
+    """REPLAY_START - 1 seeded learn calls, which only store: every later
+    call learns. Returns the grid indices the walk ends on."""
+    gen = np.random.default_rng(seed)
+    fi, ri = 13, 0
+    for _ in range(REPLAY_START - 1):
+        nfi, nri = int(gen.integers(len(FREQ_GRID))), int(gen.integers(len(REC_GRID)))
+        policy.learn(fi, ri, Action(int(gen.integers(N_ACTIONS))), int(gen.integers(-1, 2)),
+                     nfi, nri, None)
+        fi, ri = nfi, nri
+    return fi, ri
+
+
+# A seeded agent-sized net and three transitions: each learns, and a target
+# taken after the minibatch's first step would differ from the snapshot's.
+LEARNING_CASE = dict(
+    net=Mlp.random(np.random.default_rng(0)), seed=0,
+    transitions=[(Action.IncFreq, 1, (14, 0)), (Action.IncRec, 0, (14, 1)),
+                 (Action.DecFreq, -1, (13, 1))],
+)
+
+
 @settings(max_examples=150)
+@example(**LEARNING_CASE)
 @given(
     net=networks(),
-    minibatch=st.integers(1, 4),
-    extra_start=st.integers(0, 4),
-    gamma=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
     seed=st.integers(0, 2**16),
     transitions=st.lists(
         st.tuples(st.sampled_from(list(Action)), st.integers(-1, 1), GRID_INDICES),
-        min_size=4, max_size=24,
+        min_size=1, max_size=12,
     ),
 )
-def test_lean_learn_matches_snapshot_copy(net, minibatch, extra_start, gamma, seed,
-                                          transitions):
-    cfg = AgentConfig(gamma=gamma)
+def test_lean_learn_matches_snapshot_copy(net, seed, transitions):
     state = ThresholdConfig(130, 0)
-
-    def memory():
-        return ReplayMemory(start_threshold=minibatch + extra_start, minibatch=minibatch)
-
-    lean = _DqnPolicy(net.copy(), cfg, memory(), state)
-    ref = RefPolicy(net.copy(), cfg, memory(), state)
+    lean = _DqnPolicy(net.copy(), ReplayMemory(), state)
+    ref = RefPolicy(net.copy(), ReplayMemory(), state)
+    fi, ri = prefill(lean, seed)
+    assert prefill(ref, seed) == (fi, ri)
+    assert net_bytes(lean.net) == net_bytes(ref.net) == net_bytes(net)
     lean_rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
-    fi, ri = 13, 0
     for action, reward, (nfi, nri) in transitions:
         lean.learn(fi, ri, action, reward, nfi, nri, lean_rng)
         ref.learn(fi, ri, action, reward, nfi, nri, ref_rng)
         assert net_bytes(lean.net) == net_bytes(ref.net)
         fi, ri = nfi, nri
+    assert net_bytes(lean.net) != net_bytes(net)
     assert lean_rng.random() == ref_rng.random()
 
 

@@ -2,11 +2,15 @@
 schedule, the memoized environment, run modes, reports, and the CLI."""
 import dataclasses
 import os
+import resource
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import flowrl
 from flowrl import cli, harness
 from flowrl.harness import (
     EPSILON_STATIC,
@@ -28,13 +32,14 @@ from flowrl.harness import (
     write_report,
 )
 from flowrl.baselines import brute_force_partition, knapsack_exact
-from flowrl.dqn import Mlp
 from flowrl.model import (
-    ENTRY_BITS, FREQ_GRID, REC_GRID, FlowTable, ThresholdConfig, select_rules,
+    ENTRY_BITS, FREQ_GRID, MAX_TEXT_CHARS, REC_GRID, FlowTable, ThresholdConfig, select_rules,
 )
 from flowrl.simnet import run_episode
 from flowrl.traffic import FlowSpec, TrafficProfile
-from conftest import CROWDED_DAY_MBF_CONFIG, SLOW_MBF_CONFIG, fid, hand_pool, hand_schedule
+from conftest import (
+    CROWDED_DAY_MBF_CONFIG, SLOW_MBF_CONFIG, fid, hand_pool, hand_schedule, random_net,
+)
 
 SMALL_TRAFFIC = dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=43_200.0)
 
@@ -671,7 +676,7 @@ class TestCli:
             if sizes is None:
                 policy.write_text("4,24,x\n")
             else:
-                Mlp.random(np.random.default_rng(0), layer_sizes=sizes).save(policy)
+                random_net(np.random.default_rng(0), sizes).save(policy)
             # 8 entries: the baseline overhead is positive, so episodes would run
             rc = cli.main(["--mode", "dqn", "--episodes", "1000", "--goal", "0.97",
                            "--table-bits", "2848", "--out", str(tmp_path / "r.csv"),
@@ -682,6 +687,28 @@ class TestCli:
                 "error [flowrl.dqn.MalformedNetwork]: line 1: " + message
             ), captured.err
             assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize("args, error", [
+        (["--config", "/dev/zero"], "flowrl.harness.ParseError"),
+        (["--mode", "ql", "--load-policy", "/dev/zero"], "flowrl.qlearn.MalformedQTable"),
+        (["--mode", "dqn", "--load-policy", "/dev/zero"], "flowrl.dqn.MalformedNetwork"),
+    ], ids=["config", "ql-policy", "dqn-policy"])
+    def test_endless_file_refused(self, tmp_path, args, error):
+        # under a 1 GiB address-space cap, so that a loader reading the
+        # endless file whole fails with MemoryError instead of filling memory
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(flowrl.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowrl.cli", *args, "--out", str(tmp_path / "r.csv")],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error [%s]: line 1: the file is longer than %d characters\n"
+            % (error, MAX_TEXT_CHARS))
+        assert not (tmp_path / "r.csv").exists()
 
     def test_dqn_policy_save_load_round_trip(self, tmp_path):
         policy = str(tmp_path / "net.csv")

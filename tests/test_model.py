@@ -1,11 +1,16 @@
 import dataclasses
 import operator
 
+import numpy as np
 import pytest
 
-from flowrl.harness import REFERENCE_TRAFFIC, ExperimentConfig, _build_env
+from flowrl.dqn import MalformedNetwork, Mlp
+from flowrl.harness import (
+    REFERENCE_TRAFFIC, ExperimentConfig, ParseError, _build_env, load_config, save_config,
+)
 from flowrl.model import (
     ENTRY_BITS,
+    MAX_TEXT_CHARS,
     CapacityExceeded,
     DuplicateRule,
     FlowId,
@@ -16,8 +21,36 @@ from flowrl.model import (
     ThresholdConfig,
     select_rules,
 )
+from flowrl.qlearn import MalformedQTable, QTable
 
 from conftest import fid, hand_pool
+
+# loader -> (write a file it loads, the loader, its error type)
+LOADERS = {
+    "load_config": (lambda path: save_config(ExperimentConfig(), path), load_config,
+                    ParseError),
+    "QTable.load": (lambda path: QTable.random(np.random.default_rng(0)).save(path),
+                    QTable.load, MalformedQTable),
+    "Mlp.load": (lambda path: Mlp.random(np.random.default_rng(0)).save(path), Mlp.load,
+                 MalformedNetwork),
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_loader_reads_at_most_max_text_chars(tmp_path, name):
+    save, load, error = LOADERS[name]
+    path = tmp_path / "file"
+    save(path)
+    text = path.read_text()
+    # a last line of spaces, blank to every loader, fills the file to the bound
+    with open(path, "a") as fh:
+        fh.write(" " * (MAX_TEXT_CHARS - len(text)))
+    load(path)
+    with open(path, "a") as fh:
+        fh.write(" ")
+    with pytest.raises(error, match="^line %d: the file is longer than %d characters$"
+                       % (text.count("\n") + 1, MAX_TEXT_CHARS)):
+        load(path)
 
 
 class TestFlowId:

@@ -3,7 +3,7 @@ a scripted policy on a programmable landscape (no simulator), and the
 tabular run checked against a loop of the public Q-learning functions."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowrl.model import FREQ_GRID, GRID_STEP, REC_GRID, ThresholdConfig
@@ -231,7 +231,17 @@ def grid_env(grid):
     return FakeEnv(lambda f, r: grid[f // GRID_STEP, r // GRID_STEP], total=200)
 
 
+# A bowl the goal cannot be met on, from a random table with decaying
+# epsilon: every step learns, and epsilon moves after the first.
+BOWL_CASE = dict(
+    grid=10 + np.abs(np.indices(SHAPE)[0] - 5) + np.abs(np.indices(SHAPE)[1] - 20),
+    q=QTable.random(np.random.default_rng(1)), start=(0, 0), budget=40, epsilon0=0.5,
+    decay=True, goal_mu=0.97, seed=0,
+)
+
+
 @settings(max_examples=300)
+@example(**BOWL_CASE)
 @given(
     grid=landscapes(),
     q=qtables(),
@@ -240,16 +250,13 @@ def grid_env(grid):
     epsilon0=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     decay=st.booleans(),
     goal_mu=st.sampled_from([0.05, 0.4, 0.97]),
-    alpha=st.sampled_from([0.1, 0.5, 1.0]),
-    gamma=st.sampled_from([0.0, 0.95, 1.0]),
     seed=st.integers(0, 2**16),
 )
 def test_index_walk_matches_public_function_loop(grid, q, start, budget, epsilon0, decay,
-                                                 goal_mu, alpha, gamma, seed):
-    cfg = AgentConfig(alpha=alpha, gamma=gamma, epsilon0=epsilon0, budget=budget,
-                      goal_mu=goal_mu, epsilon_decay=decay)
+                                                 goal_mu, seed):
+    cfg = AgentConfig(epsilon0=epsilon0, budget=budget, goal_mu=goal_mu, epsilon_decay=decay)
     state = GRID_STATES[start[0]][start[1]]
-    ref_q, lean_q, bare_q = QTable(q.rows), QTable(q.rows), q
+    ref_q, lean_q, bare_q = (QTable(q.rows) for _ in range(3))  # the example keeps q
     ref_rng, lean_rng, bare_rng = (np.random.default_rng(seed) for _ in range(3))
     ref = ref_q_train(grid_env(grid), ref_q, cfg, state, ref_rng)
     lean = q_train(grid_env(grid), lean_q, cfg, state, lean_rng)
