@@ -44,7 +44,12 @@ class TestAgentConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(epsilon0=-0.1), dict(epsilon0=1.1), dict(budget=0)],
+        # A case's id is its position (kwargs0, kwargs1, ...): add new cases
+        # at the end so the existing ids keep naming the same case.
+        [dict(epsilon0=float("nan")), dict(epsilon0=float("inf")),
+         dict(epsilon0=float("-inf")), dict(epsilon0=-1e-9),
+         dict(epsilon0=1.0 + 1e-9), dict(budget=-1),
+         dict(epsilon0=-0.1), dict(epsilon0=1.1), dict(budget=0)],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
