@@ -3,6 +3,8 @@
 # closed-form placement landscape over the threshold grid.
 
 import io
+import os
+import stat
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,8 +34,17 @@ def read_text(path, error):
     """The file loaders' reader: path's UTF-8 text as a file object that
     splits lines as text mode does. A file longer than MAX_TEXT_CHARS and
     bytes that are not UTF-8 raise error, its message starting with the
-    number of the line where the bound or the bytes lie."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    number of the line where the bound or the bytes lie. A FIFO raises
+    error too: opening one that no process writes to would never return."""
+    def opener(name, flags):
+        fd = os.open(name, flags | os.O_NONBLOCK)
+        if stat.S_ISFIFO(os.fstat(fd).st_mode):
+            os.close(fd)
+            raise error("line 1: the file is a FIFO")
+        os.set_blocking(fd, True)  # a terminal reads as before
+        return fd
+
+    with open(path, encoding="utf-8", errors="surrogateescape", opener=opener) as fh:
         text = fh.read(MAX_TEXT_CHARS + 1)
     if len(text) > MAX_TEXT_CHARS:
         lineno = text.count("\n", 0, MAX_TEXT_CHARS) + 1

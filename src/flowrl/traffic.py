@@ -122,6 +122,36 @@ class FlowSchedule:
             raise ValueError("a FlowId repeats")
 
 
+def uniform_below(rng):
+    """A draw of uniform ints in [0, n), 1 <= n <= 2**32, equal to what
+    Generator.integers(0, n) would give on rng: numpy's
+    buffered_bounded_lemire_uint32 rule over 32-bit draws from rng's PCG64
+    words, each word giving its low half first and keeping its high half
+    for the next draw. rng's whole-word draws (exponential, random) leave
+    that half alone."""
+    raw = rng.bit_generator.random_raw
+
+    def halves():
+        while True:
+            word = raw()
+            yield word & 0xFFFFFFFF
+            yield word >> 32
+
+    draw = halves().__next__
+
+    def below(n):
+        if n == 1:  # numpy's empty-range shortcut takes no draw
+            return 0
+        m = draw() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = draw() * n
+        return m >> 32
+
+    return below
+
+
 def generate_schedule(profile, horizon, n_hosts, seed):
     """Generate a seeded flow schedule.
 
@@ -134,10 +164,11 @@ def generate_schedule(profile, horizon, n_hosts, seed):
     profile.validate(horizon)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if n_hosts < 2:
-        raise ValueError("need at least 2 hosts")
+    if not 2 <= n_hosts <= 2**32:
+        raise ValueError("need 2 to 2**32 hosts")
 
     rng = np.random.default_rng(seed)
+    below = uniform_below(rng)
     mean_gap = 1.0 / profile.arrival_rate()
 
     flows = []
@@ -149,13 +180,13 @@ def generate_schedule(profile, horizon, n_hosts, seed):
             break
         start = int(math.floor(t))
         is_elephant = rng.random() < profile.elephant_fraction
-        src = int(rng.integers(0, n_hosts))
-        dst = int(rng.integers(0, n_hosts - 1))
+        src = below(n_hosts)
+        dst = below(n_hosts - 1)
         if dst >= src:
             dst += 1
         while True:
-            sport = int(rng.integers(1024, 65536))
-            dport = int(rng.integers(1024, 65536))
+            sport = 1024 + below(64512)
+            dport = 1024 + below(64512)
             fid = FlowId(src, dst, sport, dport)
             if fid not in seen_ids:
                 seen_ids.add(fid)

@@ -61,6 +61,26 @@ MUTANTS = [
      "chosen = [i for i in chosen if i <= last]",
      "chosen = list(chosen)",
      "tests/test_baselines.py::TestKnapsackTopK::test_hand_cases[values4-1780-on_switch4-0]"),
+    # the schedule's host and port draws
+    ("below-high-half-first", "traffic.py",
+     "            yield word & 0xFFFFFFFF\n"
+     "            yield word >> 32\n",
+     "            yield word >> 32\n"
+     "            yield word & 0xFFFFFFFF\n",
+     "tests/test_traffic.py::test_uniform_below_equals_generator_integers"),
+    ("below-range-of-one-takes-a-word", "traffic.py",
+     "if n == 1:",
+     "if False:",
+     "tests/test_traffic.py::test_schedule_pinned[contended-2-0]"),
+    ("below-no-redraw-after-rejection", "traffic.py",
+     "threshold = (2**32 - n) % n",
+     "threshold = 0",
+     "tests/test_traffic.py::test_uniform_below_equals_generator_integers"),
+    ("below-spare-half-dropped-between-flows", "traffic.py",
+     "        is_elephant = rng.random() < profile.elephant_fraction\n",
+     "        is_elephant = rng.random() < profile.elephant_fraction\n"
+     "        below = uniform_below(rng)\n",
+     "tests/test_traffic.py::test_schedule_pinned[contended-2-0]"),
     # input bounds
     ("flow-packet-bound-removed", "traffic.py",
      "if total_packets(max(self.mice_size, self.elephant_size),",

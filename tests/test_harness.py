@@ -710,6 +710,27 @@ class TestCli:
             % (error, MAX_TEXT_CHARS))
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+    @pytest.mark.parametrize("args, error", [
+        (["--config"], "flowrl.harness.ParseError"),
+        (["--mode", "ql", "--load-policy"], "flowrl.qlearn.MalformedQTable"),
+        (["--mode", "dqn", "--load-policy"], "flowrl.dqn.MalformedNetwork"),
+    ], ids=["config", "ql-policy", "dqn-policy"])
+    def test_fifo_refused(self, tmp_path, args, error):
+        # no process writes to the FIFO: a loader that opens it blocking
+        # waits forever, so the run is a subprocess with a timeout
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(flowrl.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowrl.cli", *args, str(fifo),
+             "--out", str(tmp_path / "r.csv")],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error [%s]: line 1: the file is a FIFO\n" % error)
+        assert not (tmp_path / "r.csv").exists()
+
     def test_dqn_policy_save_load_round_trip(self, tmp_path):
         policy = str(tmp_path / "net.csv")
         rc = cli.main(["--mode", "dqn", "--episodes", "2", "--seed", "0",

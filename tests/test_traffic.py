@@ -1,6 +1,11 @@
 """Tests for traffic profiles, schedule generation, and packet emission."""
+import dataclasses
+import hashlib
+
+import numpy as np
 import pytest
 
+from flowrl.harness import REFERENCE_TRAFFIC
 from flowrl.traffic import (
     MAX_EXPECTED_FLOWS,
     MAX_FLOW_PACKETS,
@@ -12,6 +17,7 @@ from flowrl.traffic import (
     generate_schedule,
     packets_for_tick,
     total_packets,
+    uniform_below,
 )
 from conftest import ONE_PPS, fid, hand_schedule
 
@@ -167,6 +173,69 @@ class TestGenerateSchedule:
             generate_schedule(prof, horizon=0, n_hosts=20, seed=0)
         with pytest.raises(ValueError):
             generate_schedule(prof, horizon=10, n_hosts=1, seed=0)
+
+
+# (profile, n_hosts, seed, flows, SHA-256 of the flows' (src, dst, sport,
+# dport, class, size, start) rows) over a 60-tick horizon, as
+# Generator.integers drew the hosts and ports. Two hosts make the dst
+# draw's range 1, which takes no draw; 65,536 is ExperimentConfig's most.
+PINNED_SCHEDULES = [
+    ("reference", 2, 0, 136, "5203ff5b34e5367fbda6ffeb5c0dc091fcc374fe0ffcb34b19165aa80f0a32b2"),
+    ("reference", 2, 1, 169, "c48514b776cb6c2f3162b45fbd69376af5e06eaff2ac6eb959f8b84bee6d5c86"),
+    ("reference", 20, 0, 145, "d66dbf0e8ce2dd0ce2082757c9cf5dc592607f539a8356e624b7f08c21d4cf27"),
+    ("reference", 20, 1, 135, "458158ecbfc0a84690109c10ca7acd3b41318ef53b0c5cc3975490a0f8a37d62"),
+    ("reference", 65536, 0, 145, "fc3d0d090954cee2297384f9b980d36131f4386ce61438ee2d6cf1eda3afd416"),
+    ("reference", 65536, 1, 135, "8383879fa12c5f79357261cfac2e809572af7e2588c6b2d903c896054429e9b1"),
+    ("contended", 2, 0, 1477, "0f1b228e86787954b9294f02ef034541fcc0084f555ecc0128055516d3566976"),
+    ("contended", 2, 1, 1526, "96f3271ccdac420926992acd927a6201936c3403261b35c06ece0d7b09a73b20"),
+    ("contended", 20, 0, 1481, "c9d85b330a44f749d79b8e228a7feabb834d8e76fd4e810eae360ec0f5b65615"),
+    ("contended", 20, 1, 1463, "5f70445a066b17f5dae6e9bf58328a1a6913b699fbce91571ef1d12204f28fd8"),
+    ("contended", 65536, 0, 1481, "c7aa828ea2861b8abd88581beda62c3f3a8aa9a1f4c0dbbad4eb42d3cd25acbe"),
+    ("contended", 65536, 1, 1463, "029a22dad9ae24dae2a1921b02ec155d3f0cac9bc0680783d22463752ffd0e56"),
+    ("paper", 2, 0, 768, "3076c57fc7414c2a253a7939e7e85c5c3f86d8ed5555099c176bfcac96d0c388"),
+    ("paper", 2, 1, 858, "261b6235047e3f385b7ca5c03ef000b2dd1eed1102fec719540c73a66fd9bbb3"),
+    ("paper", 20, 0, 802, "fa03492d682e6a620218d5846a1b8f45a03892c48d8ee72fb3a2d61b7c7bde00"),
+    ("paper", 20, 1, 753, "515173dcf9f39ce6d8d101ad6c8b70f9329746885301296b134851d8220d50d5"),
+    ("paper", 65536, 0, 802, "68ae53ce0bea32f0e4114cd1c6f8801dc1b1e7e987fcb640f7383baa1cb8093e"),
+    ("paper", 65536, 1, 753, "6e5614a193ade15b91d8c79dda5f42c11552c59a7d65b989769da54cbca16397"),
+]
+PIN_PROFILES = {
+    "reference": REFERENCE_TRAFFIC,
+    "contended": dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5_400_000.0),
+    "paper": TrafficProfile(),
+}
+
+
+@pytest.mark.parametrize("profile, n_hosts, seed, flows, digest", PINNED_SCHEDULES,
+                         ids=["%s-%d-%d" % pin[:3] for pin in PINNED_SCHEDULES])
+def test_schedule_pinned(profile, n_hosts, seed, flows, digest):
+    sched = generate_schedule(PIN_PROFILES[profile], 60, n_hosts, seed)
+    rows = [(*f.id, f.klass, f.size, f.start) for f in sched.flows]
+    assert len(rows) == flows
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+# 2**31 + 1 rejects about half its draws, so the redraw loop runs and can
+# leave an odd high half for the next draw; 2**32 is the helper's widest.
+BELOW_RANGES = (1, 2, 19, 20, 64512, 65536, 2**31 + 1, 2**32 - 1, 2**32)
+
+
+def test_uniform_below_equals_generator_integers():
+    for seed in range(240):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        below = uniform_below(twin)
+        order = np.random.default_rng([seed, 1])
+        for _ in range(40):
+            op = int(order.integers(len(BELOW_RANGES) + 2))
+            if op == len(BELOW_RANGES):
+                assert rng.exponential(2.5) == twin.exponential(2.5), seed
+            elif op == len(BELOW_RANGES) + 1:
+                assert rng.random() == twin.random(), seed
+            else:
+                n = BELOW_RANGES[op]
+                assert int(rng.integers(0, n)) == below(n), (seed, n)
+        # both have taken the same 64-bit words
+        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw(), seed
 
 
 class TestPacketsForTick:
