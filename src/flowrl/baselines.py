@@ -117,8 +117,9 @@ def run_mbf_episode(schedule, table, state):
     rate = profile.packets_per_tick()
     flows = []
     for f in schedule.flows:
-        last = last_emission_tick(f, profile)
-        last_count = total_packets(f.size, profile.packet_size) - (last - f.start) * rate
+        total = total_packets(f.size, profile.packet_size)
+        last = last_emission_tick(f.start, total, rate)
+        last_count = total - (last - f.start) * rate
         flows.append((f.start, last, last_count, f.id))
 
     def victim_key(fid):

@@ -246,28 +246,31 @@ def build_eval_schedule(schedule, window, replay_lag):
       - completed mice never recur.
     """
     profile = schedule.profile
+    rate = profile.packets_per_tick()
     flows = []
     for f in schedule.flows:
         total = total_packets(f.size, profile.packet_size)
-        remaining = total - emitted_before(f, window, profile)
+        remaining = total - emitted_before(f.start, total, rate, window)
         if remaining > 0:
             flows.append(FlowSpec(f.id, f.klass, remaining * profile.packet_size, 0))
             continue
         if f.klass != "elephant":
             continue
-        replay_at = last_emission_tick(f, profile) + replay_lag
+        replay_at = last_emission_tick(f.start, total, rate) + replay_lag
         if replay_at >= window:
             continue
-        recur = dataclasses.replace(f, start=replay_at)
-        flows.append(dataclasses.replace(
-            recur, size=emitted_before(recur, window, profile) * profile.packet_size))
+        size = emitted_before(replay_at, total, rate, window) * profile.packet_size
+        flows.append(FlowSpec(f.id, f.klass, size, replay_at))
     flows.sort(key=lambda f: (f.start, f.id))
     return FlowSchedule(flows=flows, horizon=window, profile=profile)
 
 
 def _episode_packets(schedule):
     """Each flow's packets in [0, horizon)."""
-    return {f.id: emitted_before(f, schedule.horizon, schedule.profile)
+    profile = schedule.profile
+    rate = profile.packets_per_tick()
+    return {f.id: emitted_before(f.start, total_packets(f.size, profile.packet_size), rate,
+                                 schedule.horizon)
             for f in schedule.flows}
 
 

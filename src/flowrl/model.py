@@ -247,22 +247,33 @@ def rank_pool(pool, packets, window_close):
 
 
 def placement_landscape(ranked, capacity_bits, param_mode="both"):
-    """Hit packets of every grid cell's placement, in one numpy pass.
+    """Hit packets of every grid cell's placement, from prefix sums.
 
     ranked is rank_pool's output. Cell [f // GRID_STEP, r // GRID_STEP] of
     the returned int64 array sums the packets of the flows select_rules
-    places for (f, r): each frequency row cuts the eligible flows of all
-    recentness columns with one cumsum.
+    places for (f, r). The ranking puts freq descending, so the flows with
+    freq >= f are a prefix of it: the cell places the first
+    head = min(prefix, limit) flows, then the next limit - head flows past
+    head whose recentness is at most r. Running totals of the recent flows
+    and of their packets, over the recentness columns laid end to end, sum
+    that second run: a searchsorted finds where it ends.
     """
     if param_mode not in PARAM_MODES:
         raise ValueError("unknown param_mode %r" % (param_mode,))
     freq, recentness, flow_packets = ranked
-    limit = capacity_bits // ENTRY_BITS
-    use_freq = param_mode != "recentness_only"
-    by_rec = (recentness <= np.array(REC_GRID)[:, None]) & (param_mode != "freq_only")
-    hits = np.empty((len(FREQ_GRID), len(REC_GRID)), np.int64)
-    for i, f in enumerate(FREQ_GRID):
-        eligible = by_rec | (freq >= f) if use_freq else by_rec
-        placed = eligible & (eligible.cumsum(axis=1, dtype=np.int32) <= limit)
-        hits[i] = placed @ flow_packets
-    return hits
+    n = len(freq)
+    limit = min(capacity_bits // ENTRY_BITS, n)  # a huge table's limit may not fit int64
+    prefix = np.searchsorted(-freq, -np.array(FREQ_GRID), side="right")
+    head = np.minimum(prefix * (param_mode != "recentness_only"), limit)
+    recent = (recentness <= np.array(REC_GRID)[:, None]) & (param_mode != "freq_only")
+    count = np.zeros(recent.size + 1, np.int32)
+    np.cumsum(recent, dtype=np.int32, out=count[1:])
+    got = np.zeros(recent.size + 1, np.int64)
+    np.multiply(recent, flow_packets, out=got[1:].reshape(recent.shape))
+    np.cumsum(got, out=got)
+    cols = np.arange(len(REC_GRID)) * n
+    at_head = cols + head[:, None]
+    want = np.minimum(count[at_head] + (limit - head)[:, None], count[cols + n])
+    end = np.searchsorted(count, want.astype(np.int32))  # int64 keys would copy count
+    packets_before = np.concatenate(([0], np.cumsum(flow_packets)))
+    return packets_before[head][:, None] + got[end] - got[at_head]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from flowrl.model import ENTRY_BITS, FlowPool, FlowRule, FlowTable
 from flowrl.traffic import (
-    emission_extent, emitted_before, last_emission_tick, packets_for_tick,
+    emission_extent, emitted_before, last_emission_tick, packets_for_tick, total_packets,
 )
 
 
@@ -60,10 +60,12 @@ def run_orchestration(schedule, window):
         raise ValueError("window exceeds schedule horizon")
     pool = FlowPool()
     profile = schedule.profile
+    rate = profile.packets_per_tick()
     for f in schedule.flows:
         if f.start < window:
-            pool.record(f.id, min(window - 1, last_emission_tick(f, profile)),
-                        emitted_before(f, window, profile))
+            total = total_packets(f.size, profile.packet_size)
+            pool.record(f.id, min(window - 1, last_emission_tick(f.start, total, rate)),
+                        emitted_before(f.start, total, rate, window))
     return pool
 
 

@@ -229,22 +229,25 @@ def packets_for_tick(schedule, tick):
     return out
 
 
-def emitted_before(flow, tick, profile):
-    """Packets `flow` has emitted before `tick`: packets_for_tick's
-    emission summed over [0, tick)."""
-    total = total_packets(flow.size, profile.packet_size)
-    return min(total, max(0, tick - flow.start) * profile.packets_per_tick())
+def emitted_before(start, total, rate, tick):
+    """Packets a flow has emitted before `tick`, given its start tick, its
+    total packets and its profile's packets_per_tick() rate:
+    packets_for_tick's emission summed over [0, tick)."""
+    return min(total, max(0, tick - start) * rate)
 
 
-def last_emission_tick(flow, profile):
-    """The tick on which `flow` emits its last packet."""
-    total = total_packets(flow.size, profile.packet_size)
-    return flow.start + -(-total // profile.packets_per_tick()) - 1
+def last_emission_tick(start, total, rate):
+    """The tick on which a flow (start, total packets, rate as in
+    emitted_before) emits its last packet."""
+    return start + -(-total // rate) - 1
 
 
 def emission_extent(schedule):
     """The first tick by which every flow in the schedule has drained."""
+    profile = schedule.profile
+    rate = profile.packets_per_tick()
     return max(
-        (last_emission_tick(f, schedule.profile) + 1 for f in schedule.flows),
+        (last_emission_tick(f.start, total_packets(f.size, profile.packet_size), rate) + 1
+         for f in schedule.flows),
         default=0,
     )

@@ -10,9 +10,21 @@ fails on an explicit example, not one that only a timeout catches.
 
 MUTANTS = [
     # the closed-form landscape and the pool ranking
-    ("landscape-cumsum-below-limit", "model.py",
-     "eligible.cumsum(axis=1, dtype=np.int32) <= limit",
-     "eligible.cumsum(axis=1, dtype=np.int32) < limit",
+    ("landscape-prefix-excludes-freq-ties", "model.py",
+     'side="right"',
+     'side="left"',
+     "tests/test_landscape.py::test_every_cell_equals_packet_replay"),
+    ("landscape-head-not-clamped-to-limit", "model.py",
+     'head = np.minimum(prefix * (param_mode != "recentness_only"), limit)',
+     'head = prefix * (param_mode != "recentness_only")',
+     "tests/test_landscape.py::test_every_cell_equals_packet_replay"),
+    ("landscape-run-past-the-column-end", "model.py",
+     "np.minimum(count[at_head] + (limit - head)[:, None], count[cols + n])",
+     "count[at_head] + (limit - head)[:, None]",
+     "tests/test_landscape.py::test_every_cell_equals_packet_replay"),
+    ("landscape-prefix-under-recentness-only", "model.py",
+     'prefix * (param_mode != "recentness_only")',
+     "prefix",
      "tests/test_landscape.py::test_every_cell_equals_packet_replay"),
     ("rank-recentness-reversed", "model.py",
      "np.lexsort((*ids[::-1], recentness, -freq))",
@@ -24,12 +36,12 @@ MUTANTS = [
      "tests/test_model.py::test_loader_reads_at_most_max_text_chars[load_config]"),
     # the closed-form orchestration
     ("last-seen-at-window", "simnet.py",
-     "min(window - 1, last_emission_tick(f, profile))",
-     "min(window, last_emission_tick(f, profile))",
+     "min(window - 1, last_emission_tick(f.start, total, rate))",
+     "min(window, last_emission_tick(f.start, total, rate))",
      "tests/test_simnet.py::test_closed_form_orchestration_equals_replay"),
     ("last-seen-one-tick-early", "simnet.py",
-     "min(window - 1, last_emission_tick(f, profile))",
-     "min(window - 1, last_emission_tick(f, profile) - 1)",
+     "min(window - 1, last_emission_tick(f.start, total, rate))",
+     "min(window - 1, last_emission_tick(f.start, total, rate) - 1)",
      "tests/test_simnet.py::test_closed_form_orchestration_equals_replay"),
     # the MBF episode
     ("mbf-heap-kept-across-ticks", "baselines.py",

@@ -4,13 +4,15 @@ and the learners' search on it, bound by the oracle and the grid minimum."""
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowrl.baselines import knapsack_exact
 from flowrl.harness import (
-    EpisodeEnv, ExperimentConfig, _build_env, _oracle_instance, run_experiment,
+    REFERENCE_TRAFFIC, EpisodeEnv, ExperimentConfig, _build_env, _episode_packets,
+    _oracle_instance, run_experiment,
 )
 from flowrl.model import (
     ENTRY_BITS,
@@ -94,12 +96,42 @@ RECENTNESS_DECIDES_THE_RANK = EpisodeEnv(
     hand_pool({fid(1): (10, 4), fid(2): (10, 5)}),
     hand_schedule([(fid(1), "mice", 1500, 0), (fid(2), "mice", 3000, 0)], 4),
     ENTRY_BITS, 5, "both")
+# Three flows of frequency 10 against two entries: at f = 10 all three form
+# the frequency prefix, which the table cuts after the two more recent.
+FREQ_TIE_STRADDLES_THE_LIMIT = EpisodeEnv(
+    hand_pool({fid(1): (10, 8), fid(2): (10, 5), fid(3): (10, 0)}),
+    hand_schedule([(fid(1), "mice", 1500, 0), (fid(2), "mice", 3000, 0),
+                   (fid(3), "mice", 4500, 0)], 4),
+    2 * ENTRY_BITS, 20, "both")
+# A prefix of three frequencies against two entries: the table cuts it
+# before the stale fid(3), and leaves out the recent fid(4) past it.
+PREFIX_LONGER_THAN_THE_LIMIT = EpisodeEnv(
+    hand_pool({fid(1): (200, 0), fid(2): (150, 20), fid(3): (11, 0), fid(4): (1, 20)}),
+    hand_schedule([(fid(1), "mice", 1500, 0), (fid(2), "mice", 3000, 0),
+                   (fid(3), "elephant", 4500, 0), (fid(4), "mice", 3000, 1)], 4),
+    2 * ENTRY_BITS, 20, "both")
+# Recentness 310 lies above every column, so fid(1) is placed only by its
+# frequency, at f = 0; two entries leave a slot free.
+RECENTNESS_ABOVE_THE_GRID = EpisodeEnv(
+    hand_pool({fid(1): (1, 10), fid(2): (1, 320)}),
+    hand_schedule([(fid(1), "mice", 3000, 0), (fid(2), "mice", 1500, 0)], 4),
+    2 * ENTRY_BITS, 320, "both")
+# Under recentness_only the frequent fid(1), ranked first, is no prefix:
+# at r < 20 the one entry goes to the recent fid(2).
+RECENTNESS_ONLY_IGNORES_FREQ = EpisodeEnv(
+    hand_pool({fid(1): (200, 0), fid(2): (1, 20)}),
+    hand_schedule([(fid(1), "mice", 3000, 0), (fid(2), "mice", 1500, 0)], 4),
+    ENTRY_BITS, 20, "recentness_only")
 
 
 @settings(max_examples=100)
 @given(environments())
 @example(TABLE_FILLED_EXACTLY)
 @example(RECENTNESS_DECIDES_THE_RANK)
+@example(FREQ_TIE_STRADDLES_THE_LIMIT)
+@example(PREFIX_LONGER_THAN_THE_LIMIT)
+@example(RECENTNESS_ABOVE_THE_GRID)
+@example(RECENTNESS_ONLY_IGNORES_FREQ)
 def test_every_cell_equals_packet_replay(env):
     for thresholds in CELLS:
         assert env.run(thresholds) == reference(env, thresholds)
@@ -121,6 +153,45 @@ def test_landscape_rejects_bad_inputs():
         rank_pool(pool, {}, 8)
     with pytest.raises(ValueError):
         placement_landscape(rank_pool(pool, {}, 9), ENTRY_BITS, "neither")
+
+
+def plain_landscape(pool, packets, window_close, capacity_bits, param_mode):
+    """Each cell on its own: rank the pool as select_rules does, mask the
+    cell's eligible flows, take the first capacity_bits // ENTRY_BITS and
+    sum their packets."""
+    ranked = sorted((-r.freq, window_close - r.last_seen, f) for f, r in pool.records.items())
+    freq = np.array([-neg_freq for neg_freq, _, _ in ranked], np.int64)
+    recentness = np.array([rec for _, rec, _ in ranked], np.int64)
+    flow_packets = np.array([packets.get(f, 0) for _, _, f in ranked], np.int64)
+    limit = capacity_bits // ENTRY_BITS
+    hits = np.zeros((len(FREQ_GRID), len(REC_GRID)), np.int64)
+    for i, f in enumerate(FREQ_GRID):
+        for j, r in enumerate(REC_GRID):
+            eligible = np.zeros(len(ranked), bool)
+            if param_mode != "recentness_only":
+                eligible |= freq >= f
+            if param_mode != "freq_only":
+                eligible |= recentness <= r
+            hits[i, j] = flow_packets[eligible][:limit].sum()
+    return hits
+
+
+CONTENDED_TRAFFIC = dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5.4e6)
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_landscape_at_contended_scale(seed):
+    # about 1,480 pool flows: tables from empty to one entry per pool flow
+    env = _build_env(ExperimentConfig(seed=seed, traffic=CONTENDED_TRAFFIC))
+    packets = _episode_packets(env.eval_schedule)
+    ranked = rank_pool(env.pool, packets, env.window_close)
+    for entries in (0, 1, 64, len(env.pool), len(env.pool) + 1):
+        for param_mode in PARAM_MODES:
+            got = placement_landscape(ranked, entries * ENTRY_BITS, param_mode)
+            want = plain_landscape(env.pool, packets, env.window_close,
+                                   entries * ENTRY_BITS, param_mode)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, want), (entries, param_mode)
 
 
 @pytest.mark.parametrize("param_mode", PARAM_MODES)
