@@ -28,7 +28,6 @@ from flowrl.simnet import (  # noqa: F401
 )
 from flowrl.traffic import (
     FlowSchedule,
-    FlowSpec,
     InvalidProfile,
     TrafficProfile,
     emitted_before,
@@ -247,31 +246,28 @@ def build_eval_schedule(schedule, window, replay_lag):
     """
     profile = schedule.profile
     rate = profile.packets_per_tick()
-    flows = []
-    for f in schedule.flows:
-        total = total_packets(f.size, profile.packet_size)
-        remaining = total - emitted_before(f.start, total, rate, window)
-        if remaining > 0:
-            flows.append(FlowSpec(f.id, f.klass, remaining * profile.packet_size, 0))
-            continue
-        if f.klass != "elephant":
-            continue
-        replay_at = last_emission_tick(f.start, total, rate) + replay_lag
-        if replay_at >= window:
-            continue
-        size = emitted_before(replay_at, total, rate, window) * profile.packet_size
-        flows.append(FlowSpec(f.id, f.klass, size, replay_at))
-    flows.sort(key=lambda f: (f.start, f.id))
-    return FlowSchedule(flows=flows, horizon=window, profile=profile)
+    ids, starts, totals = schedule.ids, schedule.starts, schedule.packets
+    remaining = totals - emitted_before(starts, totals, rate, window)
+    draining = remaining > 0
+    # a lag of at least the window drops every recurrence, so the clamp is
+    # exact and keeps the replay ticks in int64
+    replay_at = last_emission_tick(starts, totals, rate) + min(replay_lag, window)
+    recurs = ~draining & schedule.elephant & (replay_at < window)
+    start_of = np.where(draining, 0, replay_at).tolist()
+    packets = np.where(draining, remaining, emitted_before(replay_at, totals, rate, window))
+    order = sorted(np.flatnonzero(draining | recurs).tolist(),
+                   key=lambda i: (start_of[i], ids[i]))
+    packets = packets[order]
+    return FlowSchedule.from_columns(
+        [ids[i] for i in order], [start_of[i] for i in order], schedule.elephant[order], packets,
+        [p * profile.packet_size for p in packets.tolist()], window, profile)
 
 
 def _episode_packets(schedule):
-    """Each flow's packets in [0, horizon)."""
-    profile = schedule.profile
-    rate = profile.packets_per_tick()
-    return {f.id: emitted_before(f.start, total_packets(f.size, profile.packet_size), rate,
-                                 schedule.horizon)
-            for f in schedule.flows}
+    """Each flow's packets in [0, horizon), by FlowId."""
+    packets = emitted_before(schedule.starts, schedule.packets,
+                             schedule.profile.packets_per_tick(), schedule.horizon)
+    return dict(zip(schedule.ids, packets.tolist()))
 
 
 class EpisodeEnv:

@@ -82,10 +82,9 @@ class FlowId(_FlowFields):
     def __new__(cls, src_host, dst_host, src_port, dst_port):
         if src_host == dst_host:
             raise ValueError("src_host and dst_host must differ")
-        for port in (src_port, dst_port):
-            if not 1 <= port <= 65535:
-                raise ValueError("ports must be in [1, 65535]")
-        return super().__new__(cls, src_host, dst_host, src_port, dst_port)
+        if not (1 <= src_port <= 65535 and 1 <= dst_port <= 65535):
+            raise ValueError("ports must be in [1, 65535]")
+        return tuple.__new__(cls, (src_host, dst_host, src_port, dst_port))
 
     @classmethod
     def _make(cls, iterable):
@@ -165,6 +164,13 @@ class FlowPool:
         if count < 1:
             raise ValueError("count must be >= 1")
         self.records[flow_id] = PoolRecord(freq=count, last_seen=now)
+
+    def record_all(self, flow_ids, now, counts):
+        """record() each flow of flow_ids in turn, from int64 arrays of the
+        times and counts."""
+        if (counts < 1).any():
+            raise ValueError("count must be >= 1")
+        self.records.update(zip(flow_ids, map(PoolRecord, counts.tolist(), now.tolist())))
 
     def __contains__(self, flow_id):
         return flow_id in self.records

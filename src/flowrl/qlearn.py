@@ -57,6 +57,8 @@ class AgentConfig:
             raise ValueError("epsilon0 must be in [0, 1]")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if not 0.0 < self.goal_mu < 1.0:
+            raise ValueError("goal_mu must be in (0, 1)")
 
 
 class QTable:

@@ -4,10 +4,10 @@
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from flowrl.model import ENTRY_BITS, FlowPool, FlowRule, FlowTable
-from flowrl.traffic import (
-    emission_extent, emitted_before, last_emission_tick, packets_for_tick, total_packets,
-)
+from flowrl.traffic import emission_extent, emitted_before, last_emission_tick, packets_for_tick
 
 
 class RulesetTooLarge(Exception):
@@ -58,14 +58,13 @@ def run_orchestration(schedule, window):
     """
     if window > schedule.horizon:
         raise ValueError("window exceeds schedule horizon")
+    n = np.searchsorted(schedule.starts, window)  # the flows starting before the close
+    starts, totals = schedule.starts[:n], schedule.packets[:n]
+    rate = schedule.profile.packets_per_tick()
     pool = FlowPool()
-    profile = schedule.profile
-    rate = profile.packets_per_tick()
-    for f in schedule.flows:
-        if f.start < window:
-            total = total_packets(f.size, profile.packet_size)
-            pool.record(f.id, min(window - 1, last_emission_tick(f.start, total, rate)),
-                        emitted_before(f.start, total, rate, window))
+    pool.record_all(schedule.ids[:n],
+                    np.minimum(window - 1, last_emission_tick(starts, totals, rate)),
+                    emitted_before(starts, totals, rate, window))
     return pool
 
 

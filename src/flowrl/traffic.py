@@ -68,8 +68,10 @@ class TrafficProfile:
             )
 
     def packets_per_tick(self):
-        """Packets one flow emits per one-second tick at per_flow_rate."""
-        return round(self.per_flow_rate / (self.packet_size * 8))
+        """Packets one flow emits per one-second tick at per_flow_rate,
+        capped at MAX_FLOW_PACKETS: no flow holds more, so the cap changes no
+        emission and keeps the rate an int64."""
+        return min(round(self.per_flow_rate / (self.packet_size * 8)), MAX_FLOW_PACKETS)
 
     def mean_flow_bits(self):
         return 8 * (
@@ -103,23 +105,56 @@ class FlowSpec:
             raise ValueError("size must be positive")
 
 
-@dataclass
 class FlowSchedule:
-    """An ordered (by start) list of FlowSpecs, each FlowId at most once,
-    plus the horizon and the profile whose rates drive per-tick emission."""
+    """Flows ordered by start, each FlowId at most once, plus the horizon
+    and the profile whose rates drive per-tick emission. The flows are
+    per-flow columns in schedule order: ids (FlowIds), starts and packets
+    (int64; packets is total_packets of the size), elephant (bool) and
+    sizes (Python ints); the FlowSpec list `flows` is built from them on
+    first read. A flow above MAX_FLOW_PACKETS packets is refused, so sums
+    and products over the int64 columns never wrap."""
 
-    flows: list
-    horizon: int
-    profile: TrafficProfile
+    def __init__(self, flows, horizon, profile):
+        flows = list(flows)
+        packets = [total_packets(f.size, profile.packet_size) for f in flows]
+        if max(packets, default=0) > MAX_FLOW_PACKETS:
+            raise ValueError("a flow exceeds %d packets" % MAX_FLOW_PACKETS)
+        self._set_columns([f.id for f in flows], [f.start for f in flows],
+                          [f.klass == "elephant" for f in flows], packets,
+                          [f.size for f in flows], horizon, profile)
+        self._flows = flows
 
-    def __post_init__(self):
-        starts = [f.start for f in self.flows]
-        if any(b < a for a, b in zip(starts, starts[1:])):
-            raise ValueError("flow starts must be sorted non-decreasing")
-        if any(s >= self.horizon or s < 0 for s in starts):
+    @classmethod
+    def from_columns(cls, ids, starts, elephant, packets, sizes, horizon, profile):
+        """A schedule from its columns: starts a list of ints, packets each
+        flow's total_packets of its size, at most MAX_FLOW_PACKETS."""
+        schedule = cls.__new__(cls)
+        schedule._set_columns(ids, starts, elephant, packets, sizes, horizon, profile)
+        schedule._flows = None
+        return schedule
+
+    def _set_columns(self, ids, starts, elephant, packets, sizes, horizon, profile):
+        if starts and (min(starts) < 0 or max(starts) >= horizon):
             raise ValueError("all starts must lie in [0, horizon)")
-        if len({f.id for f in self.flows}) < len(self.flows):
+        self.starts = np.array(starts, np.int64)
+        if (self.starts[1:] < self.starts[:-1]).any():
+            raise ValueError("flow starts must be sorted non-decreasing")
+        if len(set(ids)) < len(ids):
             raise ValueError("a FlowId repeats")
+        self.ids = ids
+        self.elephant = np.asarray(elephant, bool)
+        self.packets = np.asarray(packets, np.int64)
+        self.sizes = sizes
+        self.horizon = horizon
+        self.profile = profile
+
+    @property
+    def flows(self):
+        """The FlowSpecs, built from the columns on first read."""
+        if self._flows is None:
+            klass = ["elephant" if e else "mice" for e in self.elephant.tolist()]
+            self._flows = list(map(FlowSpec, self.ids, klass, self.sizes, self.starts.tolist()))
+        return self._flows
 
 
 def uniform_below(rng):
@@ -171,14 +206,14 @@ def generate_schedule(profile, horizon, n_hosts, seed):
     below = uniform_below(rng)
     mean_gap = 1.0 / profile.arrival_rate()
 
-    flows = []
+    ids, starts, elephant = [], [], []
     seen_ids = set()
     t = 0.0
     while True:
         t += rng.exponential(mean_gap)
         if t >= horizon:
             break
-        start = int(math.floor(t))
+        starts.append(math.floor(t))
         is_elephant = rng.random() < profile.elephant_fraction
         src = below(n_hosts)
         dst = below(n_hosts - 1)
@@ -191,15 +226,13 @@ def generate_schedule(profile, horizon, n_hosts, seed):
             if fid not in seen_ids:
                 seen_ids.add(fid)
                 break
-        flows.append(
-            FlowSpec(
-                id=fid,
-                klass="elephant" if is_elephant else "mice",
-                size=profile.elephant_size if is_elephant else profile.mice_size,
-                start=start,
-            )
-        )
-    return FlowSchedule(flows=flows, horizon=horizon, profile=profile)
+        ids.append(fid)
+        elephant.append(is_elephant)
+    # the (mice, elephant) figures, indexed by each flow's elephant flag
+    sizes = (profile.mice_size, profile.elephant_size)
+    packets = [total_packets(size, profile.packet_size) for size in sizes]
+    return FlowSchedule.from_columns(ids, starts, elephant, np.take(packets, elephant),
+                                     [sizes[e] for e in elephant], horizon, profile)
 
 
 def packets_for_tick(schedule, tick):
@@ -229,16 +262,17 @@ def packets_for_tick(schedule, tick):
     return out
 
 
-def emitted_before(start, total, rate, tick):
-    """Packets a flow has emitted before `tick`, given its start tick, its
-    total packets and its profile's packets_per_tick() rate:
-    packets_for_tick's emission summed over [0, tick)."""
-    return min(total, max(0, tick - start) * rate)
+def emitted_before(starts, totals, rate, tick):
+    """Packets each flow (int64 arrays of start ticks and total packets)
+    has emitted before `tick` at its profile's packets_per_tick() rate:
+    packets_for_tick's emission summed over [0, tick). A flow's ticks are
+    clamped to those it drains in, so no product wraps."""
+    return np.minimum(totals, np.clip(tick - starts, 0, -(-totals // rate)) * rate)
 
 
 def last_emission_tick(start, total, rate):
     """The tick on which a flow (start, total packets, rate as in
-    emitted_before) emits its last packet."""
+    emitted_before) emits its last packet; elementwise on int64 arrays."""
     return start + -(-total // rate) - 1
 
 

@@ -36,13 +36,34 @@ MUTANTS = [
      "tests/test_model.py::test_loader_reads_at_most_max_text_chars[load_config]"),
     # the closed-form orchestration
     ("last-seen-at-window", "simnet.py",
-     "min(window - 1, last_emission_tick(f.start, total, rate))",
-     "min(window, last_emission_tick(f.start, total, rate))",
+     "np.minimum(window - 1, last_emission_tick(starts, totals, rate))",
+     "np.minimum(window, last_emission_tick(starts, totals, rate))",
      "tests/test_simnet.py::test_closed_form_orchestration_equals_replay"),
     ("last-seen-one-tick-early", "simnet.py",
-     "min(window - 1, last_emission_tick(f.start, total, rate))",
-     "min(window - 1, last_emission_tick(f.start, total, rate) - 1)",
+     "np.minimum(window - 1, last_emission_tick(starts, totals, rate))",
+     "np.minimum(window - 1, last_emission_tick(starts, totals, rate) - 1)",
      "tests/test_simnet.py::test_closed_form_orchestration_equals_replay"),
+    # the evaluation schedule from columns, against the per-flow reference
+    ("eval-replay-tick-one-late", "harness.py",
+     "replay_at = last_emission_tick(starts, totals, rate) + min(replay_lag, window)",
+     "replay_at = last_emission_tick(starts, totals, rate) + 1 + min(replay_lag, window)",
+     "tests/test_columns.py::test_columnar_build_equals_per_flow_reference"),
+    ("eval-lag-not-clamped", "harness.py",
+     "min(replay_lag, window)",
+     "replay_lag",
+     "tests/test_columns.py::test_columnar_build_equals_per_flow_reference"),
+    ("eval-drained-flow-kept", "harness.py",
+     "draining = remaining > 0",
+     "draining = remaining >= 0",
+     "tests/test_columns.py::test_columnar_build_equals_per_flow_reference"),
+    ("eval-order-without-flowid", "harness.py",
+     "key=lambda i: (start_of[i], ids[i])",
+     "key=lambda i: start_of[i]",
+     "tests/test_columns.py::test_columnar_build_equals_per_flow_reference"),
+    ("rate-cap-dropped", "traffic.py",
+     "min(round(self.per_flow_rate / (self.packet_size * 8)), MAX_FLOW_PACKETS)",
+     "round(self.per_flow_rate / (self.packet_size * 8))",
+     "tests/test_columns.py::test_columnar_build_equals_per_flow_reference"),
     # the MBF episode
     ("mbf-heap-kept-across-ticks", "baselines.py",
      "        heap = None\n",
@@ -98,6 +119,10 @@ MUTANTS = [
      "if total_packets(max(self.mice_size, self.elephant_size),",
      "if False and total_packets(max(self.mice_size, self.elephant_size),",
      "tests/test_traffic.py::TestTrafficProfile::test_flow_packet_bound[mice_size]"),
+    ("schedule-flow-packet-bound-removed", "traffic.py",
+     "if max(packets, default=0) > MAX_FLOW_PACKETS:",
+     "if False:",
+     "tests/test_traffic.py::TestFlowSchedule::test_rejects_flow_above_max_flow_packets"),
     ("episode-bound-removed", "harness.py",
      "if (self.n_training_sets + 1) * self.episodes_cap > MAX_EPISODES:",
      "if False:",

@@ -49,7 +49,9 @@ class TestAgentConfig:
         [dict(epsilon0=float("nan")), dict(epsilon0=float("inf")),
          dict(epsilon0=float("-inf")), dict(epsilon0=-1e-9),
          dict(epsilon0=1.0 + 1e-9), dict(budget=-1),
-         dict(epsilon0=-0.1), dict(epsilon0=1.1), dict(budget=0)],
+         dict(epsilon0=-0.1), dict(epsilon0=1.1), dict(budget=0),
+         dict(goal_mu=float("nan")), dict(goal_mu=-0.5), dict(goal_mu=1.5),
+         dict(goal_mu=0.0), dict(goal_mu=1.0)],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -121,6 +121,16 @@ class TestFlowSchedule:
         with pytest.raises(ValueError, match="FlowId"):
             FlowSchedule(flows=[a, b], horizon=10, profile=ONE_PPS)
 
+    def test_rejects_flow_above_max_flow_packets(self):
+        # the int64 columns hold every flow up to the bound, a partial last
+        # packet counting whole
+        at_bound = FlowSpec(id=fid(1), klass="mice", size=MAX_FLOW_PACKETS * 1500, start=0)
+        sched = FlowSchedule(flows=[at_bound], horizon=10, profile=ONE_PPS)
+        assert sched.packets.tolist() == [MAX_FLOW_PACKETS]
+        above = dataclasses.replace(at_bound, size=MAX_FLOW_PACKETS * 1500 + 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            FlowSchedule(flows=[above], horizon=10, profile=ONE_PPS)
+
 
 class TestGenerateSchedule:
     def test_deterministic_for_seed(self):
