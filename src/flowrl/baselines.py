@@ -8,10 +8,10 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from flowrl.model import ENTRY_BITS, FlowRule
+from flowrl.model import FlowRule
 from flowrl.simnet import EpisodeMetrics
 # packets_for_tick stays bound: bench/layers.py traces it by name here
-from flowrl.traffic import last_emission_tick, packets_for_tick, total_packets  # noqa: F401
+from flowrl.traffic import last_emission_tick, packets_for_tick  # noqa: F401
 
 
 class TooLarge(Exception):
@@ -113,14 +113,11 @@ def run_mbf_episode(schedule, table, state):
     pushes its key. The heap is dropped when the tick ends.
     """
     duration = schedule.horizon
-    profile = schedule.profile
-    rate = profile.packets_per_tick()
-    flows = []
-    for f in schedule.flows:
-        total = total_packets(f.size, profile.packet_size)
-        last = last_emission_tick(f.start, total, rate)
-        last_count = total - (last - f.start) * rate
-        flows.append((f.start, last, last_count, f.id))
+    rate = schedule.profile.packets_per_tick()
+    starts, packets = schedule.starts, schedule.packets
+    lasts = last_emission_tick(starts, packets, rate)
+    flows = list(zip(starts.tolist(), lasts.tolist(),
+                     (packets - (lasts - starts) * rate).tolist(), schedule.ids))
 
     def victim_key(fid):
         return (mbf_importance(state, fid), table.entries[fid].install_time, fid)

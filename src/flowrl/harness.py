@@ -258,7 +258,7 @@ def build_eval_schedule(schedule, window, replay_lag):
     order = sorted(np.flatnonzero(draining | recurs).tolist(),
                    key=lambda i: (start_of[i], ids[i]))
     packets = packets[order]
-    return FlowSchedule.from_columns(
+    return FlowSchedule(
         [ids[i] for i in order], [start_of[i] for i in order], schedule.elephant[order], packets,
         [p * profile.packet_size for p in packets.tolist()], window, profile)
 

@@ -153,27 +153,14 @@ class PoolRecord:
 
 class FlowPool:
     """Per-flow observation records collected during the orchestration
-    window, one per flow: match count (freq) and the time the flow was
-    last seen."""
+    window, one per flow in the order of flow_ids: match count (freq) and
+    the time the flow was last seen, from int64 arrays of the times and
+    counts. Every count must be at least 1."""
 
-    def __init__(self):
-        self.records = {}
-
-    def record(self, flow_id, now, count):
-        """Record flow_id's `count` matches, the last at time `now`."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        self.records[flow_id] = PoolRecord(freq=count, last_seen=now)
-
-    def record_all(self, flow_ids, now, counts):
-        """record() each flow of flow_ids in turn, from int64 arrays of the
-        times and counts."""
+    def __init__(self, flow_ids, now, counts):
         if (counts < 1).any():
             raise ValueError("count must be >= 1")
-        self.records.update(zip(flow_ids, map(PoolRecord, counts.tolist(), now.tolist())))
-
-    def __contains__(self, flow_id):
-        return flow_id in self.records
+        self.records = dict(zip(flow_ids, map(PoolRecord, counts.tolist(), now.tolist())))
 
     def __len__(self):
         return len(self.records)

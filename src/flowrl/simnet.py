@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flowrl.model import ENTRY_BITS, FlowPool, FlowRule, FlowTable
+from flowrl.model import ENTRY_BITS, FlowPool, FlowRule
 from flowrl.traffic import emission_extent, emitted_before, last_emission_tick, packets_for_tick
 
 
@@ -61,11 +61,9 @@ def run_orchestration(schedule, window):
     n = np.searchsorted(schedule.starts, window)  # the flows starting before the close
     starts, totals = schedule.starts[:n], schedule.packets[:n]
     rate = schedule.profile.packets_per_tick()
-    pool = FlowPool()
-    pool.record_all(schedule.ids[:n],
+    return FlowPool(schedule.ids[:n],
                     np.minimum(window - 1, last_emission_tick(starts, totals, rate)),
                     emitted_before(starts, totals, rate, window))
-    return pool
 
 
 def run_episode(ruleset, schedule, table, duration=None):

@@ -108,32 +108,13 @@ class FlowSpec:
 class FlowSchedule:
     """Flows ordered by start, each FlowId at most once, plus the horizon
     and the profile whose rates drive per-tick emission. The flows are
-    per-flow columns in schedule order: ids (FlowIds), starts and packets
-    (int64; packets is total_packets of the size), elephant (bool) and
-    sizes (Python ints); the FlowSpec list `flows` is built from them on
-    first read. A flow above MAX_FLOW_PACKETS packets is refused, so sums
-    and products over the int64 columns never wrap."""
+    per-flow columns in schedule order: ids (FlowIds), starts (given as a
+    list of ints) and packets (int64; total_packets of the size), elephant
+    (bool) and sizes (Python ints); the FlowSpec list `flows` is built
+    from them on first read. A flow above MAX_FLOW_PACKETS packets is
+    refused, so sums and products over the int64 columns never wrap."""
 
-    def __init__(self, flows, horizon, profile):
-        flows = list(flows)
-        packets = [total_packets(f.size, profile.packet_size) for f in flows]
-        if max(packets, default=0) > MAX_FLOW_PACKETS:
-            raise ValueError("a flow exceeds %d packets" % MAX_FLOW_PACKETS)
-        self._set_columns([f.id for f in flows], [f.start for f in flows],
-                          [f.klass == "elephant" for f in flows], packets,
-                          [f.size for f in flows], horizon, profile)
-        self._flows = flows
-
-    @classmethod
-    def from_columns(cls, ids, starts, elephant, packets, sizes, horizon, profile):
-        """A schedule from its columns: starts a list of ints, packets each
-        flow's total_packets of its size, at most MAX_FLOW_PACKETS."""
-        schedule = cls.__new__(cls)
-        schedule._set_columns(ids, starts, elephant, packets, sizes, horizon, profile)
-        schedule._flows = None
-        return schedule
-
-    def _set_columns(self, ids, starts, elephant, packets, sizes, horizon, profile):
+    def __init__(self, ids, starts, elephant, packets, sizes, horizon, profile):
         if starts and (min(starts) < 0 or max(starts) >= horizon):
             raise ValueError("all starts must lie in [0, horizon)")
         self.starts = np.array(starts, np.int64)
@@ -141,12 +122,15 @@ class FlowSchedule:
             raise ValueError("flow starts must be sorted non-decreasing")
         if len(set(ids)) < len(ids):
             raise ValueError("a FlowId repeats")
+        self.packets = np.asarray(packets, np.int64)
+        if self.packets.max(initial=0) > MAX_FLOW_PACKETS:
+            raise ValueError("a flow exceeds %d packets" % MAX_FLOW_PACKETS)
         self.ids = ids
         self.elephant = np.asarray(elephant, bool)
-        self.packets = np.asarray(packets, np.int64)
         self.sizes = sizes
         self.horizon = horizon
         self.profile = profile
+        self._flows = None
 
     @property
     def flows(self):
@@ -231,8 +215,8 @@ def generate_schedule(profile, horizon, n_hosts, seed):
     # the (mice, elephant) figures, indexed by each flow's elephant flag
     sizes = (profile.mice_size, profile.elephant_size)
     packets = [total_packets(size, profile.packet_size) for size in sizes]
-    return FlowSchedule.from_columns(ids, starts, elephant, np.take(packets, elephant),
-                                     [sizes[e] for e in elephant], horizon, profile)
+    return FlowSchedule(ids, starts, elephant, np.take(packets, elephant),
+                        [sizes[e] for e in elephant], horizon, profile)
 
 
 def packets_for_tick(schedule, tick):

@@ -14,7 +14,9 @@ from flowrl.dqn import INIT_SCALE, Mlp
 from flowrl.harness import MAX_WINDOW, REFERENCE_TRAFFIC, ExperimentConfig
 from flowrl.model import ENTRY_BITS, FlowId, FlowPool, ThresholdConfig
 from flowrl.simnet import EpisodeMetrics
-from flowrl.traffic import MAX_EXPECTED_FLOWS, FlowSchedule, FlowSpec, TrafficProfile
+from flowrl.traffic import (
+    MAX_EXPECTED_FLOWS, FlowSchedule, FlowSpec, TrafficProfile, total_packets,
+)
 
 # Every property test draws the same examples on every run and host, has no
 # per-example deadline to trip on a slow host, and keeps no example database.
@@ -68,19 +70,27 @@ CROWDED_DAY_MBF_CONFIG = ExperimentConfig(
 )
 
 
+def spec_schedule(flows, horizon, profile):
+    """Build a FlowSchedule from FlowSpecs in schedule order, each flow's
+    column entries taken from its spec."""
+    return FlowSchedule([f.id for f in flows], [f.start for f in flows],
+                        [f.klass == "elephant" for f in flows],
+                        [total_packets(f.size, profile.packet_size) for f in flows],
+                        [f.size for f in flows], horizon, profile)
+
+
 def hand_schedule(specs, horizon, profile=ONE_PPS):
     """Build a FlowSchedule from (flow_id, klass, size_bytes, start) tuples."""
     flows = [FlowSpec(*spec) for spec in specs]
     flows.sort(key=lambda f: (f.start, f.id))
-    return FlowSchedule(flows=flows, horizon=horizon, profile=profile)
+    return spec_schedule(flows, horizon, profile)
 
 
 def hand_pool(entries):
-    """Build a FlowPool from {flow_id: (freq, last_seen)}."""
-    pool = FlowPool()
-    for f, (freq, last_seen) in entries.items():
-        pool.record(f, last_seen, freq)
-    return pool
+    """Build a FlowPool from {flow_id: (freq, last_seen)}, in the dict's order."""
+    freq = [freq for freq, _ in entries.values()]
+    last_seen = [last_seen for _, last_seen in entries.values()]
+    return FlowPool(list(entries), np.array(last_seen, np.int64), np.array(freq, np.int64))
 
 
 def random_net(rng, layer_sizes, scale=INIT_SCALE):

@@ -30,8 +30,8 @@ from flowrl.baselines import (
 from flowrl.harness import REFERENCE_TRAFFIC, ExperimentConfig, run_experiment, write_report
 from flowrl.model import ENTRY_BITS, FlowRule, FlowTable
 from flowrl.simnet import EpisodeMetrics
-from flowrl.traffic import FlowSchedule, FlowSpec, TrafficProfile, packets_for_tick
-from conftest import ONE_PPS, fid, hand_schedule
+from flowrl.traffic import FlowSpec, TrafficProfile, packets_for_tick
+from conftest import ONE_PPS, fid, hand_schedule, spec_schedule
 
 THREE_PPS = dataclasses.replace(ONE_PPS, per_flow_rate=36_000.0)
 
@@ -191,7 +191,7 @@ class TestRunMbfEpisode:
         # a 175-packet burst in one tick: one miss, then 174 hits
         prof = TrafficProfile()
         spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
-        sched = FlowSchedule(flows=[spec], horizon=5, profile=prof)
+        sched = spec_schedule([spec], 5, prof)
         metrics = run_mbf_episode(sched, FlowTable(ENTRY_BITS), MbfState(0))
         assert metrics.misses == 1
         assert metrics.hits == 174
@@ -207,7 +207,7 @@ class TestRunMbfEpisode:
     def test_zero_capacity_counts_whole_burst(self):
         prof = TrafficProfile()
         spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
-        sched = FlowSchedule(flows=[spec], horizon=5, profile=prof)
+        sched = spec_schedule([spec], 5, prof)
         metrics = run_mbf_episode(sched, FlowTable(0), MbfState(0))
         assert metrics.misses == 175 and metrics.hits == 0
 
@@ -372,7 +372,7 @@ def test_mbf_episode_cost_on_a_thrashed_table():
     # the table and a per-tick loop over every flow took 13.2 s on a 2-core
     # host.
     flows = [FlowSpec(fid(i), "elephant", 10**9, 0) for i in reversed(range(300))]
-    sched = FlowSchedule(flows=flows, horizon=1000, profile=REFERENCE_TRAFFIC)
+    sched = spec_schedule(flows, 1000, REFERENCE_TRAFFIC)
     start = time.perf_counter()
     metrics = run_mbf_episode(sched, FlowTable(64 * ENTRY_BITS), MbfState(0))
     assert time.perf_counter() - start < 6.0

@@ -135,25 +135,21 @@ class TestFlowTable:
 
 class TestFlowPool:
     def test_first_observation(self):
-        pool = FlowPool()
-        pool.record(fid(1), now=3, count=1)
+        pool = FlowPool([fid(1)], now=np.array([3]), counts=np.array([1]))
         assert pool.records[fid(1)] == PoolRecord(freq=1, last_seen=3)
 
     def test_distinct_flows_distinct_records(self):
-        pool = FlowPool()
-        pool.record(fid(1), now=0, count=1)
-        pool.record(fid(2), now=0, count=1)
+        pool = FlowPool([fid(1), fid(2)], now=np.array([0, 0]), counts=np.array([1, 1]))
         assert len(pool) == 2
 
     def test_batched_count(self):
-        pool = FlowPool()
-        pool.record(fid(1), now=2, count=7)
+        pool = FlowPool([fid(1)], now=np.array([2]), counts=np.array([7]))
         assert pool.records[fid(1)].freq == 7
 
     def test_count_must_be_positive(self):
-        pool = FlowPool()
+        # one flow below 1 refuses the whole pool
         with pytest.raises(ValueError):
-            pool.record(fid(1), now=0, count=0)
+            FlowPool([fid(1), fid(2)], now=np.array([0, 0]), counts=np.array([1, 0]))
 
 
 class TestThresholdConfig:
@@ -219,7 +215,7 @@ class TestSelectRules:
 
     def test_unknown_param_mode_rejected(self):
         with pytest.raises(ValueError):
-            select_rules(FlowPool(), ThresholdConfig(0, 0), ENTRY_BITS, 0, "nope")
+            select_rules(hand_pool({}), ThresholdConfig(0, 0), ENTRY_BITS, 0, "nope")
 
     def test_window_close_before_last_seen_rejected(self):
         pool = hand_pool({fid(1): (1, 50)})

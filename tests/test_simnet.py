@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowrl.model import ENTRY_BITS, FlowPool, FlowTable, PoolRecord
+from flowrl.model import ENTRY_BITS, FlowTable, PoolRecord
 from flowrl.simnet import (
     BestSoFar,
     EpisodeMetrics,
@@ -18,7 +18,7 @@ from flowrl.simnet import (
     run_orchestration,
 )
 from flowrl.traffic import TrafficProfile, generate_schedule, packets_for_tick
-from conftest import ONE_PPS, fid, hand_schedule
+from conftest import ONE_PPS, fid, hand_pool, hand_schedule
 
 
 def replay_orchestration(schedule, window):
@@ -28,10 +28,7 @@ def replay_orchestration(schedule, window):
     for tick in range(window):
         for f, count in packets_for_tick(schedule, tick):
             seen[f] = (seen.get(f, (0, 0))[0] + count, tick)
-    pool = FlowPool()
-    for f, (freq, last_seen) in seen.items():
-        pool.record(f, last_seen, freq)
-    return pool
+    return hand_pool(seen)
 
 
 class TestEpisodeMetrics:

@@ -19,7 +19,7 @@ from flowrl.traffic import (
     total_packets,
     uniform_below,
 )
-from conftest import ONE_PPS, fid, hand_schedule
+from conftest import ONE_PPS, fid, hand_schedule, spec_schedule
 
 
 class TestTrafficProfile:
@@ -107,29 +107,36 @@ class TestFlowSchedule:
         a = FlowSpec(id=fid(1), klass="mice", size=3000, start=5)
         b = FlowSpec(id=fid(2), klass="mice", size=3000, start=2)
         with pytest.raises(ValueError):
-            FlowSchedule(flows=[a, b], horizon=10, profile=ONE_PPS)
+            spec_schedule([a, b], 10, ONE_PPS)
 
     def test_rejects_start_at_horizon(self):
         a = FlowSpec(id=fid(1), klass="mice", size=3000, start=10)
         with pytest.raises(ValueError):
-            FlowSchedule(flows=[a], horizon=10, profile=ONE_PPS)
+            spec_schedule([a], 10, ONE_PPS)
 
     def test_rejects_repeated_flow_id(self):
         # each flow has one rule and one pool record, so one entry
         a = FlowSpec(id=fid(1), klass="mice", size=3000, start=2)
         b = FlowSpec(id=fid(1), klass="elephant", size=4500, start=5)
         with pytest.raises(ValueError, match="FlowId"):
-            FlowSchedule(flows=[a, b], horizon=10, profile=ONE_PPS)
+            spec_schedule([a, b], 10, ONE_PPS)
 
     def test_rejects_flow_above_max_flow_packets(self):
         # the int64 columns hold every flow up to the bound, a partial last
         # packet counting whole
         at_bound = FlowSpec(id=fid(1), klass="mice", size=MAX_FLOW_PACKETS * 1500, start=0)
-        sched = FlowSchedule(flows=[at_bound], horizon=10, profile=ONE_PPS)
+        sched = spec_schedule([at_bound], 10, ONE_PPS)
         assert sched.packets.tolist() == [MAX_FLOW_PACKETS]
         above = dataclasses.replace(at_bound, size=MAX_FLOW_PACKETS * 1500 + 1)
         with pytest.raises(ValueError, match="exceeds"):
-            FlowSchedule(flows=[above], horizon=10, profile=ONE_PPS)
+            spec_schedule([above], 10, ONE_PPS)
+
+    def test_rejects_packets_column_above_max_flow_packets(self):
+        # the constructor checks the packets column itself, whatever
+        # computed it
+        with pytest.raises(ValueError, match="exceeds"):
+            FlowSchedule([fid(1), fid(2)], [0, 1], [False, True], [1, MAX_FLOW_PACKETS + 1],
+                         [1500, (MAX_FLOW_PACKETS + 1) * 1500], 10, ONE_PPS)
 
 
 class TestGenerateSchedule:
@@ -254,7 +261,7 @@ class TestPacketsForTick:
         # goes out on the start tick
         prof = TrafficProfile()
         spec = FlowSpec(id=fid(1), klass="mice", size=prof.mice_size, start=0)
-        sched = FlowSchedule(flows=[spec], horizon=10, profile=prof)
+        sched = spec_schedule([spec], 10, prof)
         assert packets_for_tick(sched, 0) == [(fid(1), 175)]
         assert packets_for_tick(sched, 1) == []
 
