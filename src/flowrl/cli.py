@@ -4,10 +4,12 @@
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from flowrl.harness import (
-    MODES, ExperimentConfig, load_config, run_experiment, summary_text, write_report,
+    MODES, ExperimentConfig, ValidationError, load_config, report_paths, run_experiment,
+    summary_text, write_report,
 )
 
 # flag -> (config key, help) of every flag that overrides one config key;
@@ -62,10 +64,37 @@ def compose_config(args):
     return cfg.validate()
 
 
+def same_file(a, b):
+    """Whether paths a and b name one file: os.path.samefile where both
+    exist, and where neither does, one os.path.realpath."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return not (os.path.exists(a) or os.path.exists(b)) and (
+            os.path.realpath(a) == os.path.realpath(b))
+
+
+def check_files(args, cfg):
+    """Refuse a run whose report set would overwrite a file that --config,
+    --load-policy or --save-policy names, or whose report directory does
+    not exist. --load-policy may equal --save-policy: that updates a
+    policy in place."""
+    out = cfg.output_path
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ValidationError("--out %s: the directory does not exist" % out)
+    reports = [p for files in report_paths(out, cfg.mode) for p in files]
+    for option in ("config", "load_policy", "save_policy"):
+        path = getattr(args, option)
+        if path is not None and any(same_file(path, report) for report in reports):
+            raise ValidationError("--%s %s and --out %s name the same file"
+                                  % (option.replace("_", "-"), path, out))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = compose_config(args)
+        check_files(args, cfg)
         report = run_experiment(
             cfg, save_policy=args.save_policy, load_policy=args.load_policy
         )

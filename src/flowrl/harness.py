@@ -244,8 +244,7 @@ def build_eval_schedule(schedule, window, replay_lag):
         packets; recurrences falling past the window are dropped;
       - completed mice never recur.
     """
-    profile = schedule.profile
-    rate = profile.packets_per_tick()
+    rate = schedule.profile.packets_per_tick()
     ids, starts, totals = schedule.ids, schedule.starts, schedule.packets
     remaining = totals - emitted_before(starts, totals, rate, window)
     draining = remaining > 0
@@ -257,10 +256,8 @@ def build_eval_schedule(schedule, window, replay_lag):
     packets = np.where(draining, remaining, emitted_before(replay_at, totals, rate, window))
     order = sorted(np.flatnonzero(draining | recurs).tolist(),
                    key=lambda i: (start_of[i], ids[i]))
-    packets = packets[order]
-    return FlowSchedule(
-        [ids[i] for i in order], [start_of[i] for i in order], schedule.elephant[order], packets,
-        [p * profile.packet_size for p in packets.tolist()], window, profile)
+    return FlowSchedule([ids[i] for i in order], [start_of[i] for i in order],
+                        schedule.elephant[order], packets[order], window, schedule.profile)
 
 
 def _episode_packets(schedule):
@@ -509,17 +506,27 @@ def summary_text(summary):
     return "".join(lines)
 
 
+def report_paths(path, mode):
+    """The files of a `mode` report set at `path`, one (CSV, summary block,
+    config echo) triple per report: the run's at `path`, `path`.summary
+    and `path`.cfg, then for significance each sub-report's at
+    `path`.<param_mode> in PARAM_MODES order."""
+    stems = [path] + [path + "." + pm for pm in PARAM_MODES if mode == "significance"]
+    return [(stem, stem + ".summary", stem + ".cfg") for stem in stems]
+
+
 def write_report(report, path):
-    """Write per-episode rows as CSV at `path`, the summary block at
-    `path`.summary, and the config echo at `path`.cfg; significance
-    sub-reports land at `path`.<param_mode>. Returns `path`."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_CSV_HEADER)
-        for row in report.rows:
-            fh.write(_CSV_ROW % _row_values(row))
-    with open(path + ".summary", "w", newline="\n") as fh:
-        fh.write(summary_text(report.summary))
-    save_config(report.config, path + ".cfg")
-    for name, sub in report.subreports.items():
-        write_report(sub, path + "." + name)
+    """Write the report set at the files report_paths names: per-episode
+    rows as CSV, the summary block, and the config echo of the run and of
+    each significance sub-report. Returns `path`."""
+    reports = (report, *report.subreports.values())
+    for rep, (csv_path, summary_path, cfg_path) in zip(
+            reports, report_paths(path, report.config.mode), strict=True):
+        with open(csv_path, "w", newline="\n") as fh:
+            fh.write(_CSV_HEADER)
+            for row in rep.rows:
+                fh.write(_CSV_ROW % _row_values(row))
+        with open(summary_path, "w", newline="\n") as fh:
+            fh.write(summary_text(rep.summary))
+        save_config(rep.config, cfg_path)
     return path

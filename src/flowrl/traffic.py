@@ -24,6 +24,11 @@ MAX_EXPECTED_FLOWS = 100_000
 # below e^-38,000). The paper's elephant is 17,896 packets.
 MAX_FLOW_PACKETS = 2**63 // (2 * MAX_EXPECTED_FLOWS)
 
+# Most ticks a schedule may span: a flow's last emission tick (below
+# MAX_HORIZON + MAX_FLOW_PACKETS) plus a replay lag clamped to the window
+# stays below 2^63, so the int64 tick columns never wrap.
+MAX_HORIZON = 2**61
+
 
 @dataclass(frozen=True)
 class TrafficProfile:
@@ -109,12 +114,15 @@ class FlowSchedule:
     """Flows ordered by start, each FlowId at most once, plus the horizon
     and the profile whose rates drive per-tick emission. The flows are
     per-flow columns in schedule order: ids (FlowIds), starts (given as a
-    list of ints) and packets (int64; total_packets of the size), elephant
-    (bool) and sizes (Python ints); the FlowSpec list `flows` is built
-    from them on first read. A flow above MAX_FLOW_PACKETS packets is
-    refused, so sums and products over the int64 columns never wrap."""
+    list of ints), elephant (bool) and packets (int64), a flow's only size;
+    the FlowSpec list `flows` is built from them on first read. A flow
+    above MAX_FLOW_PACKETS packets and a horizon above MAX_HORIZON ticks
+    are refused, so sums and products over the int64 columns never
+    wrap."""
 
-    def __init__(self, ids, starts, elephant, packets, sizes, horizon, profile):
+    def __init__(self, ids, starts, elephant, packets, horizon, profile):
+        if horizon > MAX_HORIZON:
+            raise ValueError("horizon exceeds %d ticks" % MAX_HORIZON)
         if starts and (min(starts) < 0 or max(starts) >= horizon):
             raise ValueError("all starts must lie in [0, horizon)")
         self.starts = np.array(starts, np.int64)
@@ -122,22 +130,25 @@ class FlowSchedule:
             raise ValueError("flow starts must be sorted non-decreasing")
         if len(set(ids)) < len(ids):
             raise ValueError("a FlowId repeats")
-        self.packets = np.asarray(packets, np.int64)
-        if self.packets.max(initial=0) > MAX_FLOW_PACKETS:
+        # checked before the int64 conversion, which could not hold it
+        packets = np.asarray(packets)
+        if packets.max(initial=0) > MAX_FLOW_PACKETS:
             raise ValueError("a flow exceeds %d packets" % MAX_FLOW_PACKETS)
+        self.packets = packets.astype(np.int64, copy=False)
         self.ids = ids
         self.elephant = np.asarray(elephant, bool)
-        self.sizes = sizes
         self.horizon = horizon
         self.profile = profile
         self._flows = None
 
     @property
     def flows(self):
-        """The FlowSpecs, built from the columns on first read."""
+        """The FlowSpecs, built from the columns on first read; a flow's
+        size is its packets in bytes, over Python ints."""
         if self._flows is None:
             klass = ["elephant" if e else "mice" for e in self.elephant.tolist()]
-            self._flows = list(map(FlowSpec, self.ids, klass, self.sizes, self.starts.tolist()))
+            sizes = [p * self.profile.packet_size for p in self.packets.tolist()]
+            self._flows = list(map(FlowSpec, self.ids, klass, sizes, self.starts.tolist()))
         return self._flows
 
 
@@ -212,11 +223,10 @@ def generate_schedule(profile, horizon, n_hosts, seed):
                 break
         ids.append(fid)
         elephant.append(is_elephant)
-    # the (mice, elephant) figures, indexed by each flow's elephant flag
-    sizes = (profile.mice_size, profile.elephant_size)
-    packets = [total_packets(size, profile.packet_size) for size in sizes]
-    return FlowSchedule(ids, starts, elephant, np.take(packets, elephant),
-                        [sizes[e] for e in elephant], horizon, profile)
+    # the (mice, elephant) packet counts, indexed by each flow's elephant flag
+    packets = [total_packets(size, profile.packet_size)
+               for size in (profile.mice_size, profile.elephant_size)]
+    return FlowSchedule(ids, starts, elephant, np.take(packets, elephant), horizon, profile)
 
 
 def packets_for_tick(schedule, tick):
@@ -225,24 +235,23 @@ def packets_for_tick(schedule, tick):
     Returns a list of (FlowId, packet_count) for flows emitting at the
     tick, in schedule order. A flow emits
     round(per_flow_rate/(packet_size*8)) packets per tick from its start
-    tick on, capped so its cumulative emission never exceeds
-    ceil(size/packet_size); draining may therefore extend past
-    size*8/per_flow_rate seconds for flows whose size is not a whole number
-    of ticks. emitted_before gives the sum of this emission in closed form.
+    tick on, capped so its cumulative emission never exceeds its packets;
+    draining may therefore extend past size*8/per_flow_rate seconds for
+    flows whose size is not a whole number of ticks. emitted_before gives
+    the sum of this emission in closed form.
     """
     if tick < 0:
         raise ValueError("tick must be non-negative")
-    profile = schedule.profile
-    rate = profile.packets_per_tick()
+    rate = schedule.profile.packets_per_tick()
     out = []
-    for f in schedule.flows:
-        if f.start > tick:
+    for fid, start, total in zip(schedule.ids, schedule.starts.tolist(),
+                                 schedule.packets.tolist()):
+        if start > tick:
             continue
-        total = total_packets(f.size, profile.packet_size)
-        done_before = min(total, (tick - f.start) * rate)
+        done_before = min(total, (tick - start) * rate)
         n = min(rate, total - done_before)
         if n > 0:
-            out.append((f.id, n))
+            out.append((fid, n))
     return out
 
 
@@ -262,10 +271,5 @@ def last_emission_tick(start, total, rate):
 
 def emission_extent(schedule):
     """The first tick by which every flow in the schedule has drained."""
-    profile = schedule.profile
-    rate = profile.packets_per_tick()
-    return max(
-        (last_emission_tick(f.start, total_packets(f.size, profile.packet_size), rate) + 1
-         for f in schedule.flows),
-        default=0,
-    )
+    rate = schedule.profile.packets_per_tick()
+    return int(last_emission_tick(schedule.starts, schedule.packets, rate).max(initial=-1)) + 1

@@ -72,11 +72,11 @@ CROWDED_DAY_MBF_CONFIG = ExperimentConfig(
 
 def spec_schedule(flows, horizon, profile):
     """Build a FlowSchedule from FlowSpecs in schedule order, each flow's
-    column entries taken from its spec."""
+    column entries taken from its spec (its size as total_packets)."""
     return FlowSchedule([f.id for f in flows], [f.start for f in flows],
                         [f.klass == "elephant" for f in flows],
                         [total_packets(f.size, profile.packet_size) for f in flows],
-                        [f.size for f in flows], horizon, profile)
+                        horizon, profile)
 
 
 def hand_schedule(specs, horizon, profile=ONE_PPS):

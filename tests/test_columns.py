@@ -11,7 +11,9 @@ from flowrl.harness import (
     MODES, ExperimentConfig, _build_env, _episode_packets, build_eval_schedule, run_experiment,
 )
 from flowrl.simnet import run_orchestration
-from flowrl.traffic import MAX_FLOW_PACKETS, FlowSpec, total_packets
+from flowrl.traffic import (
+    MAX_FLOW_PACKETS, FlowSpec, emission_extent, packets_for_tick, total_packets,
+)
 from conftest import ONE_PPS, fid, hand_pool, spec_schedule
 
 
@@ -71,6 +73,34 @@ def reference_episode_packets(schedule):
     return {f.id: reference_emitted_before(f.start, total_packets(f.size, profile.packet_size),
                                            rate, schedule.horizon)
             for f in schedule.flows}
+
+
+# The emission references as they read the FlowSpecs, before they walked
+# the columns.
+
+def reference_packets_for_tick(schedule, tick):
+    profile = schedule.profile
+    rate = profile.packets_per_tick()
+    out = []
+    for f in schedule.flows:
+        if f.start > tick:
+            continue
+        total = total_packets(f.size, profile.packet_size)
+        done_before = min(total, (tick - f.start) * rate)
+        n = min(rate, total - done_before)
+        if n > 0:
+            out.append((f.id, n))
+    return out
+
+
+def reference_emission_extent(schedule):
+    profile = schedule.profile
+    rate = profile.packets_per_tick()
+    return max(
+        (reference_last_emission_tick(f.start, total_packets(f.size, profile.packet_size), rate)
+         + 1 for f in schedule.flows),
+        default=0,
+    )
 
 
 E, M = "elephant", "mice"
@@ -156,10 +186,30 @@ def test_columnar_build_equals_per_flow_reference(case):
     assert got.elephant.tolist() == [f.klass == E for f in want.flows]
     assert got.packets.tolist() == [total_packets(f.size, profile.packet_size)
                                     for f in want.flows]
-    assert got.sizes == [f.size for f in want.flows]
     assert _episode_packets(got) == reference_episode_packets(want)
     assert got.flows == want.flows
     assert got.horizon == want.horizon == window
+
+
+@settings(max_examples=150)
+@given(columnar_cases())
+@example(HAND_CASE)
+@example(RATE_ABOVE_INT64)
+@example(AT_THE_PACKET_BOUND)
+@example(EMPTY)
+def test_emission_equals_flowspec_reference(case):
+    specs, horizon, window, lag, per_flow_rate = case
+    profile = dataclasses.replace(ONE_PPS, per_flow_rate=per_flow_rate)
+    flows = [FlowSpec(*spec) for spec in specs]
+    sched = spec_schedule(flows, horizon, profile)
+    for schedule in (sched, build_eval_schedule(sched, window, lag)):
+        extent = emission_extent(schedule)
+        assert extent == reference_emission_extent(schedule)
+        # every tick through the extent; a flow near the packet bound
+        # drains for about 2**45 ticks, so past tick 64 only the extent's
+        # last tick and the extent itself
+        for tick in {*range(min(extent, 64) + 1), max(extent - 1, 0), extent}:
+            assert packets_for_tick(schedule, tick) == reference_packets_for_tick(schedule, tick)
 
 
 @pytest.fixture

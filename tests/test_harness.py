@@ -625,6 +625,73 @@ class TestCli:
         assert captured.err.startswith("error [flowrl.harness.ValidationError]: output_path")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        """Fail the test if any experiment runs."""
+        def run(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+        monkeypatch.setattr(cli, "run_experiment", run)
+
+    def test_save_policy_at_the_report_refused(self, tmp_path, capsys, no_run):
+        out = str(tmp_path / "r.csv")
+        rc = cli.main(["--mode", "ql", "--episodes", "5", "--out", out, "--save-policy", out])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error [flowrl.harness.ValidationError]: --save-policy %s and "
+                                "--out %s name the same file\n" % (out, out))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode, suffix", [
+        ("ql", ".cfg"), ("ql", ".summary"), ("significance", ".freq_only.cfg"),
+        ("significance", ".both"),
+    ])
+    def test_config_at_a_report_file_refused(self, tmp_path, capsys, no_run, mode, suffix):
+        # the config echo would replace the user's file, comments and all
+        config = tmp_path / ("r.csv" + suffix)
+        text = "# my settings\nmode=%s\nepisodes_cap=3\n" % mode
+        config.write_text(text)
+        # a path that differs in spelling but not in file
+        out = str(tmp_path / "sub" / ".." / "r.csv")
+        (tmp_path / "sub").mkdir()
+        rc = cli.main(["--config", str(config), "--out", out])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error [flowrl.harness.ValidationError]: --config ")
+        assert "and --out %s name the same file" % out in captured.err
+        assert config.read_text() == text
+
+    @pytest.mark.parametrize("link", [os.symlink, os.link])
+    def test_config_linked_at_a_report_file_refused(self, tmp_path, capsys, no_run, link):
+        config = tmp_path / "mine.cfg"
+        config.write_text("mode=mbf\n")
+        link(config, tmp_path / "r.csv.cfg")
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert "--config %s and --out" % config in capsys.readouterr().err
+        assert config.read_text() == "mode=mbf\n"
+
+    def test_load_policy_at_the_summary_refused(self, tmp_path, capsys, no_run):
+        out = str(tmp_path / "r.csv")
+        rc = cli.main(["--mode", "dqn", "--out", out, "--load-policy", out + ".summary"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "--load-policy %s.summary and --out %s name" % (out, out) in captured.err
+
+    def test_out_in_a_missing_directory_refused(self, tmp_path, capsys, no_run):
+        out = str(tmp_path / "nodir" / "r.csv")
+        rc = cli.main(["--mode", "mbf", "--out", out])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error [flowrl.harness.ValidationError]: --out %s: the "
+                                "directory does not exist\n" % out)
+
+    def test_load_policy_may_equal_save_policy(self, tmp_path):
+        # a policy updated in place
+        policy = str(tmp_path / "q.csv")
+        args = ["--mode", "ql", "--episodes", "3", "--out", str(tmp_path / "r.csv")]
+        assert cli.main(args + ["--save-policy", policy]) == 0
+        assert cli.main(args + ["--load-policy", policy, "--save-policy", policy]) == 0
+
     @pytest.mark.parametrize("mode", ["mbf", "oracle", "significance"])
     @pytest.mark.parametrize("flag", ["--save-policy", "--load-policy"])
     def test_policy_flags_need_an_agent_mode(self, tmp_path, capsys, mode, flag):

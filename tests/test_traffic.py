@@ -9,6 +9,7 @@ from flowrl.harness import REFERENCE_TRAFFIC
 from flowrl.traffic import (
     MAX_EXPECTED_FLOWS,
     MAX_FLOW_PACKETS,
+    MAX_HORIZON,
     FlowSchedule,
     FlowSpec,
     InvalidProfile,
@@ -136,7 +137,32 @@ class TestFlowSchedule:
         # computed it
         with pytest.raises(ValueError, match="exceeds"):
             FlowSchedule([fid(1), fid(2)], [0, 1], [False, True], [1, MAX_FLOW_PACKETS + 1],
-                         [1500, (MAX_FLOW_PACKETS + 1) * 1500], 10, ONE_PPS)
+                         10, ONE_PPS)
+
+    @pytest.mark.parametrize("packets", [[2**63], [1, 2**63], [2**64]])
+    def test_rejects_packets_column_above_int64(self, packets):
+        # refused by the constructor's own bound, not by the int64 conversion
+        n = len(packets)
+        with pytest.raises(ValueError, match="exceeds"):
+            FlowSchedule([fid(i) for i in range(n)], list(range(n)), [False] * n, packets,
+                         10, ONE_PPS)
+
+    def test_rejects_horizon_above_max_horizon(self):
+        # a flow at the packet bound starting on the last tick drains by
+        # tick MAX_HORIZON + MAX_FLOW_PACKETS, still an int64
+        last = MAX_HORIZON - 1
+        sched = FlowSchedule([fid(1)], [last], [True], [MAX_FLOW_PACKETS], MAX_HORIZON, ONE_PPS)
+        assert emission_extent(sched) == last + MAX_FLOW_PACKETS
+        with pytest.raises(ValueError, match="horizon exceeds"):
+            FlowSchedule([fid(1)], [2**63 - 2], [True], [MAX_FLOW_PACKETS], 2**63 - 1, ONE_PPS)
+
+    def test_flows_view_sizes_are_packets_in_bytes(self):
+        # the product is exact past int64: packet_size has no upper bound
+        profile = dataclasses.replace(ONE_PPS, packet_size=2**40)
+        sched = FlowSchedule([fid(1), fid(2)], [0, 1], [True, False], [MAX_FLOW_PACKETS, 1],
+                             10, profile)
+        assert [f.size for f in sched.flows] == [MAX_FLOW_PACKETS * 2**40, 2**40]
+        assert [f.klass for f in sched.flows] == ["elephant", "mice"]
 
 
 class TestGenerateSchedule:
@@ -209,12 +235,12 @@ PINNED_SCHEDULES = [
     ("contended", 20, 1, 1463, "5f70445a066b17f5dae6e9bf58328a1a6913b699fbce91571ef1d12204f28fd8"),
     ("contended", 65536, 0, 1481, "c7aa828ea2861b8abd88581beda62c3f3a8aa9a1f4c0dbbad4eb42d3cd25acbe"),
     ("contended", 65536, 1, 1463, "029a22dad9ae24dae2a1921b02ec155d3f0cac9bc0680783d22463752ffd0e56"),
-    ("paper", 2, 0, 768, "3076c57fc7414c2a253a7939e7e85c5c3f86d8ed5555099c176bfcac96d0c388"),
-    ("paper", 2, 1, 858, "261b6235047e3f385b7ca5c03ef000b2dd1eed1102fec719540c73a66fd9bbb3"),
-    ("paper", 20, 0, 802, "fa03492d682e6a620218d5846a1b8f45a03892c48d8ee72fb3a2d61b7c7bde00"),
-    ("paper", 20, 1, 753, "515173dcf9f39ce6d8d101ad6c8b70f9329746885301296b134851d8220d50d5"),
-    ("paper", 65536, 0, 802, "68ae53ce0bea32f0e4114cd1c6f8801dc1b1e7e987fcb640f7383baa1cb8093e"),
-    ("paper", 65536, 1, 753, "6e5614a193ade15b91d8c79dda5f42c11552c59a7d65b989769da54cbca16397"),
+    ("paper", 2, 0, 768, "0aedf80b77e067b6bb7e02c00fda6c4029cbfe468f2912d9902b4f8dcc014474"),
+    ("paper", 2, 1, 858, "4fa54dbdc4ccb0731d4797e042326291ab6824688ed500e56d68c0b0a4432a1a"),
+    ("paper", 20, 0, 802, "a41d7306d9161ecb7fb7fa74d96b5b0211a283be9601a3ea4ad3e6e61d60031e"),
+    ("paper", 20, 1, 753, "b097a010cde395bc29be5213f89cced37cbe8b5382a36f5e092fc3cd5151c912"),
+    ("paper", 65536, 0, 802, "cbdd6787ba6a3614e5f30c50ad527e63baa3233ce023f1f20b8f3910f81e6302"),
+    ("paper", 65536, 1, 753, "6ce28d4059682b386a0b1e2447d4a34c6aa90eeaa2ad64e0066ee59c44b060db"),
 ]
 PIN_PROFILES = {
     "reference": REFERENCE_TRAFFIC,
