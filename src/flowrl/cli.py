@@ -75,19 +75,27 @@ def same_file(a, b):
 
 
 def check_files(args, cfg):
-    """Refuse a run whose report set would overwrite a file that --config,
-    --load-policy or --save-policy names, or whose report directory does
-    not exist. --load-policy may equal --save-policy: that updates a
-    policy in place."""
+    """Refuse a report set that would overwrite a directory or a file that
+    --config, --load-policy or --save-policy names, a missing report
+    directory, and a policy file that --config names. --load-policy may
+    equal --save-policy: that updates a policy in place."""
     out = cfg.output_path
     if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ValidationError("--out %s: the directory does not exist" % out)
     reports = [p for files in report_paths(out, cfg.mode) for p in files]
+    for report in reports:
+        if os.path.isdir(report):
+            raise ValidationError("--out %s: %s is a directory" % (out, report))
     for option in ("config", "load_policy", "save_policy"):
         path = getattr(args, option)
-        if path is not None and any(same_file(path, report) for report in reports):
-            raise ValidationError("--%s %s and --out %s name the same file"
-                                  % (option.replace("_", "-"), path, out))
+        if path is None:
+            continue
+        flag = "--" + option.replace("_", "-")
+        if any(same_file(path, report) for report in reports):
+            raise ValidationError("%s %s and --out %s name the same file" % (flag, path, out))
+        if option != "config" and args.config is not None and same_file(path, args.config):
+            raise ValidationError("%s %s and --config %s name the same file"
+                                  % (flag, path, args.config))
 
 
 def main(argv=None):

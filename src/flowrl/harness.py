@@ -3,7 +3,6 @@
 # the closed-form episode environment, the five run modes (ql, dqn, mbf,
 # oracle, significance), and CSV/summary report emission.
 
-import copy
 import dataclasses
 import operator
 from dataclasses import dataclass, field
@@ -286,26 +285,13 @@ class EpisodeEnv:
         self.window_close = window_close
         self.param_mode = param_mode
         self._cells = None
-        # the ranked pool and the episode's total packets: filled by the
-        # first run of this environment or of any of its variants
-        self._ranking = {}
-
-    def variant(self, param_mode):
-        """This workload under another param_mode, sharing its ranking."""
-        env = copy.copy(self)
-        env.param_mode = param_mode
-        env._cells = None
-        return env
 
     def run(self, thresholds):
         if self._cells is None:
-            if not self._ranking:
-                packets = _episode_packets(self.eval_schedule)
-                self._ranking["total"] = sum(packets.values())
-                self._ranking["ranked"] = rank_pool(self.pool, packets, self.window_close)
-            total = self._ranking["total"]
-            hits = placement_landscape(self._ranking["ranked"], self.capacity_bits,
-                                       self.param_mode)
+            packets = _episode_packets(self.eval_schedule)
+            total = sum(packets.values())
+            hits = placement_landscape(rank_pool(self.pool, packets, self.window_close),
+                                       self.capacity_bits, self.param_mode)
             # cells with equal hits have equal metrics and share one object
             horizon = self.eval_schedule.horizon
             metrics = {
@@ -410,7 +396,7 @@ def _oracle_instance(pool, eval_schedule, capacity_bits):
     """t_i = the flow's packet count in the evaluation episode (0 for pool
     flows that never reappear), s_i = one table entry, in FlowId order."""
     packets = _episode_packets(eval_schedule)
-    order = sorted(pool.records)
+    order = sorted(pool.ids)
     rules = tuple((packets.get(fid, 0), ENTRY_BITS) for fid in order)
     return IlpInstance(rules=rules, capacity=capacity_bits), order
 
@@ -472,7 +458,8 @@ def run_experiment(cfg, save_policy=None, load_policy=None):
     reductions = {}
     for pm in PARAM_MODES:
         sub_cfg = dataclasses.replace(cfg, mode="ql", param_mode=pm)
-        result, _ = _run_agent(sub_cfg, env.variant(pm))
+        sub_env = EpisodeEnv(env.pool, env.eval_schedule, env.capacity_bits, env.window_close, pm)
+        result, _ = _run_agent(sub_cfg, sub_env)
         subreports[pm] = RunReport(
             config=sub_cfg,
             rows=result.trace[1:],

@@ -2,7 +2,9 @@
 # table, the observed flow pool, threshold-based rule selection, and the
 # closed-form placement landscape over the threshold grid.
 
+import functools
 import io
+import itertools
 import os
 import stat
 from dataclasses import dataclass
@@ -152,18 +154,22 @@ class PoolRecord:
 
 
 class FlowPool:
-    """Per-flow observation records collected during the orchestration
-    window, one per flow in the order of flow_ids: match count (freq) and
-    the time the flow was last seen, from int64 arrays of the times and
-    counts. Every count must be at least 1."""
+    """The flows observed during the orchestration window, as columns in
+    the order of flow_ids: ids (FlowIds), freq (match counts, each at
+    least 1) and last_seen (the tick the flow was last seen), the int64
+    arrays counts and now. The records dict is built on first read."""
 
     def __init__(self, flow_ids, now, counts):
         if (counts < 1).any():
             raise ValueError("count must be >= 1")
-        self.records = dict(zip(flow_ids, map(PoolRecord, counts.tolist(), now.tolist())))
+        self.ids, self.freq, self.last_seen = flow_ids, counts, now
+
+    @functools.cached_property
+    def records(self):
+        return dict(zip(self.ids, map(PoolRecord, self.freq.tolist(), self.last_seen.tolist())))
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -226,17 +232,17 @@ def rank_pool(pool, packets, window_close):
     """The pool in select_rules' rank order, as int64 arrays (freq,
     recentness, episode packets). packets maps a FlowId to its packets in
     the episode (absent flows count 0). The ranking does not depend on the
-    thresholds or the param_mode, so one serves every landscape of a
-    workload."""
-    freq, last_seen, *ids, flow_packets = np.array(
-        [(r.freq, r.last_seen, *f, packets.get(f, 0)) for f, r in pool.records.items()],
-        np.int64,
-    ).reshape(len(pool.records), 7).T
-    if (last_seen > window_close).any():
+    thresholds, so one serves every cell of a landscape."""
+    if (pool.last_seen > window_close).any():
         raise ValueError("window_close precedes a pool record")
-    recentness = window_close - last_seen
-    rank = np.lexsort((*ids[::-1], recentness, -freq))
-    return freq[rank], recentness[rank], flow_packets[rank]
+    recentness = window_close - pool.last_seen
+    ids = np.fromiter(itertools.chain.from_iterable(pool.ids), np.int64,
+                      4 * len(pool)).reshape(-1, 4).T
+    # a FlowId's ports lie in [1, 65535], and numpy sorts 16-bit keys by radix
+    ids = [*ids[:2], *ids[2:].astype(np.uint16)]
+    flow_packets = np.array([packets.get(f, 0) for f in pool.ids], np.int64)
+    rank = np.lexsort((*ids[::-1], recentness, -pool.freq))
+    return pool.freq[rank], recentness[rank], flow_packets[rank]
 
 
 def placement_landscape(ranked, capacity_bits, param_mode="both"):

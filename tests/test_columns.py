@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flowrl.harness import (
     MODES, ExperimentConfig, _build_env, _episode_packets, build_eval_schedule, run_experiment,
 )
+from flowrl.model import PoolRecord
 from flowrl.simnet import run_orchestration
 from flowrl.traffic import (
     MAX_FLOW_PACKETS, FlowSpec, emission_extent, packets_for_tick, total_packets,
@@ -212,18 +213,27 @@ def test_emission_equals_flowspec_reference(case):
             assert packets_for_tick(schedule, tick) == reference_packets_for_tick(schedule, tick)
 
 
+def constructed(monkeypatch, cls):
+    """A list that counts every cls object constructed from now on."""
+    built = []
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
 @pytest.fixture
 def flowspecs_built(monkeypatch):
-    """A list that counts every FlowSpec constructed from now on."""
-    built = []
-    post_init = FlowSpec.__post_init__
+    return constructed(monkeypatch, FlowSpec)
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
 
-    monkeypatch.setattr(FlowSpec, "__post_init__", counting)
-    return built
+@pytest.fixture
+def pool_records_built(monkeypatch):
+    return constructed(monkeypatch, PoolRecord)
 
 
 # No mode builds a FlowSpec: the MBF episode walks the evaluation
@@ -234,3 +244,14 @@ def test_run_builds_flowspecs_only_for_mbf_evaluation(mode, flowspecs_built):
     assert len(_build_env(cfg).eval_schedule.ids) > 0
     run_experiment(cfg)
     assert flowspecs_built == []
+
+
+# A run reads the pool's columns; only select_rules, the tests and the
+# bench read the records view.
+@pytest.mark.parametrize("mode", MODES)
+def test_run_builds_pool_records_only_when_read(mode, pool_records_built):
+    cfg = ExperimentConfig(mode=mode, seed=0, episodes_cap=3, n_training_sets=1)
+    run_experiment(cfg)
+    assert pool_records_built == []
+    pool = _build_env(cfg).pool
+    assert len(pool.records) == len(pool) == len(pool_records_built) > 0

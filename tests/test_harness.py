@@ -362,16 +362,6 @@ class TestEpisodeEnv:
         first = env.run(ThresholdConfig(100, 0))
         assert env.run(ThresholdConfig(100, 0)) is first
 
-    def test_variants_rank_the_pool_once_on_first_run(self, rank_calls):
-        pool, eval_sched, env = self._env()
-        variants = [env.variant(pm) for pm in ("freq_only", "recentness_only", "both")]
-        assert rank_calls == []
-        cells = [[v.run(ThresholdConfig(f, 0)) for f in (0, 100, 200)] for v in variants]
-        assert len(rank_calls) == 1
-        for variant, row in zip(variants, cells):
-            fresh = EpisodeEnv(pool, eval_sched, 2 * ENTRY_BITS, 10, variant.param_mode)
-            assert row == [fresh.run(ThresholdConfig(f, 0)) for f in (0, 100, 200)]
-
     def test_cells_count_one_exchange_per_miss(self):
         _, _, env = self._env()
         for f in FREQ_GRID:
@@ -380,8 +370,9 @@ class TestEpisodeEnv:
                 assert m.overhead == m.misses
                 assert m.total_lookups == m.hits + m.misses == 5
 
+    # significance ranks once in each of its three param_mode environments
     @pytest.mark.parametrize("mode,rankings",
-                             [("ql", 1), ("significance", 1), ("mbf", 0), ("oracle", 0)])
+                             [("ql", 1), ("significance", 3), ("mbf", 0), ("oracle", 0)])
     def test_one_ranking_per_experiment(self, rank_calls, mode, rankings):
         run_experiment(ExperimentConfig(mode=mode, episodes_cap=3, n_training_sets=2))
         assert len(rank_calls) == rankings
@@ -684,6 +675,32 @@ class TestCli:
         assert rc == 1
         assert captured.err == ("error [flowrl.harness.ValidationError]: --out %s: the "
                                 "directory does not exist\n" % out)
+
+    @pytest.mark.parametrize("flag", ["--save-policy", "--load-policy"])
+    def test_policy_at_the_config_refused(self, tmp_path, capsys, no_run, flag):
+        # a saved policy would replace the user's config, comments and all
+        config = tmp_path / "c.cfg"
+        text = "# mine\nmode=ql\nepisodes_cap=3\n"
+        config.write_text(text)
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "r.csv"),
+                       flag, str(config)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error [flowrl.harness.ValidationError]: %s %s and --config "
+                                "%s name the same file\n" % (flag, config, config))
+        assert config.read_text() == text
+
+    @pytest.mark.parametrize("mode, suffix", [
+        ("mbf", ""), ("ql", ".summary"), ("significance", ".both.cfg"),
+    ])
+    def test_out_at_a_directory_refused(self, tmp_path, capsys, no_run, mode, suffix):
+        out = str(tmp_path / "r.csv")
+        os.mkdir(out + suffix)
+        rc = cli.main(["--mode", mode, "--episodes", "3", "--out", out])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error [flowrl.harness.ValidationError]: --out %s: %s%s is a "
+                                "directory\n" % (out, out, suffix))
 
     def test_load_policy_may_equal_save_policy(self, tmp_path):
         # a policy updated in place

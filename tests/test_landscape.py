@@ -110,6 +110,21 @@ PREFIX_LONGER_THAN_THE_LIMIT = EpisodeEnv(
     hand_schedule([(fid(1), "mice", 1500, 0), (fid(2), "mice", 3000, 0),
                    (fid(3), "elephant", 4500, 0), (fid(4), "mice", 3000, 1)], 4),
     2 * ENTRY_BITS, 20, "both")
+# Equal frequencies and recentness against one entry: the FlowId order
+# decides from src_host on, so FlowId(0, 2, 1026, 1026) wins although its
+# other three fields sort later.
+FLOWID_BREAKS_THE_TIE = EpisodeEnv(
+    hand_pool({FlowId(1, 0, 1024, 1024): (10, 5), FlowId(0, 2, 1026, 1026): (10, 5)}),
+    hand_schedule([(FlowId(1, 0, 1024, 1024), "mice", 1500, 0),
+                   (FlowId(0, 2, 1026, 1026), "mice", 3000, 0)], 4),
+    ENTRY_BITS, 5, "both")
+# Equal frequencies, recentness and hosts against one entry: src_port 1024
+# sorts before 40000, which a signed 16-bit key would wrap below it.
+PORT_ABOVE_INT16_BREAKS_THE_TIE = EpisodeEnv(
+    hand_pool({FlowId(0, 1, 40000, 1000): (10, 5), FlowId(0, 1, 1024, 2000): (10, 5)}),
+    hand_schedule([(FlowId(0, 1, 40000, 1000), "mice", 1500, 0),
+                   (FlowId(0, 1, 1024, 2000), "mice", 3000, 0)], 4),
+    ENTRY_BITS, 5, "both")
 # Recentness 310 lies above every column, so fid(1) is placed only by its
 # frequency, at f = 0; two entries leave a slot free.
 RECENTNESS_ABOVE_THE_GRID = EpisodeEnv(
@@ -129,6 +144,8 @@ RECENTNESS_ONLY_IGNORES_FREQ = EpisodeEnv(
 @example(TABLE_FILLED_EXACTLY)
 @example(RECENTNESS_DECIDES_THE_RANK)
 @example(FREQ_TIE_STRADDLES_THE_LIMIT)
+@example(FLOWID_BREAKS_THE_TIE)
+@example(PORT_ABOVE_INT16_BREAKS_THE_TIE)
 @example(PREFIX_LONGER_THAN_THE_LIMIT)
 @example(RECENTNESS_ABOVE_THE_GRID)
 @example(RECENTNESS_ONLY_IGNORES_FREQ)

@@ -146,6 +146,15 @@ class TestFlowPool:
         pool = FlowPool([fid(1)], now=np.array([2]), counts=np.array([7]))
         assert pool.records[fid(1)].freq == 7
 
+    def test_records_view_is_the_per_flow_dict_built_once(self):
+        pool = FlowPool([fid(3), fid(1), fid(2)], now=np.array([4, 0, 9]),
+                        counts=np.array([2, 7, 1]))
+        want = {fid(3): PoolRecord(freq=2, last_seen=4), fid(1): PoolRecord(freq=7, last_seen=0),
+                fid(2): PoolRecord(freq=1, last_seen=9)}
+        assert list(pool.records.items()) == list(want.items())
+        assert all(type(v) is int for r in pool.records.values() for v in (r.freq, r.last_seen))
+        assert pool.records is pool.records
+
     def test_count_must_be_positive(self):
         # one flow below 1 refuses the whole pool
         with pytest.raises(ValueError):
