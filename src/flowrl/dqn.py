@@ -190,14 +190,24 @@ class ReplayMemory:
         self.buffer.append(e)
         return self
 
-    def sample(self, rng):
-        """MINIBATCH experiences, uniform without replacement."""
-        if len(self.buffer) < MINIBATCH:
-            raise InsufficientExperiences(
-                "buffer holds %d < %d experiences" % (len(self.buffer), MINIBATCH)
-            )
-        idx = rng.choice(len(self.buffer), size=MINIBATCH, replace=False)
-        return [self.buffer[int(i)] for i in idx]
+    def sample(self, draws):
+        """MINIBATCH experiences, uniform without replacement, taken from
+        draws (a WordDraws) at the indices Generator.choice(len(self),
+        MINIBATCH, replace=False) gives: Floyd's algorithm, then a
+        Fisher-Yates shuffle of the picks."""
+        n = len(self.buffer)
+        if n < MINIBATCH:
+            raise InsufficientExperiences("buffer holds %d < %d experiences" % (n, MINIBATCH))
+        below = draws.below
+        idx = []
+        for j in range(n - MINIBATCH, n):
+            v = below(j + 1)
+            idx.append(j if v in idx else v)
+        for i in range(MINIBATCH - 1, 0, -1):
+            k = below(i + 1)
+            idx[i], idx[k] = idx[k], idx[i]
+        buffer = self.buffer
+        return [buffer[i] for i in idx]
 
 
 def encode_state(s, last_action, last_reward):
@@ -299,13 +309,13 @@ class _DqnPolicy:
     def greedy(self, fi, ri):
         return int(mlp_forward(self.net, self.s_vec).argmax())
 
-    def learn(self, fi, ri, action, reward, nfi, nri, rng):
+    def learn(self, fi, ri, action, reward, nfi, nri, draws):
         next_vec = encode_state(GRID_STATES[nfi][nri], action, reward)
         memory = self.memory
         memory.store(Experience(self.s_vec, action, reward, next_vec))
         if len(memory) >= REPLAY_START:
             net = self.net
-            batch = memory.sample(rng)
+            batch = memory.sample(draws)
             targets = [dqn_target(e, net) for e in batch]
             for e, target in zip(batch, targets):
                 sgd_step(net, e.s, e.a, target, LEARNING_RATE)

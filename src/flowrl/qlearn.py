@@ -12,6 +12,7 @@ import numpy as np
 
 from flowrl.model import FREQ_GRID, GRID_STEP, REC_GRID, ThresholdConfig, read_text
 from flowrl.simnet import BestSoFar, hit_ratio, reduction_fraction
+from flowrl.traffic import WordDraws
 
 
 class Action(IntEnum):
@@ -116,32 +117,17 @@ class QTable:
         that leaves any of the 21 x 31 x 5 cells unset. Blank lines are
         skipped.
         """
-        shape = (len(FREQ_GRID), len(REC_GRID), N_ACTIONS)
-        freq_index = {str(f): i for i, f in enumerate(FREQ_GRID)}
-        rec_index = {str(r): i for i, r in enumerate(REC_GRID)}
-        action_index = {a.name: int(a) for a in ACTIONS}
-        cells = [None] * (shape[0] * shape[1] * shape[2])
+        cells = [None] * len(_CELL_INDEX)
         lineno = 0
         with read_text(path, MalformedQTable) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                fields = line.split(",")
-                if len(fields) != 4:
-                    raise MalformedQTable(
-                        "line %d: expected 4 fields, got %d" % (lineno, len(fields))
-                    )
-                f, r, name, value = fields
-                fi = freq_index.get(f)
-                if fi is None:
-                    fi = _grid_index(f, FREQ_GRID, "frequency threshold", lineno)
-                ri = rec_index.get(r)
-                if ri is None:
-                    ri = _grid_index(r, REC_GRID, "recentness threshold", lineno)
-                ai = action_index.get(name)
-                if ai is None:
-                    raise MalformedQTable("line %d: unknown action %r" % (lineno, name))
+                cell, _, value = line.rpartition(",")
+                k = _CELL_INDEX.get(cell)
+                if k is None:
+                    k = _cell_index(line, lineno)
                 try:
                     v = float(value)
                 except ValueError:
@@ -150,11 +136,8 @@ class QTable:
                     ) from None
                 if not math.isfinite(v):
                     raise MalformedQTable("line %d: non-finite value %r" % (lineno, value))
-                k = (fi * shape[1] + ri) * shape[2] + ai
                 if cells[k] is not None:
-                    raise MalformedQTable(
-                        "line %d: duplicate cell %s,%s,%s" % (lineno, f, r, name)
-                    )
+                    raise MalformedQTable("line %d: duplicate cell %s" % (lineno, cell))
                 cells[k] = v
         missing = cells.count(None)
         if missing:
@@ -162,12 +145,33 @@ class QTable:
                 "line %d: file ends after %d of %d cells"
                 % (lineno, len(cells) - missing, len(cells))
             )
-        return QTable(np.reshape(cells, shape))
+        return QTable(np.reshape(cells, (len(FREQ_GRID), len(REC_GRID), N_ACTIONS)))
+
+
+# Each cell's index in QTable.load's flat list, keyed by the
+# "freq_thr,rec_thr,action" text that save writes before the value.
+_CELL_INDEX = {"%d,%d,%s" % (f, r, a.name): (fi * len(REC_GRID) + ri) * N_ACTIONS + a
+               for fi, f in enumerate(FREQ_GRID) for ri, r in enumerate(REC_GRID)
+               for a in ACTIONS}
+
+
+def _cell_index(line, lineno):
+    """The flat cell index of a Q-table line whose cell is not written the
+    way save writes it, checked field by field."""
+    fields = line.split(",")
+    if len(fields) != 4:
+        raise MalformedQTable("line %d: expected 4 fields, got %d" % (lineno, len(fields)))
+    f, r, name, _ = fields
+    fi = _grid_index(f, FREQ_GRID, "frequency threshold", lineno)
+    ri = _grid_index(r, REC_GRID, "recentness threshold", lineno)
+    if name not in Action.__members__:
+        raise MalformedQTable("line %d: unknown action %r" % (lineno, name))
+    return (fi * len(REC_GRID) + ri) * N_ACTIONS + Action[name]
 
 
 def _grid_index(text, grid, what, lineno):
-    """Grid index of a threshold field not written the way save writes it:
-    accepted only as a plain decimal integer on the grid."""
+    """Grid index of a threshold field, accepted only as a plain decimal
+    integer on the grid."""
     if not (text.isascii() and text.isdigit()):
         raise MalformedQTable(
             "line %d: %s %r is not a non-negative integer" % (lineno, what, text)
@@ -290,7 +294,9 @@ def train(env, policy, cfg, initial_state, rng, trace=True):
     as apply_action does, makes one env.run call at the new thresholds,
     rewards it against the best overhead so far as compute_reward does,
     and hands the transition to
-    policy.learn(fi, ri, action, reward, nfi, nri, rng). Stops when the
+    policy.learn(fi, ri, action, reward, nfi, nri, draws). The draws are
+    one WordDraws on rng, closed when the run ends, so the run leaves rng
+    as epsilon_greedy_select's Generator calls would. Stops when the
     best episode's overhead reduction exceeds cfg.goal_mu, or at the
     episode cap cfg.budget (goal_met=False). A zero baseline cannot be
     improved: the run returns at once with goal_met=True and the policy is
@@ -307,25 +313,34 @@ def train(env, policy, cfg, initial_state, rng, trace=True):
     budget, goal_mu, decay = cfg.budget, cfg.goal_mu, cfg.epsilon_decay
     fi, ri = QTable._index(initial_state)
     eps = cfg.epsilon0
-    for step in range(budget):
-        action = int(rng.integers(N_ACTIONS)) if rng.random() < eps else greedy(fi, ri)
-        eps_used = eps
-        if decay:
-            eps = eps * (1.0 - step / budget)  # decay_epsilon
-        nfi = _NEXT_FI[action][fi]
-        nri = _NEXT_RI[action][ri]
-        state = GRID_STATES[nfi][nri]
-        metrics = run(state)
-        overhead = metrics.overhead
-        reward = (overhead < best.best_overhead) - (overhead > best.best_overhead)
-        if reward == 1:
-            best.best_overhead, best.best_thresholds, best.best_metrics = overhead, state, metrics
-        learn(fi, ri, action, reward, nfi, nri, rng)
-        if rows is not None:
-            rows.append(_trace_row(step + 1, metrics, state, reward, eps_used, initial))
-        fi, ri = nfi, nri
-        if (initial - best.best_overhead) / initial > goal_mu:
-            return TrainResult(step + 1, best, True, rows)
+    best_overhead = initial
+    draws = WordDraws(rng)
+    coin, below = draws.random, draws.below
+    try:
+        for step in range(budget):
+            action = below(N_ACTIONS) if coin() < eps else greedy(fi, ri)
+            eps_used = eps
+            if decay:
+                eps = eps * (1.0 - step / budget)  # decay_epsilon
+            nfi = _NEXT_FI[action][fi]
+            nri = _NEXT_RI[action][ri]
+            state = GRID_STATES[nfi][nri]
+            metrics = run(state)
+            overhead = metrics.overhead
+            reward = (overhead < best_overhead) - (overhead > best_overhead)
+            if reward == 1:
+                best_overhead = overhead
+                best.best_overhead, best.best_thresholds, best.best_metrics = (
+                    overhead, state, metrics)
+            learn(fi, ri, action, reward, nfi, nri, draws)
+            if rows is not None:
+                rows.append(_trace_row(step + 1, metrics, state, reward, eps_used, initial))
+            fi, ri = nfi, nri
+            # the reduction moves only when the best improves
+            if reward == 1 and (initial - best_overhead) / initial > goal_mu:
+                return TrainResult(step + 1, best, True, rows)
+    finally:
+        draws.close()
     return TrainResult(budget, best, False, rows)
 
 
@@ -342,7 +357,7 @@ class _TabularPolicy:
         row = self.rows[fi][ri]
         return row.index(max(row))  # the first maximum, as np.argmax
 
-    def learn(self, fi, ri, action, reward, nfi, nri, rng):
+    def learn(self, fi, ri, action, reward, nfi, nri, draws):
         row = self.rows[fi][ri]
         current = row[action]
         target = reward + self.gamma * max(self.rows[nfi][nri])

@@ -2,6 +2,7 @@
 # and per-tick packet emission. Ticks are 1 simulated second.
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,75 @@ def uniform_below(rng):
         return m >> 32
 
     return below
+
+
+# Words WordDraws fetches at a time. A fetch's cost is mostly per call
+# (on a 2-core host about 1.7 us for 16 words, 3.3 us for 64), and close()
+# rewinds whatever a run leaves unused in one call.
+DRAW_BLOCK = 64
+
+
+class WordDraws:
+    """The draws of one training run from rng's PCG64 words, each equal to
+    what rng's own call would give: random() to Generator.random() (numpy's
+    next_double, the word's top 53 bits) and below(n) to
+    Generator.integers(0, n) for 1 <= n <= 2**32 (uniform_below's rule, on
+    rng's kept 32-bit half first). Words are fetched in blocks of
+    DRAW_BLOCK; close() rewinds the unused ones and hands the kept half
+    back, leaving rng's state where its own calls would have. Use no
+    draw after close()."""
+
+    def __init__(self, rng):
+        self._bg = rng.bit_generator
+        state = self._bg.state
+        self._half0 = self._half = state["uinteger"] if state["has_uint32"] else None
+        self._block = iter(())  # the fetched words not yet used
+        self._next = self._block.__next__
+
+    def _fetch(self):
+        self._block = iter(self._bg.random_raw(DRAW_BLOCK).tolist())
+        self._next = self._block.__next__
+        return self._next()
+
+    def random(self):
+        try:
+            word = self._next()
+        except StopIteration:
+            word = self._fetch()
+        return (word >> 11) * 2**-53
+
+    def below(self, n):
+        if n == 1:  # numpy's empty-range shortcut takes no draw
+            return 0
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def _uint32(self):
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        try:
+            word = self._next()
+        except StopIteration:
+            word = self._fetch()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def close(self):
+        unused = operator.length_hint(self._block)
+        if unused:
+            self._bg.advance(-unused)  # which also drops rng's kept half
+        rng_half = None if unused else self._half0
+        if self._half != rng_half:
+            state = self._bg.state
+            state["has_uint32"] = int(self._half is not None)
+            state["uinteger"] = self._half or 0
+            self._bg.state = state
 
 
 def generate_schedule(profile, horizon, n_hosts, seed):

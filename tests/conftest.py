@@ -129,6 +129,15 @@ def rng():
     return np.random.default_rng(0)
 
 
+def bit_state(rng):
+    """rng's bit generator state, with uinteger read only while has_uint32
+    is 1: numpy keeps a stale value otherwise, which no draw reads."""
+    state = rng.bit_generator.state
+    if not state["has_uint32"]:
+        state["uinteger"] = None
+    return state
+
+
 def toy_mdp():
     """A 3-state, 2-action deterministic chain with known optimal values.
 

@@ -32,7 +32,8 @@ from flowrl.dqn import (
 from flowrl.harness import ExperimentConfig, run_experiment, write_report
 from flowrl.model import FREQ_GRID, REC_GRID, ThresholdConfig
 from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, AgentConfig
-from conftest import FakeEnv, random_net
+from flowrl.traffic import WordDraws
+from conftest import FakeEnv, bit_state, random_net
 
 
 def nets_equal(a, b):
@@ -377,7 +378,7 @@ class TestReplayMemory:
         items = [self._exp(i) for i in range(MINIBATCH)]
         for e in items:
             mem.store(e)
-        out = mem.sample(rng)
+        out = mem.sample(WordDraws(rng))
         assert len(out) == MINIBATCH
         assert {id(e) for e in out} == {id(e) for e in items}
 
@@ -386,16 +387,16 @@ class TestReplayMemory:
         for i in range(MINIBATCH - 1):
             mem.store(self._exp(i))
         with pytest.raises(InsufficientExperiences):
-            mem.sample(rng)
+            mem.sample(WordDraws(rng))
 
     def test_sampling_is_roughly_uniform(self):
         mem = ReplayMemory()
         for i in range(100):
             mem.store(self._exp(i))
-        rng = np.random.default_rng(3)
+        draws = WordDraws(np.random.default_rng(3))
         counts = np.zeros(100, dtype=int)
         for _ in range(10_000):
-            batch = [e.r for e in mem.sample(rng)]
+            batch = [e.r for e in mem.sample(draws)]
             assert len(set(batch)) == MINIBATCH
             counts[batch] += 1
         # 400 expected draws of each experience
@@ -585,13 +586,16 @@ def ref_sgd_step(net, x, action, target, lr):
 
 
 class RefPolicy(_DqnPolicy):
+    """Takes a Generator, and its minibatch from Generator.choice."""
+
     def learn(self, fi, ri, action, reward, nfi, nri, rng):
         next_vec = encode_state(GRID_STATES[nfi][nri], action, reward)
         memory = self.memory
         memory.store(Experience(self.s_vec, action, reward, next_vec))
         if len(memory) >= REPLAY_START:
             snapshot = self.net.copy()
-            for e in memory.sample(rng):
+            idx = rng.choice(len(memory), size=MINIBATCH, replace=False)
+            for e in [memory.buffer[i] for i in idx]:
                 ref_sgd_step(self.net, e.s, e.a, ref_dqn_target(e, snapshot), LEARNING_RATE)
         self.s_vec = next_vec
 
@@ -671,13 +675,15 @@ def test_lean_learn_matches_snapshot_copy(net, seed, transitions):
     assert net_bytes(lean.net) == net_bytes(ref.net) == net_bytes(net)
     lean_rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
+    draws = WordDraws(lean_rng)
     for action, reward, (nfi, nri) in transitions:
-        lean.learn(fi, ri, action, reward, nfi, nri, lean_rng)
+        lean.learn(fi, ri, action, reward, nfi, nri, draws)
         ref.learn(fi, ri, action, reward, nfi, nri, ref_rng)
         assert net_bytes(lean.net) == net_bytes(ref.net)
         fi, ri = nfi, nri
+    draws.close()
     assert net_bytes(lean.net) != net_bytes(net)
-    assert lean_rng.random() == ref_rng.random()
+    assert bit_state(lean_rng) == bit_state(ref_rng)
 
 
 @settings(max_examples=150)

@@ -1,0 +1,140 @@
+"""The training draws (traffic.WordDraws, and ReplayMemory.sample on it)
+against numpy's Generator: each draw must equal the Generator call it
+stands for, and a closed stream must leave the bit generator where those
+calls would have."""
+import numpy as np
+import pytest
+
+from flowrl.dqn import MINIBATCH, Experience, ReplayMemory
+from flowrl.qlearn import Action
+from flowrl.traffic import DRAW_BLOCK, WordDraws
+from conftest import bit_state
+
+# n == 1 takes no draw; 2**31 + 1 rejects about half its 32-bit draws
+BELOW_RANGES = (1, 2, 5, 19, 1000, 2**31 + 1, 2**32 - 1, 2**32)
+# memory sizes: sampling all of it, the smallest learning memory, a full one
+MEMORY_SIZES = (MINIBATCH, MINIBATCH + 1, 32, 1000)
+
+
+def memory_of(n):
+    mem = ReplayMemory()
+    for i in range(n):
+        mem.store(Experience(None, Action.NoOp, i, None))
+    return mem
+
+
+MEMORIES = {n: memory_of(n) for n in MEMORY_SIZES}
+
+
+def twins(seed, kept_half):
+    """Two generators on seed; with kept_half both hold a 32-bit half."""
+    gens = np.random.default_rng(seed), np.random.default_rng(seed)
+    if kept_half:
+        for gen in gens:
+            gen.integers(0, 7)
+    return gens
+
+
+def test_interleaved_draws_equal_generator_calls():
+    ops = len(BELOW_RANGES) + len(MEMORY_SIZES) + 1
+    crossed = closed_with_half = 0
+    for seed in range(240):
+        ref, gen = twins(seed, kept_half=seed % 2)
+        draws = WordDraws(gen)
+        order = np.random.default_rng([seed, 2])
+        words = 0.0  # a lower bound on the words taken
+        for _ in range(int(order.integers(0, 3 * DRAW_BLOCK))):
+            op = int(order.integers(ops))
+            if op < len(BELOW_RANGES):
+                n = BELOW_RANGES[op]
+                assert draws.below(n) == int(ref.integers(0, n)), (seed, n)
+                words += 0.5 * (n > 1)
+            elif op < ops - 1:
+                n = MEMORY_SIZES[op - len(BELOW_RANGES)]
+                picked = [e.r for e in MEMORIES[n].sample(draws)]
+                assert picked == ref.choice(n, MINIBATCH, replace=False).tolist(), (seed, n)
+                words += 3.0  # at least three Floyd and three shuffle halves
+            else:
+                assert draws.random() == ref.random(), seed
+                words += 1
+        draws.close()
+        assert bit_state(gen) == bit_state(ref), seed
+        crossed += words > DRAW_BLOCK
+        closed_with_half += bit_state(ref)["has_uint32"]
+    assert crossed > 50 and closed_with_half > 50
+
+
+@pytest.mark.parametrize("count", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
+                                   2 * DRAW_BLOCK])
+def test_random_across_block_boundaries(count):
+    for seed in range(3):
+        ref, gen = twins(seed, kept_half=seed == 1)
+        draws = WordDraws(gen)
+        assert [draws.random() for _ in range(count)] == [ref.random() for _ in range(count)]
+        draws.close()
+        assert bit_state(gen) == bit_state(ref)
+
+
+def test_random_is_the_word_top_53_bits():
+    words = np.random.default_rng(4).bit_generator.random_raw(3).tolist()
+    draws = WordDraws(np.random.default_rng(4))
+    assert [draws.random() for _ in words] == [(w >> 11) / 2**53 for w in words]
+    assert draws.random() == np.random.default_rng(4).random(4)[3]
+
+
+def test_range_of_one_takes_no_draw():
+    for kept_half in (False, True):
+        ref, gen = twins(9, kept_half)
+        before = bit_state(gen)
+        draws = WordDraws(gen)
+        assert [draws.below(1) for _ in range(5)] == [0] * 5
+        draws.close()
+        assert bit_state(gen) == before
+        assert [int(ref.integers(0, 1)) for _ in range(5)] == [0] * 5
+        assert bit_state(ref) == before
+
+
+def test_rejection_heavy_range():
+    n = 2**31 + 1
+    assert (2**32 - n) % n == 2**31 - 1  # draws below this threshold are redrawn
+    for seed in range(20):
+        ref, gen = twins(seed, kept_half=False)
+        draws = WordDraws(gen)
+        assert [draws.below(n) for _ in range(50)] == [int(ref.integers(0, n))
+                                                      for _ in range(50)]
+        draws.close()
+        assert bit_state(gen) == bit_state(ref)
+
+
+@pytest.mark.parametrize("kept_half, calls", [
+    (False, "b"),    # takes a word, keeps its high half
+    (True, "r"),     # the opening half stays kept across a whole-word draw
+    (True, "bb"),    # uses the opening half, then keeps a new one
+    (True, "b"),     # uses the opening half, and ends with none
+    (False, "bbrb"),
+])
+def test_close_hands_back_the_kept_half(kept_half, calls):
+    ref, gen = twins(11, kept_half)
+    draws = WordDraws(gen)
+    for call in calls:
+        if call == "b":
+            assert draws.below(5) == int(ref.integers(0, 5))
+        else:
+            assert draws.random() == ref.random()
+    draws.close()
+    assert bit_state(gen) == bit_state(ref)
+    assert bit_state(gen)["has_uint32"] == (len(calls) - calls.count("r") + kept_half) % 2
+    # the next draws of both read the same half and words
+    assert [int(gen.integers(0, 5)) for _ in range(3)] == [int(ref.integers(0, 5))
+                                                         for _ in range(3)]
+
+
+def test_sample_equals_generator_choice():
+    for seed in range(200):
+        ref, gen = twins(seed, kept_half=seed % 2)
+        draws = WordDraws(gen)
+        for n in MEMORY_SIZES:
+            picked = [e.r for e in MEMORIES[n].sample(draws)]
+            assert picked == ref.choice(n, MINIBATCH, replace=False).tolist(), (seed, n)
+        draws.close()
+        assert bit_state(gen) == bit_state(ref), seed

@@ -158,6 +158,26 @@ class TestQTable:
         with pytest.raises(MalformedQTable, match="^line 0: file ends after 0 of 3255"):
             QTable.load(path)
 
+    @pytest.mark.parametrize("line", ["0100,0,NoOp,1", "100,000,NoOp,1.0", "00100,00,NoOp,1e0"])
+    def test_load_reads_a_non_canonical_line_as_its_canonical_form(self, tmp_path, line):
+        path = tmp_path / "q.csv"
+        QTable().save(path)
+        lines = path.read_text().splitlines()
+        lines[lines.index("100,0,NoOp,0")] = line
+        path.write_text("\n".join(lines) + "\n")
+        canonical = QTable()
+        canonical.set(ThresholdConfig(100, 0), Action.NoOp, 1.0)
+        assert QTable.load(path).rows == canonical.rows
+        # a second line for the cell names it as written
+        path.write_text("\n".join(lines + ["100,0,NoOp,0", line]) + "\n")
+        with pytest.raises(MalformedQTable, match="^line %d: duplicate cell 100,0,NoOp$"
+                           % (len(lines) + 1)):
+            QTable.load(path)
+        path.write_text("\n".join(lines + [line]) + "\n")
+        with pytest.raises(MalformedQTable, match="^line %d: duplicate cell %s$"
+                           % (len(lines) + 1, line.rpartition(",")[0])):
+            QTable.load(path)
+
     def test_load_accepts_integer_values_in_any_order(self, tmp_path):
         lines = [
             "%d,%d,%s,%d" % (f, r, a.name, a == Action.NoOp)

@@ -23,7 +23,8 @@ from flowrl.qlearn import (
     train,
 )
 from flowrl.simnet import BestSoFar, compute_reward, hit_ratio, reduction_fraction
-from conftest import FakeEnv
+from flowrl.traffic import WordDraws
+from conftest import FakeEnv, bit_state
 
 START = ThresholdConfig(100, 100)
 
@@ -39,9 +40,9 @@ class ScriptedPolicy:
         self.calls.append(("greedy", GRID_STATES[fi][ri]))
         return Action.IncFreq
 
-    def learn(self, fi, ri, action, reward, nfi, nri, rng):
+    def learn(self, fi, ri, action, reward, nfi, nri, draws):
         self.calls.append(("learn", GRID_STATES[fi][ri], action, reward,
-                           GRID_STATES[nfi][nri], rng))
+                           GRID_STATES[nfi][nri], draws))
 
     def of(self, kind):
         return [c for c in self.calls if c[0] == kind]
@@ -59,10 +60,17 @@ def test_select_and_learn_alternate_once_per_step():
     cfg = AgentConfig(epsilon0=0.0, budget=5)
     res = train(FakeEnv(lambda f, r: 50), policy, cfg, START, rng)
     assert [c[0] for c in policy.calls] == ["greedy", "learn"] * 5
+    # every learn call gets the run's one stream of draws, which took one
+    # coin a step from rng
+    draws = policy.of("learn")[0][5]
+    assert isinstance(draws, WordDraws)
+    twin = np.random.default_rng(0)
+    twin.random(5)
+    assert bit_state(rng) == bit_state(twin)
     state = START
     for greedy, learn in zip(policy.of("greedy"), policy.of("learn")):
         assert greedy[1] == state
-        assert learn[1] == state and learn[2] is Action.IncFreq and learn[5] is rng
+        assert learn[1] == state and learn[2] is Action.IncFreq and learn[5] is draws
         state = apply_action(state, Action.IncFreq)
         assert learn[4] == state
     assert [row.freq_thr for row in res.trace] == [100, 110, 120, 130, 140, 150]
@@ -265,10 +273,9 @@ def test_index_walk_matches_public_function_loop(grid, q, start, budget, epsilon
     assert np.array(lean_q.rows).tobytes() == np.array(ref_q.rows).tobytes()
     assert lean.best == ref.best
     assert (lean.episodes_run, lean.goal_met) == (ref.episodes_run, ref.goal_met)
-    next_draw = ref_rng.random()
-    assert lean_rng.random() == next_draw
+    assert bit_state(lean_rng) == bit_state(ref_rng)
     assert bare.trace is None
     assert np.array(bare_q.rows).tobytes() == np.array(ref_q.rows).tobytes()
     assert (bare.best, bare.episodes_run, bare.goal_met) == (
         ref.best, ref.episodes_run, ref.goal_met)
-    assert bare_rng.random() == next_draw
+    assert bit_state(bare_rng) == bit_state(ref_rng)
