@@ -21,7 +21,9 @@ from flowrl.model import (  # noqa: F401
     ENTRY_BITS, FREQ_GRID, GRID_STEP, PARAM_MODES, REC_GRID, FlowTable, ThresholdConfig,
     placement_landscape, rank_pool, read_text, select_rules,
 )
-from flowrl.qlearn import AgentConfig, QTable, TraceRow, _trace_row, init_qtable, q_train
+from flowrl.qlearn import (
+    GRID_STATES, AgentConfig, QTable, TraceRow, _trace_row, init_qtable, q_train,
+)
 from flowrl.simnet import (  # noqa: F401
     EpisodeMetrics, hit_ratio, reduction_fraction, run_episode, run_orchestration,
 )
@@ -29,6 +31,7 @@ from flowrl.traffic import (
     FlowSchedule,
     InvalidProfile,
     TrafficProfile,
+    WordDraws,
     emitted_before,
     generate_schedule,
     last_emission_tick,
@@ -316,13 +319,9 @@ class RunReport:
 
 
 def _draw_training_sets(n, rng):
-    """n random grid states for pre-training."""
-    sets = []
-    for _ in range(n):
-        f = GRID_STEP * int(rng.integers(0, len(FREQ_GRID)))
-        r = GRID_STEP * int(rng.integers(0, len(REC_GRID)))
-        sets.append(ThresholdConfig(f, r))
-    return sets
+    """n random grid states for pre-training, a frequency then a recentness index each."""
+    below = WordDraws(rng).below
+    return [GRID_STATES[below(len(FREQ_GRID))][below(len(REC_GRID))] for _ in range(n)]
 
 
 def _build_env(cfg):

@@ -98,13 +98,12 @@ class QTable:
         self.row(state)[int(action)] = float(value)
 
     def save(self, path):
-        """One `freq_thr,rec_thr,action,q_value` line per cell, sorted,
-        with 17-significant-digit decimals (round-trip exact)."""
+        """One `freq_thr,rec_thr,action,q_value` line per cell, in
+        _CELL_INDEX's (sorted) order, with 17-significant-digit decimals
+        (round-trip exact)."""
         with open(path, "w", newline="\n") as fh:
-            for f, f_rows in zip(FREQ_GRID, self.rows):
-                for r, row in zip(REC_GRID, f_rows):
-                    for a in ACTIONS:
-                        fh.write("%d,%d,%s,%.17g\n" % (f, r, a.name, row[a]))
+            fh.writelines("%s,%.17g\n" % line
+                          for line in zip(_CELL_INDEX, np.ravel(self.rows).tolist()))
 
     @staticmethod
     def load(path):
@@ -149,7 +148,8 @@ class QTable:
 
 
 # Each cell's index in QTable.load's flat list, keyed by the
-# "freq_thr,rec_thr,action" text that save writes before the value.
+# "freq_thr,rec_thr,action" text that save writes before the value, in the
+# order save writes the cells.
 _CELL_INDEX = {"%d,%d,%s" % (f, r, a.name): (fi * len(REC_GRID) + ri) * N_ACTIONS + a
                for fi, f in enumerate(FREQ_GRID) for ri, r in enumerate(REC_GRID)
                for a in ACTIONS}

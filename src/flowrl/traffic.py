@@ -56,6 +56,10 @@ class TrafficProfile:
         for name in ("mice_size", "elephant_size", "packet_size"):
             if getattr(self, name) <= 0:
                 raise InvalidProfile("%s must be positive" % name)
+            try:
+                float(getattr(self, name))  # the rates divide by it as a float
+            except OverflowError:
+                raise InvalidProfile("%s is too large for a float" % name) from None
         for name in ("aggregate_rate", "per_flow_rate"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidProfile("%s must be positive and finite" % name)
@@ -67,6 +71,9 @@ class TrafficProfile:
                          self.packet_size) > MAX_FLOW_PACKETS:
             raise InvalidProfile("mice_size and elephant_size must each fit in %d packets"
                                  % MAX_FLOW_PACKETS)
+        if not self.arrival_rate() > 0:
+            raise InvalidProfile("aggregate_rate %r over flows of %r bits gives 0 arrivals "
+                                 "per second" % (self.aggregate_rate, self.mean_flow_bits()))
         if self.arrival_rate() * horizon > MAX_EXPECTED_FLOWS:
             raise InvalidProfile(
                 "aggregate_rate implies %.3g flows over %d ticks, above %d"
@@ -153,36 +160,6 @@ class FlowSchedule:
         return self._flows
 
 
-def uniform_below(rng):
-    """A draw of uniform ints in [0, n), 1 <= n <= 2**32, equal to what
-    Generator.integers(0, n) would give on rng: numpy's
-    buffered_bounded_lemire_uint32 rule over 32-bit draws from rng's PCG64
-    words, each word giving its low half first and keeping its high half
-    for the next draw. rng's whole-word draws (exponential, random) leave
-    that half alone."""
-    raw = rng.bit_generator.random_raw
-
-    def halves():
-        while True:
-            word = raw()
-            yield word & 0xFFFFFFFF
-            yield word >> 32
-
-    draw = halves().__next__
-
-    def below(n):
-        if n == 1:  # numpy's empty-range shortcut takes no draw
-            return 0
-        m = draw() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (2**32 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = draw() * n
-        return m >> 32
-
-    return below
-
-
 # Words WordDraws fetches at a time. A fetch's cost is mostly per call
 # (on a 2-core host about 1.7 us for 16 words, 3.3 us for 64), and close()
 # rewinds whatever a run leaves unused in one call.
@@ -190,14 +167,15 @@ DRAW_BLOCK = 64
 
 
 class WordDraws:
-    """The draws of one training run from rng's PCG64 words, each equal to
-    what rng's own call would give: random() to Generator.random() (numpy's
-    next_double, the word's top 53 bits) and below(n) to
-    Generator.integers(0, n) for 1 <= n <= 2**32 (uniform_below's rule, on
-    rng's kept 32-bit half first). Words are fetched in blocks of
-    DRAW_BLOCK; close() rewinds the unused ones and hands the kept half
-    back, leaving rng's state where its own calls would have. Use no
-    draw after close()."""
+    """Draws from rng's PCG64 words, each equal to what rng's own call
+    would give: random() to Generator.random() (numpy's next_double, the
+    word's top 53 bits) and below(n) to Generator.integers(0, n) for
+    1 <= n <= 2**32 (numpy's buffered_bounded_lemire_uint32 rule over
+    32-bit halves, rng's kept half first, then each word's low half,
+    keeping its high half for the next draw). A training run's draws
+    fetch words in blocks of DRAW_BLOCK; close() rewinds the unused ones
+    and hands the kept half back, leaving rng's state where its own calls
+    would have. Use no draw after close()."""
 
     def __init__(self, rng):
         self._bg = rng.bit_generator
@@ -205,6 +183,15 @@ class WordDraws:
         self._half0 = self._half = state["uinteger"] if state["has_uint32"] else None
         self._block = iter(())  # the fetched words not yet used
         self._next = self._block.__next__
+
+    @classmethod
+    def live(cls, rng):
+        """Draws that take each word from rng as it is drawn and fetch none
+        ahead, so rng's own whole-word draws (exponential) may come between
+        them; those leave the kept half alone."""
+        draws = cls(rng)
+        draws._next = draws._bg.random_raw
+        return draws
 
     def _fetch(self):
         self._block = iter(self._bg.random_raw(DRAW_BLOCK).tolist())
@@ -268,7 +255,8 @@ def generate_schedule(profile, horizon, n_hosts, seed):
         raise ValueError("need 2 to 2**32 hosts")
 
     rng = np.random.default_rng(seed)
-    below = uniform_below(rng)
+    draws = WordDraws.live(rng)
+    below = draws.below
     mean_gap = 1.0 / profile.arrival_rate()
 
     ids, starts, elephant = [], [], []
@@ -279,7 +267,7 @@ def generate_schedule(profile, horizon, n_hosts, seed):
         if t >= horizon:
             break
         starts.append(math.floor(t))
-        is_elephant = rng.random() < profile.elephant_fraction
+        is_elephant = draws.random() < profile.elephant_fraction
         src = below(n_hosts)
         dst = below(n_hosts - 1)
         if dst >= src:

@@ -95,6 +95,18 @@ class TestLoadConfig:
         assert cfg.traffic.aggregate_rate == 1_000_000.0
         assert cfg.traffic.elephant_size == REFERENCE_TRAFFIC.elephant_size
 
+    @pytest.mark.parametrize("text, field", [
+        ("aggregate_rate=5e-324\n", "aggregate_rate"),
+        ("packet_size=1%s\n" % ("0" * 400), "packet_size"),
+        ("mice_size=1%s\nelephant_size=1%s\npacket_size=1%s\nper_flow_rate=1e308\n"
+         % ("0" * 313, "0" * 313, "0" * 300), "mice_size"),
+    ], ids=["zero-arrival-rate", "packet-size", "flow-sizes"])
+    def test_profile_beyond_floats_names_the_field(self, tmp_path, text, field):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=field):
+            load_config(path)
+
     def test_unknown_key_names_the_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("seed=1\nlearning_rate=0.1\n")
@@ -378,6 +390,18 @@ class TestEpisodeEnv:
         assert len(rank_calls) == rankings
 
 
+# the (freq, rec) thresholds of the 20 sets that seeds 0 and 1 pre-train
+# from, as Generator.integers drew them: a frequency then a recentness index
+PINNED_SETS = {
+    0: [(160, 290), (0, 90), (150, 220), (40, 30), (200, 130), (140, 200), (190, 10),
+        (100, 250), (90, 80), (130, 210), (130, 260), (60, 20), (10, 280), (0, 280),
+        (200, 30), (0, 150), (100, 200), (30, 0), (170, 130), (170, 140)],
+    1: [(0, 210), (170, 50), (170, 190), (110, 90), (80, 30), (80, 250), (160, 40),
+        (30, 260), (10, 140), (60, 100), (130, 100), (150, 30), (10, 230), (10, 0),
+        (200, 100), (40, 60), (10, 240), (80, 160), (140, 190), (160, 80)],
+}
+
+
 class TestDrawTrainingSets:
     def test_on_grid_and_deterministic(self):
         a = _draw_training_sets(50, np.random.default_rng(4))
@@ -386,6 +410,13 @@ class TestDrawTrainingSets:
         assert len(a) == 50
         for t in a:
             assert isinstance(t, ThresholdConfig)  # constructor enforces grid
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_SETS))
+    def test_pinned(self, seed):
+        # the stream _run_agent draws the sets from
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
+        sets = _draw_training_sets(20, rng)
+        assert [(t.freq_threshold, t.recentness_threshold) for t in sets] == PINNED_SETS[seed]
 
 
 class TestRunExperimentModes:

@@ -14,13 +14,24 @@ from flowrl.traffic import (
     FlowSpec,
     InvalidProfile,
     TrafficProfile,
+    WordDraws,
     emission_extent,
     generate_schedule,
     packets_for_tick,
     total_packets,
-    uniform_below,
 )
 from conftest import ONE_PPS, fid, hand_schedule, spec_schedule
+
+
+# profiles whose rates no float can hold, and the field refused for each
+PROFILES_BEYOND_FLOATS = [
+    (dict(packet_size=10**400), "packet_size"),
+    (dict(mice_size=10**313, elephant_size=10**313, packet_size=10**300,
+          per_flow_rate=1e308), "mice_size"),
+    # each size fits a float, but the mean flow is inf bits: 0 arrivals per second
+    (dict(mice_size=10**308, elephant_size=10**308, packet_size=10**295,
+          per_flow_rate=1e308), "aggregate_rate"),
+]
 
 
 class TestTrafficProfile:
@@ -58,6 +69,21 @@ class TestTrafficProfile:
         # never generate a schedule here: an infinite rate never advances time
         with pytest.raises(InvalidProfile, match=field):
             TrafficProfile(**{field: value}).validate(60)
+
+    def test_arrival_rate_of_zero_rejected(self):
+        # 5e-324 bits/s over the default flows underflows to 0 arrivals per
+        # second; 1e-310 stays above 0 and arrives no flow in 60 ticks
+        with pytest.raises(InvalidProfile, match="aggregate_rate"):
+            TrafficProfile(aggregate_rate=5e-324).validate(60)
+        tiny = TrafficProfile(aggregate_rate=1e-310)
+        tiny.validate(60)
+        assert generate_schedule(tiny, 60, 20, 0).ids == []
+
+    @pytest.mark.parametrize("kwargs, field", PROFILES_BEYOND_FLOATS,
+                             ids=[field for _, field in PROFILES_BEYOND_FLOATS])
+    def test_sizes_beyond_floats_rejected(self, kwargs, field):
+        with pytest.raises(InvalidProfile, match=field):
+            TrafficProfile(**kwargs).validate(60)
 
     def test_expected_flows_capped_over_the_horizon(self):
         prof = TrafficProfile()
@@ -259,24 +285,27 @@ def test_schedule_pinned(profile, n_hosts, seed, flows, digest):
 
 
 # 2**31 + 1 rejects about half its draws, so the redraw loop runs and can
-# leave an odd high half for the next draw; 2**32 is the helper's widest.
+# leave an odd high half for the next draw; 2**32 is the widest range.
 BELOW_RANGES = (1, 2, 19, 20, 64512, 65536, 2**31 + 1, 2**32 - 1, 2**32)
 
 
-def test_uniform_below_equals_generator_integers():
+def test_live_draws_equal_generator_calls():
+    # the schedule's draws: live WordDraws between the twin's own exponential
+    # draws, and its random() from the live draws on odd seeds, the twin on even
     for seed in range(240):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        below = uniform_below(twin)
+        draws = WordDraws.live(twin)
+        random = draws.random if seed % 2 else twin.random
         order = np.random.default_rng([seed, 1])
         for _ in range(40):
             op = int(order.integers(len(BELOW_RANGES) + 2))
             if op == len(BELOW_RANGES):
                 assert rng.exponential(2.5) == twin.exponential(2.5), seed
             elif op == len(BELOW_RANGES) + 1:
-                assert rng.random() == twin.random(), seed
+                assert rng.random() == random(), seed
             else:
                 n = BELOW_RANGES[op]
-                assert int(rng.integers(0, n)) == below(n), (seed, n)
+                assert int(rng.integers(0, n)) == draws.below(n), (seed, n)
         # both have taken the same 64-bit words
         assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw(), seed
 
