@@ -1,10 +1,11 @@
 # dqn.py -- from-scratch deep Q-network: a small fully-connected ReLU
 # network with 5 linear output heads, uniform experience replay, targets
 # computed with the parameters from before the minibatch's first step (the
-# paper's previous-iteration snapshot, without copying the network), and
-# plain SGD on the selected head's squared error, which moves only that
-# head's output row. No autograd framework; forward and backward passes are
-# written out against numpy arrays.
+# paper's previous-iteration snapshot, without copying the network) in one
+# stacked forward pass that also serves the first step, and plain SGD on
+# the selected head's squared error, which moves only that head's output
+# row. No autograd framework; forward and backward passes are written out
+# against numpy arrays.
 
 import math
 from collections import deque
@@ -56,10 +57,10 @@ class Mlp:
             raise ValueError("need one bias vector per weight matrix")
         weights = [np.array(w, dtype=float) for w in weights]
         biases = [np.array(b, dtype=float) for b in biases]
+        if any(w.ndim != 2 for w in weights) or any(b.ndim != 1 for b in biases):
+            raise ValueError("weights must be matrices, biases vectors")
         sizes = [weights[0].shape[1]]
         for w, b in zip(weights, biases):
-            if w.ndim != 2 or b.ndim != 1:
-                raise ValueError("weights must be matrices, biases vectors")
             if w.shape[0] != b.shape[0] or w.shape[1] != sizes[-1]:
                 raise ValueError("inconsistent layer shapes")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
@@ -250,13 +251,41 @@ def mlp_forward(net, x):
     return _activations(net, x)[-1]
 
 
-def dqn_target(e, net_prev):
-    """r + gamma * max over forward(net_prev, s_next) -- net_prev holds the
-    parameters from before the minibatch's first SGD step."""
-    return e.r + AgentConfig.gamma * float(np.maximum.reduce(mlp_forward(net_prev, e.s_next)))
+def _stacked_activations(net, xs):
+    """_activations over k inputs in one pass: each layer is a (k, n, 1)
+    array whose row i, [i, :, 0], equals _activations(net, xs[i]) bit for
+    bit. np.matmul over the (k, n, 1) stack hands BLAS each input's own
+    mat-vec, as ndarray.dot does; a W @ X over an (n, k) matrix would be a
+    matrix product, which sums in another order."""
+    a = np.array(xs, dtype=float)
+    if not all(map(math.isfinite, a.ravel().tolist())):
+        raise NonFiniteInput("input contains a non-finite component")
+    a = a[:, :, None]
+    activations = [a]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.matmul(w, a)
+        a += b[:, None]
+        np.maximum(0.0, a, out=a)
+        activations.append(a)
+    out = np.matmul(net.weights[-1], a)
+    out += net.biases[-1][:, None]
+    activations.append(out)
+    return activations
 
 
-def sgd_step(net, x, action, target, lr):
+def _minibatch_forward(net, batch):
+    """One stacked forward pass with net's current parameters, the ones
+    from before the minibatch's first SGD step, over every sample's s_next
+    and then the first sample's s. Returns each sample's target, r + gamma
+    * max of its s_next Q-values, and the first sample's activations, which
+    its sgd_step takes in place of a forward pass of its own."""
+    stacked = _stacked_activations(net, [e.s_next for e in batch] + [batch[0].s])
+    q_next = np.maximum.reduce(stacked[-1][:-1, :, 0], axis=1).tolist()
+    targets = [e.r + AgentConfig.gamma * q for e, q in zip(batch, q_next)]
+    return targets, [a[-1, :, 0] for a in stacked]
+
+
+def sgd_step(net, x, action, target, lr, activations=None):
     """One SGD step on the squared error of the selected head only.
 
     Backpropagates d/dp (target - Q_action(x))^2. The other output heads
@@ -266,14 +295,22 @@ def sgd_step(net, x, action, target, lr):
     taken before any weight moves, and then net.flat -= lr * net.grad moves
     them all at once. Updates the net in place and returns it.
 
+    activations, when given, must be _activations(net, x) for the net's
+    current parameters; learn passes the first sample's rows of its
+    stacked pass. Raises ValueError for a non-finite target and for an
+    action that is not a head index, 0 <= action < layer_sizes[-1].
+
     The result equals a full-width backward pass bit for bit unless a
     parameter is negative zero (then a zero's sign may differ). Random
     init and SGD updates never make one; a loaded or hand-built net can.
     """
     if not math.isfinite(target):
         raise ValueError("target must be finite")
-    activations = _activations(net, x)
     a = int(action)
+    if not 0 <= a < net.layer_sizes[-1]:
+        raise ValueError("action must be a head index in [0, %d)" % net.layer_sizes[-1])
+    if activations is None:
+        activations = _activations(net, x)
     h = activations[-2]
     w_out = net.weights[-1]
     d = 2.0 * (activations[-1][a] - target)
@@ -298,7 +335,8 @@ class _DqnPolicy:
     the network's output for it; learn stores each transition and, once
     the memory holds REPLAY_START experiences, samples a minibatch,
     computes every sample's target with the parameters from before the
-    minibatch's first step (no copy of the network), then takes one
+    minibatch's first step (no copy of the network) in one stacked pass
+    that also gives the first sample's activations, then takes one
     sgd_step per sample."""
 
     def __init__(self, net, memory, state):
@@ -316,9 +354,10 @@ class _DqnPolicy:
         if len(memory) >= REPLAY_START:
             net = self.net
             batch = memory.sample(draws)
-            targets = [dqn_target(e, net) for e in batch]
+            targets, activations = _minibatch_forward(net, batch)
             for e, target in zip(batch, targets):
-                sgd_step(net, e.s, e.a, target, LEARNING_RATE)
+                sgd_step(net, e.s, e.a, target, LEARNING_RATE, activations)
+                activations = None
         self.s_vec = next_vec
 
 

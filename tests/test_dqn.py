@@ -1,6 +1,9 @@
 """Tests for the from-scratch DQN: network forward/backward, replay
 memory, targets, and the training loop."""
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +24,10 @@ from flowrl.dqn import (
     Mlp,
     NonFiniteInput,
     ReplayMemory,
+    _activations,
     _DqnPolicy,
-    dqn_target,
+    _minibatch_forward,
+    _stacked_activations,
     dqn_train,
     encode_state,
     init_mlp,
@@ -67,8 +72,8 @@ REMOVED_PARAMETERS = {
     "Mlp.random-layer_sizes": lambda: Mlp.random(np.random.default_rng(0),
                                                  layer_sizes=LAYER_SIZES),
     "Mlp.random-scale": lambda: Mlp.random(np.random.default_rng(0), scale=INIT_SCALE),
-    "dqn_target-gamma": lambda: dqn_target(
-        Experience(np.zeros(4), Action.NoOp, 0, np.zeros(4)), zero_net(), 0.95),
+    "_minibatch_forward-gamma": lambda: _minibatch_forward(
+        zero_net(), [Experience(np.zeros(4), Action.NoOp, 0, np.zeros(4))], 0.95),
 }
 
 
@@ -101,6 +106,12 @@ class TestMlp:
             Mlp([np.zeros((3, 4))], [np.zeros(2)])
         with pytest.raises(ValueError):
             Mlp([], [])
+
+    def test_rejects_non_matrix_weights(self):
+        with pytest.raises(ValueError, match="weights must be matrices, biases vectors"):
+            Mlp([np.zeros(3)], [np.zeros(3)])
+        with pytest.raises(ValueError, match="weights must be matrices, biases vectors"):
+            Mlp([np.zeros((3, 4))], [np.zeros((3, 1))])
 
     def test_rejects_non_finite_parameters(self):
         w = np.zeros((2, 4))
@@ -260,14 +271,29 @@ class TestDqnTarget:
         net = zero_net()
         net.biases[-1][:] = [2.0, 0.0, 0.0, 0.0, 0.0]
         e = Experience(np.zeros(4), Action.NoOp, 1, np.zeros(4))
-        assert dqn_target(e, net) == pytest.approx(2.9)
+        assert _minibatch_forward(net, [e])[0] == [pytest.approx(2.9)]
 
     def test_zero_next_values(self):
         net = zero_net()
         e0 = Experience(np.zeros(4), Action.NoOp, 0, np.zeros(4))
         em = Experience(np.zeros(4), Action.NoOp, -1, np.zeros(4))
-        assert dqn_target(e0, net) == 0.0
-        assert dqn_target(em, net) == -1.0
+        assert _minibatch_forward(net, [e0, em, e0, em])[0] == [0.0, -1.0, 0.0, -1.0]
+
+    def test_first_sample_activations_are_its_own_forward(self):
+        net = Mlp.random(np.random.default_rng(0))
+        batch = [Experience(np.full(4, 0.25 * i), Action.NoOp, 0, np.full(4, -0.5 * i))
+                 for i in range(MINIBATCH)]
+        _, activations = _minibatch_forward(net, batch)
+        assert [a.tobytes() for a in activations] == [
+            a.tobytes() for a in _activations(net, batch[0].s)]
+
+    def test_rejects_non_finite_input(self):
+        net = Mlp.random(np.random.default_rng(0))
+        e = Experience(np.zeros(4), Action.NoOp, 0, np.array([0.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(NonFiniteInput):
+            _minibatch_forward(net, [e])
+        with pytest.raises(NonFiniteInput):
+            _minibatch_forward(net, [Experience(e.s_next, Action.NoOp, 0, e.s)])
 
 
 class TestSgdStep:
@@ -281,6 +307,14 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step(Mlp.random(np.random.default_rng(0)), np.zeros(4),
                      Action.NoOp, float("nan"), 0.01)
+
+    @pytest.mark.parametrize("action", [-1, 5, 7])
+    def test_rejects_action_outside_the_heads(self, action):
+        net = Mlp.random(np.random.default_rng(0))
+        before = net.copy()
+        with pytest.raises(ValueError, match="head index"):
+            sgd_step(net, np.ones(4), action, 0.5, 0.01)
+        assert nets_equal(net, before)
 
     def test_single_sample_convergence(self):
         net = Mlp.random(np.random.default_rng(0))
@@ -706,6 +740,65 @@ def test_lean_sgd_step_matches_full_backward_pass(net, steps, lr):
         sgd_step(lean, np.array(x), action, target, lr)
         ref_sgd_step(ref, np.array(x), action, target, lr)
         assert net_bytes(lean) == net_bytes(ref)
+
+
+@st.composite
+def stacks(draw):
+    """A net, either from networks() or of any layer widths (as Mlp.load
+    accepts), and 1-5 inputs for it."""
+    if draw(st.booleans()):
+        net = draw(networks())
+    else:
+        sizes = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 8, 24]), min_size=2, max_size=5))
+        net = random_net(np.random.default_rng(draw(st.integers(0, 2**16))), sizes,
+                         scale=draw(st.sampled_from([0.1, 1.0])))
+    width = net.layer_sizes[0]
+    inputs = st.lists(QUARTERS | st.floats(-2, 2), min_size=width, max_size=width)
+    return net, draw(st.lists(inputs, min_size=1, max_size=5))
+
+
+@settings(max_examples=200)
+@example(case=(random_net(np.random.default_rng(0), (4, 3, 5)),
+               [[0.5, -1.0, 0.25, 1.5], [0.0, 0.0, 0.0, 0.0], [1.0, 0.75, -0.5, 0.0],
+                [-2.0, 0.125, 1.0, -1.0], [0.3, 0.6, 0.9, 1.2]]))
+@given(case=stacks())
+def test_stacked_rows_equal_single_passes(case):
+    net, xs = case
+    stacked = _stacked_activations(net, [np.array(x) for x in xs])
+    for i, x in enumerate(xs):
+        assert [a[i, :, 0].tobytes() for a in stacked] == [
+            a.tobytes() for a in _activations(net, np.array(x))]
+
+
+# Runs in a subprocess per OpenBLAS kernel: an 'ok' line means that every
+# row of the stacked pass equalled _activations of its input, bit for bit,
+# inside that kernel. The pinned digests are not compared here: they hold
+# only under the kernels whose sums run in the default order.
+KERNEL_CHECK = """
+import numpy as np
+from flowrl.dqn import Mlp, _activations, _stacked_activations
+rng = np.random.default_rng(0)
+for case in range(300):
+    sizes = [(4, 24, 24, 24, 5), (4, 3, 5), (2, 8, 1), (6, 24, 5, 3)][case % 4]
+    scale = (0.1, 1.0)[case // 4 % 2]
+    net = Mlp([rng.uniform(-scale, scale, (o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
+              [rng.uniform(-scale, scale, o) for o in sizes[1:]])
+    xs = rng.uniform(-2, 2, (case % 5 + 1, sizes[0]))
+    stacked = _stacked_activations(net, xs)
+    for i, x in enumerate(xs):
+        rows = [a[i, :, 0].tobytes() for a in stacked]
+        assert rows == [a.tobytes() for a in _activations(net, x)], (case, i)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_stacked_rows_equal_single_passes_under_kernel(coretype):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dqn.__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", KERNEL_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-3000:]
 
 
 # SHA-256 of the saved network and the report CSV, taken before the lean
