@@ -8,7 +8,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from flowrl.model import FlowRule
+from flowrl.model import FlowRule, key_text
 from flowrl.simnet import EpisodeMetrics
 # packets_for_tick stays bound: bench/layers.py traces it by name here
 from flowrl.traffic import last_emission_tick, packets_for_tick  # noqa: F401
@@ -40,10 +40,11 @@ MBF_WINDOW = 5
 class MbfState:
     """The aged bloom filters, newest first, each an int of MBF_BITS bits.
     Membership positions come from double hashing (two keyed 64-bit
-    hashes; the stride is forced odd so all MBF_PROBES probes are distinct
-    for the power-of-two MBF_BITS). The positions depend only on the flow
-    id and the seed, so each flow is hashed once per state, into one mask
-    (the sum of its distinct probe bits).
+    hashes of the flow's key_text; the stride is forced odd so all
+    MBF_PROBES probes are distinct for the power-of-two MBF_BITS). The
+    positions depend only on the flow key and the seed, so each flow is
+    hashed once per state, into one mask (the sum of its distinct probe
+    bits).
     """
 
     def __init__(self, seed):
@@ -52,20 +53,20 @@ class MbfState:
         self._key2 = ("mbf2-%d" % seed).encode()
         self._masks = {}
 
-    def mask(self, flow_id):
-        """The flow's probe positions as one bit mask."""
-        mask = self._masks.get(flow_id)
+    def mask(self, key):
+        """The probe positions of the flow with this key, as one bit mask."""
+        mask = self._masks.get(key)
         if mask is None:
-            data = flow_id.text().encode()
+            data = key_text(key).encode()
             h1 = _hash64(data, self._key1)
             h2 = _hash64(data, self._key2) | 1
             mask = sum(1 << (h1 + i * h2) % MBF_BITS for i in range(MBF_PROBES))
-            self._masks[flow_id] = mask
+            self._masks[key] = mask
         return mask
 
-    def insert(self, flow_id):
+    def insert(self, key):
         """Record the flow in the newest filter."""
-        self.filters[0] |= self.mask(flow_id)
+        self.filters[0] |= self.mask(key)
 
     def age(self):
         """Discard the oldest filter, shift the rest one slot older, and
@@ -76,30 +77,31 @@ class MbfState:
 
 def mbf_step(state, matched_flows, tick):
     """Advance the filter bank one tick: age at each window boundary, then
-    insert every flow matched during this tick into the newest filter
-    (setting bits is an OR, so the order of insertion cannot matter)."""
+    insert every flow (by key) matched during this tick into the newest
+    filter (setting bits is an OR, so the order of insertion cannot
+    matter)."""
     if tick % MBF_WINDOW == 0:
         state.age()
-    for fid in matched_flows:
-        state.insert(fid)
+    for key in matched_flows:
+        state.insert(key)
     return state
 
 
-def mbf_importance(state, flow_id):
-    """Weighted membership score: the sum of MBF_WEIGHTS over filters
-    reporting the flow, newest weighted highest. Range
-    [0, sum(MBF_WEIGHTS)]; older-filter false positives can inflate it (a
-    property of the structure, not an error)."""
-    mask = state.mask(flow_id)
+def mbf_importance(state, key):
+    """Weighted membership score of the flow with this key: the sum of
+    MBF_WEIGHTS over filters reporting the flow, newest weighted highest.
+    Range [0, sum(MBF_WEIGHTS)]; older-filter false positives can inflate
+    it (a property of the structure, not an error)."""
+    mask = state.mask(key)
     return sum(w for f, w in zip(state.filters, MBF_WEIGHTS) if f & mask == mask)
 
 
 def run_mbf_episode(schedule, table, state):
     """Reactive baseline episode over the schedule's horizon, aging state:
-    a miss installs the rule, and when the table is full the entry with
-    minimum mbf_importance is evicted first (ties: oldest install_time,
-    then FlowId order). Packets a flow would emit from the horizon on are
-    not offered.
+    a miss installs the flow's rule, keyed by its flow key, and when the
+    table is full the entry with minimum mbf_importance is evicted first
+    (ties: oldest install_time, then key order, which is FlowId order).
+    Packets a flow would emit from the horizon on are not offered.
 
     Packets are processed in schedule order with each flow's per-tick
     packets contiguous, so after a flow's first miss its remaining packets
@@ -109,18 +111,18 @@ def run_mbf_episode(schedule, table, state):
     at the tick: a flow joins at its start and leaves after its last
     emission tick. The filters change only in mbf_step, so importance is
     fixed within a tick: the tick's first eviction heaps the residents'
-    victim keys, later evictions pop the heap, and each later install
-    pushes its key. The heap is dropped when the tick ends.
+    eviction ranks, later evictions pop the heap, and each later install
+    pushes its rank. The heap is dropped when the tick ends.
     """
     duration = schedule.horizon
     rate = schedule.profile.packets_per_tick()
     starts, packets = schedule.starts, schedule.packets
     lasts = last_emission_tick(starts, packets, rate)
     flows = list(zip(starts.tolist(), lasts.tolist(),
-                     (packets - (lasts - starts) * rate).tolist(), schedule.ids))
+                     (packets - (lasts - starts) * rate).tolist(), schedule.keys.tolist()))
 
-    def victim_key(fid):
-        return (mbf_importance(state, fid), table.entries[fid].install_time, fid)
+    def eviction_rank(key):
+        return (mbf_importance(state, key), table.entries[key].install_time, key)
 
     hits = 0
     misses = 0
@@ -130,12 +132,12 @@ def run_mbf_episode(schedule, table, state):
         while joined < len(flows) and flows[joined][0] <= tick:
             active.append(flows[joined])
             joined += 1
-        batch = [(fid, rate if tick < last else last_count) for _, last, last_count, fid in active]
+        batch = [(key, rate if tick < last else last_count) for _, last, last_count, key in active]
         active = [flow for flow in active if flow[1] > tick]
-        mbf_step(state, [fid for fid, _ in batch], tick)
+        mbf_step(state, [key for key, _ in batch], tick)
         heap = None
-        for fid, count in batch:
-            if fid in table.entries:
+        for key, count in batch:
+            if key in table.entries:
                 hits += count
                 continue
             misses += 1
@@ -146,12 +148,12 @@ def run_mbf_episode(schedule, table, state):
                 continue
             if len(table) >= table.max_entries:
                 if heap is None:
-                    heap = [victim_key(resident) for resident in table.entries]
+                    heap = [eviction_rank(resident) for resident in table.entries]
                     heapq.heapify(heap)
                 table.remove(heapq.heappop(heap)[2])
-            table.insert(FlowRule(id=fid, install_time=tick))
+            table.insert(FlowRule(id=key, install_time=tick))
             if heap is not None:
-                heapq.heappush(heap, victim_key(fid))
+                heapq.heappush(heap, eviction_rank(key))
             hits += count - 1
 
     return EpisodeMetrics(hits=hits, misses=misses, duration=duration)

@@ -18,8 +18,8 @@ from flowrl.baselines import (
 from flowrl.dqn import LAYER_SIZES, MalformedNetwork, Mlp, ReplayMemory, dqn_train, init_mlp
 # select_rules and run_episode stay bound: bench/layers.py traces them by name here
 from flowrl.model import (  # noqa: F401
-    ENTRY_BITS, FREQ_GRID, GRID_STEP, PARAM_MODES, REC_GRID, FlowTable, ThresholdConfig,
-    placement_landscape, rank_pool, read_text, select_rules,
+    ENTRY_BITS, FREQ_GRID, GRID_STEP, MAX_HOSTS, PARAM_MODES, REC_GRID, FlowTable,
+    ThresholdConfig, placement_landscape, rank_pool, read_text, select_rules,
 )
 from flowrl.qlearn import (
     GRID_STATES, AgentConfig, QTable, TraceRow, _trace_row, init_qtable, q_train,
@@ -59,10 +59,6 @@ REFERENCE_TRAFFIC = TrafficProfile(
     packet_size=1500,
     per_flow_rate=36_000.0,
 )
-
-# Most hosts one workload may address: a /16 address block, more than one
-# switch's flow table serves. The schedule draws host pairs from it.
-MAX_HOSTS = 65_536
 
 # Longest orchestration window, in one-second ticks: one simulated day. An
 # MBF episode walks every tick of it.
@@ -247,26 +243,33 @@ def build_eval_schedule(schedule, window, replay_lag):
       - completed mice never recur.
     """
     rate = schedule.profile.packets_per_tick()
-    ids, starts, totals = schedule.ids, schedule.starts, schedule.packets
+    keys, starts, totals = schedule.keys, schedule.starts, schedule.packets
     remaining = totals - emitted_before(starts, totals, rate, window)
     draining = remaining > 0
     # a lag of at least the window drops every recurrence, so the clamp is
     # exact and keeps the replay ticks in int64
     replay_at = last_emission_tick(starts, totals, rate) + min(replay_lag, window)
     recurs = ~draining & schedule.elephant & (replay_at < window)
-    start_of = np.where(draining, 0, replay_at).tolist()
+    start_of = np.where(draining, 0, replay_at)
     packets = np.where(draining, remaining, emitted_before(replay_at, totals, rate, window))
-    order = sorted(np.flatnonzero(draining | recurs).tolist(),
-                   key=lambda i: (start_of[i], ids[i]))
-    return FlowSchedule([ids[i] for i in order], [start_of[i] for i in order],
-                        schedule.elephant[order], packets[order], window, schedule.profile)
+    kept = np.flatnonzero(draining | recurs)
+    order = kept[np.lexsort((keys[kept], start_of[kept]))]
+    return FlowSchedule(keys[order], start_of[order], schedule.elephant[order], packets[order],
+                        window, schedule.profile)
 
 
-def _episode_packets(schedule):
-    """Each flow's packets in [0, horizon), by FlowId."""
+def _pool_packets(pool, schedule):
+    """Each pool flow's packets in the episode over schedule, [0, horizon),
+    in pool order (0 for a flow the schedule lacks), and the episode's
+    total packets."""
     packets = emitted_before(schedule.starts, schedule.packets,
                              schedule.profile.packets_per_tick(), schedule.horizon)
-    return dict(zip(schedule.ids, packets.tolist()))
+    if not len(packets):
+        return np.zeros(len(pool), np.int64), 0
+    order = np.argsort(schedule.keys)
+    keys = schedule.keys[order]
+    at = np.minimum(np.searchsorted(keys, pool.keys), len(keys) - 1)
+    return np.where(keys[at] == pool.keys, packets[order][at], 0), int(packets.sum())
 
 
 class EpisodeEnv:
@@ -291,8 +294,7 @@ class EpisodeEnv:
 
     def run(self, thresholds):
         if self._cells is None:
-            packets = _episode_packets(self.eval_schedule)
-            total = sum(packets.values())
+            packets, total = _pool_packets(self.pool, self.eval_schedule)
             hits = placement_landscape(rank_pool(self.pool, packets, self.window_close),
                                        self.capacity_bits, self.param_mode)
             # cells with equal hits have equal metrics and share one object
@@ -393,11 +395,12 @@ def _run_agent(cfg, env, load_policy=None):
 
 def _oracle_instance(pool, eval_schedule, capacity_bits):
     """t_i = the flow's packet count in the evaluation episode (0 for pool
-    flows that never reappear), s_i = one table entry, in FlowId order."""
-    packets = _episode_packets(eval_schedule)
-    order = sorted(pool.ids)
-    rules = tuple((packets.get(fid, 0), ENTRY_BITS) for fid in order)
-    return IlpInstance(rules=rules, capacity=capacity_bits), order
+    flows that never reappear), s_i = one table entry, in key order; and
+    the pool's keys in that order."""
+    order = np.argsort(pool.keys)
+    packets = _pool_packets(pool, eval_schedule)[0][order].tolist()
+    rules = tuple((t, ENTRY_BITS) for t in packets)
+    return IlpInstance(rules=rules, capacity=capacity_bits), pool.keys[order]
 
 
 def run_experiment(cfg, save_policy=None, load_policy=None):

@@ -1,10 +1,9 @@
-# model.py -- flow identities, forwarding rules, the capacity-bounded flow
-# table, the observed flow pool, threshold-based rule selection, and the
-# closed-form placement landscape over the threshold grid.
+# model.py -- flow identities and their uint64 keys, forwarding rules, the
+# capacity-bounded flow table, the observed flow pool, threshold-based rule
+# selection, and the closed-form placement landscape over the threshold grid.
 
 import functools
 import io
-import itertools
 import os
 import stat
 from dataclasses import dataclass
@@ -64,7 +63,7 @@ class CapacityExceeded(Exception):
 
 
 class DuplicateRule(Exception):
-    """A rule with the same FlowId is already installed."""
+    """A rule with the same id is already installed."""
 
 
 class _FlowFields(NamedTuple):
@@ -93,21 +92,48 @@ class FlowId(_FlowFields):
         # namedtuple's _make (and so _replace) would skip the checks above
         return cls(*iterable)
 
-    def text(self):
-        """The flow as one text token (the key MBF hashes)."""
-        return "%d-%d-%d-%d-tcp" % self
+
+# Most hosts a flow key holds, and so one workload may address: a /16
+# address block, more than one switch's flow table serves.
+MAX_HOSTS = 2**16
+
+
+def flow_key(src_host, dst_host, src_port, dst_port):
+    """A flow's key: src_host << 48 | dst_host << 32 | src_port << 16 |
+    dst_port, as a Python int (a column of keys is uint64). With hosts in
+    [0, MAX_HOSTS) and ports in [1, 65535] the keys' order is the FlowIds'
+    tuple order. A host outside the range is refused: two flows could
+    share its key."""
+    if not (0 <= src_host < MAX_HOSTS and 0 <= dst_host < MAX_HOSTS):
+        raise ValueError("hosts must be in [0, %d)" % MAX_HOSTS)
+    return src_host << 48 | dst_host << 32 | src_port << 16 | dst_port
+
+
+def _key_fields(key):
+    return key >> 48, key >> 32 & 0xFFFF, key >> 16 & 0xFFFF, key & 0xFFFF
+
+
+def key_flow(key):
+    """The FlowId of a key (a Python int)."""
+    return FlowId(*_key_fields(key))
+
+
+def key_text(key):
+    """A key's flow as one text token, the one MBF hashes."""
+    return "%d-%d-%d-%d-tcp" % _key_fields(key)
 
 
 @dataclass
 class FlowRule:
-    """A forwarding rule; it occupies one ENTRY_BITS-bit entry."""
+    """A forwarding rule; it occupies one ENTRY_BITS-bit entry. Its id is
+    the flow's FlowId (select_rules' placements) or its key (MBF's)."""
 
-    id: FlowId
+    id: object
     install_time: int
 
 
 class FlowTable:
-    """Capacity-bounded flow table keyed by FlowId.
+    """Capacity-bounded flow table keyed by its rules' ids.
 
     The sum of entry sizes never exceeds capacity_bits, so at most
     floor(capacity_bits / ENTRY_BITS) entries fit.
@@ -155,21 +181,23 @@ class PoolRecord:
 
 class FlowPool:
     """The flows observed during the orchestration window, as columns in
-    the order of flow_ids: ids (FlowIds), freq (match counts, each at
-    least 1) and last_seen (the tick the flow was last seen), the int64
-    arrays counts and now. The records dict is built on first read."""
+    the order of keys: keys (the uint64 flow keys), freq (match counts,
+    each at least 1) and last_seen (the tick the flow was last seen), the
+    int64 arrays counts and now. The records dict, by FlowId, is built on
+    first read."""
 
-    def __init__(self, flow_ids, now, counts):
+    def __init__(self, keys, now, counts):
         if (counts < 1).any():
             raise ValueError("count must be >= 1")
-        self.ids, self.freq, self.last_seen = flow_ids, counts, now
+        self.keys, self.freq, self.last_seen = np.asarray(keys, np.uint64), counts, now
 
     @functools.cached_property
     def records(self):
-        return dict(zip(self.ids, map(PoolRecord, self.freq.tolist(), self.last_seen.tolist())))
+        return dict(zip(map(key_flow, self.keys.tolist()),
+                        map(PoolRecord, self.freq.tolist(), self.last_seen.tolist())))
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.keys)
 
 
 @dataclass(frozen=True)
@@ -228,20 +256,15 @@ def select_rules(pool, thresholds, capacity_bits, window_close, param_mode="both
     return sorted(fid for fid, _, _ in eligible)
 
 
-def rank_pool(pool, packets, window_close):
+def rank_pool(pool, flow_packets, window_close):
     """The pool in select_rules' rank order, as int64 arrays (freq,
-    recentness, episode packets). packets maps a FlowId to its packets in
-    the episode (absent flows count 0). The ranking does not depend on the
-    thresholds, so one serves every cell of a landscape."""
+    recentness, episode packets). flow_packets holds each pool flow's
+    packets in the episode, in pool order. The ranking does not depend on
+    the thresholds, so one serves every cell of a landscape."""
     if (pool.last_seen > window_close).any():
         raise ValueError("window_close precedes a pool record")
     recentness = window_close - pool.last_seen
-    ids = np.fromiter(itertools.chain.from_iterable(pool.ids), np.int64,
-                      4 * len(pool)).reshape(-1, 4).T
-    # a FlowId's ports lie in [1, 65535], and numpy sorts 16-bit keys by radix
-    ids = [*ids[:2], *ids[2:].astype(np.uint16)]
-    flow_packets = np.array([packets.get(f, 0) for f in pool.ids], np.int64)
-    rank = np.lexsort((*ids[::-1], recentness, -pool.freq))
+    rank = np.lexsort((pool.keys, recentness, -pool.freq))
     return pool.freq[rank], recentness[rank], flow_packets[rank]
 
 

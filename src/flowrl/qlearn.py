@@ -210,33 +210,6 @@ class TrainResult:
     trace: list
 
 
-def epsilon_greedy_select(q, state, eps, rng):
-    """With probability eps pick uniformly over the 5 actions, otherwise
-    the argmax of Q(state, .) with ties broken by action-enum order."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must be in [0, 1]")
-    if rng.random() < eps:
-        return Action(int(rng.integers(N_ACTIONS)))
-    row = q.row(state)
-    return Action(row.index(max(row)))
-
-
-def apply_action(state, action):
-    """Move one grid step (clamped): IncFreq/DecFreq on the frequency
-    threshold, IncRec/DecRec on the recentness threshold, NoOp identity."""
-    f = state.freq_threshold
-    r = state.recentness_threshold
-    if action == Action.IncFreq:
-        f = min(f + GRID_STEP, FREQ_GRID[-1])
-    elif action == Action.DecFreq:
-        f = max(f - GRID_STEP, 0)
-    elif action == Action.IncRec:
-        r = min(r + GRID_STEP, REC_GRID[-1])
-    elif action == Action.DecRec:
-        r = max(r - GRID_STEP, 0)
-    return ThresholdConfig(f, r)
-
-
 def q_update(q, state, action, reward, next_state, cfg):
     """One-cell temporal-difference update:
     Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))."""
@@ -244,14 +217,6 @@ def q_update(q, state, action, reward, next_state, cfg):
     target = reward + cfg.gamma * max(q.row(next_state))
     q.set(state, action, current + cfg.alpha * (target - current))
     return q
-
-
-def decay_epsilon(eps, step, budget):
-    """Iterative decay: eps * (1 - step/budget), applied each episode with
-    the current eps and that episode's index."""
-    if not 0 <= step < budget:
-        raise ValueError("step must be in [0, budget)")
-    return eps * (1.0 - step / budget)
 
 
 def init_qtable(seed, training_sets=(), env=None, cfg=None):
@@ -276,7 +241,7 @@ def _trace_row(episode, metrics, state, reward, eps, initial):
 GRID_STATES = tuple(tuple(ThresholdConfig(f, r) for r in REC_GRID) for f in FREQ_GRID)
 
 # Each action's next grid index along each axis, [action][index], clamped
-# at the edges as apply_action clamps.
+# at the grid's edges.
 _NEXT_FI = tuple(tuple(min(max(i + s, 0), len(FREQ_GRID) - 1) for i in range(len(FREQ_GRID)))
                  for s in (0, 1, -1, 0, 0))
 _NEXT_RI = tuple(tuple(min(max(i + s, 0), len(REC_GRID) - 1) for i in range(len(REC_GRID)))
@@ -288,19 +253,20 @@ def train(env, policy, cfg, initial_state, rng, trace=True):
     (fi, ri) of GRID_STATES.
 
     Episode 0 evaluates the initial state to fix the baseline overhead.
-    Each following episode draws an action index as epsilon_greedy_select
-    does, a uniform one with probability eps and policy.greedy(fi, ri)
-    otherwise, decays epsilon (when enabled), moves one clamped grid step
-    as apply_action does, makes one env.run call at the new thresholds,
-    rewards it against the best overhead so far as compute_reward does,
-    and hands the transition to
-    policy.learn(fi, ri, action, reward, nfi, nri, draws). The draws are
-    one WordDraws on rng, closed when the run ends, so the run leaves rng
-    as epsilon_greedy_select's Generator calls would. Stops when the
-    best episode's overhead reduction exceeds cfg.goal_mu, or at the
-    episode cap cfg.budget (goal_met=False). A zero baseline cannot be
-    improved: the run returns at once with goal_met=True and the policy is
-    never called. trace=False (pre-training) builds no trace rows.
+    Each following episode draws an action index, a uniform one with
+    probability eps and policy.greedy(fi, ri) otherwise, decays epsilon
+    (when enabled), moves one clamped grid step, makes one env.run call at
+    the new thresholds, rewards it against the best overhead so far (+1
+    below it, which updates the best, -1 above, 0 level), and hands the
+    transition to policy.learn(fi, ri, action, reward, nfi, nri, draws).
+    The draws are one WordDraws on rng, closed when the run ends, so the
+    run leaves rng as Generator.random() and Generator.integers(5) calls
+    would (tests/reference.py keeps that loop over public functions).
+    Stops when the best episode's overhead reduction exceeds cfg.goal_mu,
+    or at the episode cap cfg.budget (goal_met=False). A zero baseline
+    cannot be improved: the run returns at once with goal_met=True and the
+    policy is never called. trace=False (pre-training) builds no trace
+    rows.
     """
     m0 = env.run(initial_state)
     initial = m0.overhead

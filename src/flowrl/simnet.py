@@ -1,6 +1,6 @@
 # simnet.py -- the switch/controller episode engine: orchestration-phase
 # pool building, production-phase episodes over a fixed preinstalled
-# ruleset, overhead accounting, and reward computation.
+# ruleset, and overhead accounting.
 
 from dataclasses import dataclass, field
 
@@ -61,7 +61,7 @@ def run_orchestration(schedule, window):
     n = np.searchsorted(schedule.starts, window)  # the flows starting before the close
     starts, totals = schedule.starts[:n], schedule.packets[:n]
     rate = schedule.profile.packets_per_tick()
-    return FlowPool(schedule.ids[:n],
+    return FlowPool(schedule.keys[:n],
                     np.minimum(window - 1, last_emission_tick(starts, totals, rate)),
                     emitted_before(starts, totals, rate, window))
 
@@ -99,24 +99,6 @@ def run_episode(ruleset, schedule, table, duration=None):
                 misses += count
 
     return EpisodeMetrics(hits=hits, misses=misses, duration=duration)
-
-
-def compute_reward(best, current_overhead, thresholds=None, metrics=None):
-    """Three-valued reward against the best overhead so far.
-
-    current < best -> +1 and best is updated (with the achieving thresholds
-    and metrics when given); current > best -> -1; equal -> 0.
-    """
-    if current_overhead < best.best_overhead:
-        best.best_overhead = current_overhead
-        if thresholds is not None:
-            best.best_thresholds = thresholds
-        if metrics is not None:
-            best.best_metrics = metrics
-        return 1
-    if current_overhead > best.best_overhead:
-        return -1
-    return 0
 
 
 def reduction_fraction(initial, current):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.model import FlowId
+from flowrl.model import MAX_HOSTS, FlowId, flow_key, key_flow
 
 
 class InvalidProfile(Exception):
@@ -119,31 +119,32 @@ class FlowSpec:
 
 
 class FlowSchedule:
-    """Flows ordered by start, each FlowId at most once, plus the horizon
-    and the profile whose rates drive per-tick emission. The flows are
-    per-flow columns in schedule order: ids (FlowIds), starts (given as a
-    list of ints), elephant (bool) and packets (int64), a flow's only size;
-    the FlowSpec list `flows` is built from them on first read. A flow
-    above MAX_FLOW_PACKETS packets and a horizon above MAX_HORIZON ticks
-    are refused, so sums and products over the int64 columns never
-    wrap."""
+    """Flows ordered by start, each key at most once, plus the horizon and
+    the profile whose rates drive per-tick emission. The flows are
+    per-flow columns in schedule order: keys (uint64 flow keys), starts
+    (int64), elephant (bool) and packets (int64), a flow's only size; the
+    FlowSpec list `flows` is built from them on first read. A flow above
+    MAX_FLOW_PACKETS packets and a horizon above MAX_HORIZON ticks are
+    refused, so sums and products over the int64 columns never wrap."""
 
-    def __init__(self, ids, starts, elephant, packets, horizon, profile):
+    def __init__(self, keys, starts, elephant, packets, horizon, profile):
         if horizon > MAX_HORIZON:
             raise ValueError("horizon exceeds %d ticks" % MAX_HORIZON)
-        if starts and (min(starts) < 0 or max(starts) >= horizon):
+        # each bound is checked before the int64 conversion, which could not hold it
+        starts = np.asarray(starts)
+        if len(starts) and (starts.min() < 0 or starts.max() >= horizon):
             raise ValueError("all starts must lie in [0, horizon)")
-        self.starts = np.array(starts, np.int64)
+        self.starts = starts.astype(np.int64, copy=False)
         if (self.starts[1:] < self.starts[:-1]).any():
             raise ValueError("flow starts must be sorted non-decreasing")
-        if len(set(ids)) < len(ids):
-            raise ValueError("a FlowId repeats")
-        # checked before the int64 conversion, which could not hold it
+        self.keys = np.asarray(keys, np.uint64)
+        sorted_keys = np.sort(self.keys)
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            raise ValueError("a flow key repeats")
         packets = np.asarray(packets)
         if packets.max(initial=0) > MAX_FLOW_PACKETS:
             raise ValueError("a flow exceeds %d packets" % MAX_FLOW_PACKETS)
         self.packets = packets.astype(np.int64, copy=False)
-        self.ids = ids
         self.elephant = np.asarray(elephant, bool)
         self.horizon = horizon
         self.profile = profile
@@ -154,9 +155,10 @@ class FlowSchedule:
         """The FlowSpecs, built from the columns on first read; a flow's
         size is its packets in bytes, over Python ints."""
         if self._flows is None:
+            ids = map(key_flow, self.keys.tolist())
             klass = ["elephant" if e else "mice" for e in self.elephant.tolist()]
             sizes = [p * self.profile.packet_size for p in self.packets.tolist()]
-            self._flows = list(map(FlowSpec, self.ids, klass, sizes, self.starts.tolist()))
+            self._flows = list(map(FlowSpec, ids, klass, sizes, self.starts.tolist()))
         return self._flows
 
 
@@ -246,21 +248,22 @@ def generate_schedule(profile, horizon, n_hosts, seed):
     time makes the expected offered load match profile.aggregate_rate.
     Arrival times are floored to the 1-second tick grid. Each flow is an
     elephant with probability elephant_fraction; (src, dst) are uniform
-    over distinct host pairs; ports are drawn so FlowIds are unique.
+    over distinct host pairs of the n_hosts (at most MAX_HOSTS); ports are
+    drawn so flow keys are unique.
     """
     profile.validate(horizon)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if not 2 <= n_hosts <= 2**32:
-        raise ValueError("need 2 to 2**32 hosts")
+    if not 2 <= n_hosts <= MAX_HOSTS:
+        raise ValueError("need 2 to %d hosts" % MAX_HOSTS)
 
     rng = np.random.default_rng(seed)
     draws = WordDraws.live(rng)
     below = draws.below
     mean_gap = 1.0 / profile.arrival_rate()
 
-    ids, starts, elephant = [], [], []
-    seen_ids = set()
+    keys, starts, elephant = [], [], []
+    seen = set()
     t = 0.0
     while True:
         t += rng.exponential(mean_gap)
@@ -273,18 +276,16 @@ def generate_schedule(profile, horizon, n_hosts, seed):
         if dst >= src:
             dst += 1
         while True:
-            sport = 1024 + below(64512)
-            dport = 1024 + below(64512)
-            fid = FlowId(src, dst, sport, dport)
-            if fid not in seen_ids:
-                seen_ids.add(fid)
+            key = flow_key(src, dst, 1024 + below(64512), 1024 + below(64512))
+            if key not in seen:
+                seen.add(key)
                 break
-        ids.append(fid)
+        keys.append(key)
         elephant.append(is_elephant)
     # the (mice, elephant) packet counts, indexed by each flow's elephant flag
     packets = [total_packets(size, profile.packet_size)
                for size in (profile.mice_size, profile.elephant_size)]
-    return FlowSchedule(ids, starts, elephant, np.take(packets, elephant), horizon, profile)
+    return FlowSchedule(keys, starts, elephant, np.take(packets, elephant), horizon, profile)
 
 
 def packets_for_tick(schedule, tick):
@@ -302,14 +303,14 @@ def packets_for_tick(schedule, tick):
         raise ValueError("tick must be non-negative")
     rate = schedule.profile.packets_per_tick()
     out = []
-    for fid, start, total in zip(schedule.ids, schedule.starts.tolist(),
+    for key, start, total in zip(schedule.keys.tolist(), schedule.starts.tolist(),
                                  schedule.packets.tolist()):
         if start > tick:
             continue
         done_before = min(total, (tick - start) * rate)
         n = min(rate, total - done_before)
         if n > 0:
-            out.append((fid, n))
+            out.append((key_flow(key), n))
     return out
 
 

@@ -12,7 +12,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from flowrl.dqn import INIT_SCALE, Mlp
 from flowrl.harness import MAX_WINDOW, REFERENCE_TRAFFIC, ExperimentConfig
-from flowrl.model import ENTRY_BITS, FlowId, FlowPool, ThresholdConfig
+from flowrl.model import ENTRY_BITS, FlowId, FlowPool, ThresholdConfig, flow_key
 from flowrl.simnet import EpisodeMetrics
 from flowrl.traffic import (
     MAX_EXPECTED_FLOWS, FlowSchedule, FlowSpec, TrafficProfile, total_packets,
@@ -38,6 +38,11 @@ def fid(i, j=None):
     if j is None:
         j = 1000 + i
     return FlowId(src_host=0, dst_host=1, src_port=1024 + i, dst_port=1024 + j)
+
+
+def keys_of(flow_ids):
+    """The flow keys of FlowIds, as the uint64 column a schedule or pool holds."""
+    return np.array([flow_key(*f) for f in flow_ids], np.uint64)
 
 
 # One packet per tick per flow: per_flow_rate / (packet_size*8) = 1.
@@ -73,7 +78,7 @@ CROWDED_DAY_MBF_CONFIG = ExperimentConfig(
 def spec_schedule(flows, horizon, profile):
     """Build a FlowSchedule from FlowSpecs in schedule order, each flow's
     column entries taken from its spec (its size as total_packets)."""
-    return FlowSchedule([f.id for f in flows], [f.start for f in flows],
+    return FlowSchedule(keys_of(f.id for f in flows), [f.start for f in flows],
                         [f.klass == "elephant" for f in flows],
                         [total_packets(f.size, profile.packet_size) for f in flows],
                         horizon, profile)
@@ -90,7 +95,7 @@ def hand_pool(entries):
     """Build a FlowPool from {flow_id: (freq, last_seen)}, in the dict's order."""
     freq = [freq for freq, _ in entries.values()]
     last_seen = [last_seen for _, last_seen in entries.values()]
-    return FlowPool(list(entries), np.array(last_seen, np.int64), np.array(freq, np.int64))
+    return FlowPool(keys_of(entries), np.array(last_seen, np.int64), np.array(freq, np.int64))
 
 
 def random_net(rng, layer_sizes, scale=INIT_SCALE):

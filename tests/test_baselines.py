@@ -28,7 +28,7 @@ from flowrl.baselines import (
     run_mbf_episode,
 )
 from flowrl.harness import REFERENCE_TRAFFIC, ExperimentConfig, run_experiment, write_report
-from flowrl.model import ENTRY_BITS, FlowRule, FlowTable
+from flowrl.model import ENTRY_BITS, FlowRule, FlowTable, flow_key, key_flow
 from flowrl.simnet import EpisodeMetrics
 from flowrl.traffic import FlowSpec, TrafficProfile, packets_for_tick
 from conftest import ONE_PPS, fid, hand_schedule, spec_schedule
@@ -36,8 +36,13 @@ from conftest import ONE_PPS, fid, hand_schedule, spec_schedule
 THREE_PPS = dataclasses.replace(ONE_PPS, per_flow_rate=36_000.0)
 
 
+def key(i):
+    """The flow key of fid(i), as MBF's table and filters hold it."""
+    return flow_key(*fid(i))
+
+
 def naive_positions(seed, flow_id):
-    data = flow_id.text().encode()
+    data = ("%d-%d-%d-%d-tcp" % flow_id).encode()
     h1 = _hash64(data, ("mbf1-%d" % seed).encode())
     h2 = _hash64(data, ("mbf2-%d" % seed).encode()) | 1
     return [(h1 + i * h2) % baselines.MBF_BITS for i in range(MBF_PROBES)]
@@ -95,54 +100,54 @@ class TestMbfState:
 
     def test_fresh_state_reports_nothing(self):
         state = MbfState(0)
-        assert mbf_importance(state, fid(1)) == 0
+        assert mbf_importance(state, key(1)) == 0
 
     def test_insert_lands_in_newest_filter(self):
         state = MbfState(0)
-        state.insert(fid(1))
-        assert mbf_importance(state, fid(1)) == 8
-        assert mbf_importance(state, fid(2)) == 0
+        state.insert(key(1))
+        assert mbf_importance(state, key(1)) == 8
+        assert mbf_importance(state, key(2)) == 0
 
     def test_age_shifts_filters(self):
         state = MbfState(0)
-        state.insert(fid(1))
+        state.insert(key(1))
         state.age()
-        state.insert(fid(2))
-        assert mbf_importance(state, fid(2)) == 8
-        assert mbf_importance(state, fid(1)) == 4
+        state.insert(key(2))
+        assert mbf_importance(state, key(2)) == 8
+        assert mbf_importance(state, key(1)) == 4
 
     def test_reinserted_every_window_reaches_full_weight(self):
         state = MbfState(0)
         for _ in range(4):
-            state.insert(fid(1))
+            state.insert(key(1))
             state.age()
-        state.insert(fid(1))
-        assert mbf_importance(state, fid(1)) == 8 + 4 + 2 + 1
+        state.insert(key(1))
+        assert mbf_importance(state, key(1)) == 8 + 4 + 2 + 1
 
     def test_forgotten_after_k_agings(self):
         state = MbfState(0)
-        state.insert(fid(1))
+        state.insert(key(1))
         for _ in range(3):
             state.age()
-        assert mbf_importance(state, fid(1)) == 1
+        assert mbf_importance(state, key(1)) == 1
         state.age()
-        assert mbf_importance(state, fid(1)) == 0
+        assert mbf_importance(state, key(1)) == 0
 
 
 class TestMbfStep:
     def test_ages_at_window_boundaries_before_inserting(self):
         state = MbfState(0)  # MBF_WINDOW = 5
-        mbf_step(state, {fid(1)}, 0)  # tick 0 ages (no-op) then inserts
-        assert mbf_importance(state, fid(1)) == 8
+        mbf_step(state, {key(1)}, 0)  # tick 0 ages (no-op) then inserts
+        assert mbf_importance(state, key(1)) == 8
         mbf_step(state, set(), 3)  # mid-window: no aging
-        assert mbf_importance(state, fid(1)) == 8
+        assert mbf_importance(state, key(1)) == 8
         mbf_step(state, set(), 5)  # boundary: the flow moves one slot older
-        assert mbf_importance(state, fid(1)) == 4
+        assert mbf_importance(state, key(1)) == 4
 
     def test_inserts_all_matched_flows(self):
         state = MbfState(0)
-        mbf_step(state, {fid(2), fid(1)}, 1)
-        assert mbf_importance(state, fid(1)) == mbf_importance(state, fid(2)) == 8
+        mbf_step(state, {key(2), key(1)}, 1)
+        assert mbf_importance(state, key(1)) == mbf_importance(state, key(2)) == 8
 
 
 class TestRunMbfEpisode:
@@ -221,8 +226,8 @@ class TestRunMbfEpisode:
         )
         table = FlowTable(2 * ENTRY_BITS)
         run_mbf_episode(sched, table, MbfState(0))
-        assert fid(1) not in table
-        assert fid(2) in table and fid(3) in table
+        assert key(1) not in table
+        assert key(2) in table and key(3) in table
 
     def test_eviction_ties_by_install_time_first(self):
         # fid(2) installs on tick 0 and fid(1) on tick 1, with equal
@@ -236,8 +241,8 @@ class TestRunMbfEpisode:
         table = FlowTable(2 * ENTRY_BITS)
         metrics = run_mbf_episode(sched, table, MbfState(0))
         assert metrics.misses == 3
-        assert fid(2) not in table
-        assert fid(1) in table and fid(3) in table
+        assert key(2) not in table
+        assert key(1) in table and key(3) in table
 
 
 @st.composite
@@ -333,7 +338,10 @@ def test_mbf_episode_equals_naive_reference(case):
         got = run_mbf_episode(sched, table, state)
         want, bank = naive_mbf_episode(sched, ref_table, seed, sched.horizon)
     assert got == want
-    assert table.entries == ref_table.entries
+    # MBF's table holds each rule by its flow key, the reference's by FlowId
+    assert all(r.id == k for k, r in table.entries.items())
+    assert {key_flow(k): r.install_time for k, r in table.entries.items()} == {
+        r.id: r.install_time for r in ref_table.entries.values()}
     assert state.filters == [sum(1 << int(p) for p in np.flatnonzero(f)) for f in bank]
 
 
@@ -360,7 +368,7 @@ def test_contended_mbf_metrics_pinned(seed, overhead, hits):
         summary = run_experiment(cfg).summary
     assert (summary["overhead"], summary["hits"], summary["misses"]) == (overhead, hits, overhead)
     table = episode.call_args.args[1]
-    residents = sorted((tuple(r.id), r.install_time) for r in table.entries.values())
+    residents = sorted((tuple(key_flow(r.id)), r.install_time) for r in table.entries.values())
     digest = hashlib.sha256(repr(residents).encode()).hexdigest()
     assert digest == CONTENDED_MBF_RESIDENTS[seed]
 

@@ -1,21 +1,23 @@
 """The columnar workload: orchestration, the evaluation schedule and the
 episode packets, computed over a FlowSchedule's per-flow arrays, equal the
-per-flow computations they replaced; and no run builds a FlowSpec."""
+per-flow computations they replaced; and no run builds a FlowSpec or a
+FlowId."""
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowrl.harness import (
-    MODES, ExperimentConfig, _build_env, _episode_packets, build_eval_schedule, run_experiment,
+    MODES, ExperimentConfig, _build_env, _pool_packets, build_eval_schedule, run_experiment,
 )
-from flowrl.model import PoolRecord
+from flowrl.model import FlowId, PoolRecord
 from flowrl.simnet import run_orchestration
 from flowrl.traffic import (
     MAX_FLOW_PACKETS, FlowSpec, emission_extent, packets_for_tick, total_packets,
 )
-from conftest import ONE_PPS, fid, hand_pool, spec_schedule
+from conftest import ONE_PPS, fid, hand_pool, keys_of, spec_schedule
 
 
 # The per-flow reference: each flow's figures in Python ints, from a rate
@@ -182,12 +184,16 @@ def test_columnar_build_equals_per_flow_reference(case):
     want = reference_eval_schedule(sched, window, lag)
     # the columns, read before the flows view is built, equal those of the
     # reference's FlowSpecs
-    assert got.ids == [f.id for f in want.flows]
+    assert got.keys.dtype == np.uint64
+    assert got.keys.tolist() == keys_of(f.id for f in want.flows).tolist()
     assert got.starts.tolist() == [f.start for f in want.flows]
     assert got.elephant.tolist() == [f.klass == E for f in want.flows]
     assert got.packets.tolist() == [total_packets(f.size, profile.packet_size)
                                     for f in want.flows]
-    assert _episode_packets(got) == reference_episode_packets(want)
+    packets = reference_episode_packets(want)
+    flow_packets, total = _pool_packets(pool, got)
+    assert flow_packets.tolist() == [packets.get(f, 0) for f in pool.records]
+    assert total == sum(packets.values())
     assert got.flows == want.flows
     assert got.horizon == want.horizon == window
 
@@ -241,7 +247,7 @@ def pool_records_built(monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_run_builds_flowspecs_only_for_mbf_evaluation(mode, flowspecs_built):
     cfg = ExperimentConfig(mode=mode, seed=0, episodes_cap=3, n_training_sets=1)
-    assert len(_build_env(cfg).eval_schedule.ids) > 0
+    assert len(_build_env(cfg).eval_schedule.keys) > 0
     run_experiment(cfg)
     assert flowspecs_built == []
 
@@ -255,3 +261,18 @@ def test_run_builds_pool_records_only_when_read(mode, pool_records_built):
     assert pool_records_built == []
     pool = _build_env(cfg).pool
     assert len(pool.records) == len(pool) == len(pool_records_built) > 0
+
+
+# FlowIds are built only by the views (flows, records, packets_for_tick):
+# a run walks the uint64 flow keys, the MBF episode and the oracle too.
+@pytest.mark.parametrize("mode", MODES)
+def test_run_builds_no_flowid(mode, monkeypatch):
+    built = []
+    new = FlowId.__new__
+    monkeypatch.setattr(FlowId, "__new__", lambda cls, *a: built.append(a) or new(cls, *a))
+    cfg = ExperimentConfig(mode=mode, seed=0, episodes_cap=3, n_training_sets=1)
+    assert len(_build_env(cfg).pool) > 0
+    run_experiment(cfg)
+    assert built == []
+    FlowId(0, 1, 1024, 1025)  # the counter counts
+    assert built == [(0, 1, 1024, 1025)]

@@ -19,6 +19,7 @@ from flowrl.harness import (
 from flowrl.model import ENTRY_BITS, FREQ_GRID, PARAM_MODES, REC_GRID
 from flowrl.traffic import MAX_FLOW_PACKETS, TrafficProfile
 from conftest import CROWDED_DAY_MBF_CONFIG, SLOW_MBF_CONFIG
+from reference import episode_packets
 
 # seconds one example may take: its run plus the exact recount
 ALARM_S = 30
@@ -139,7 +140,7 @@ def exact_misses(env, packets, total):
 def check_counts(cfg, report, env):
     """The report's counts against an exact recount of the workload of
     env, the environment the run built."""
-    packets = harness._episode_packets(env.eval_schedule)
+    packets = episode_packets(env.eval_schedule)
     total = sum(packets.values())
     summary = report.summary
     if cfg.mode == "mbf":

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from flowrl.baselines import knapsack_exact
 from flowrl.harness import (
-    REFERENCE_TRAFFIC, EpisodeEnv, ExperimentConfig, _build_env, _episode_packets,
-    _oracle_instance, run_experiment,
+    REFERENCE_TRAFFIC, EpisodeEnv, ExperimentConfig, _build_env, _oracle_instance, _pool_packets,
+    run_experiment,
 )
 from flowrl.model import (
     ENTRY_BITS,
@@ -27,6 +27,7 @@ from flowrl.model import (
 )
 from flowrl.simnet import run_episode
 from conftest import ONE_PPS, fid, hand_pool, hand_schedule
+from reference import episode_packets
 
 PARAM_MODES = ("both", "freq_only", "recentness_only")
 THREE_PPS = dataclasses.replace(ONE_PPS, per_flow_rate=36_000.0)
@@ -167,9 +168,9 @@ def test_counts_are_python_ints():
 def test_landscape_rejects_bad_inputs():
     pool = hand_pool({fid(1): (30, 9)})
     with pytest.raises(ValueError):
-        rank_pool(pool, {}, 8)
+        rank_pool(pool, np.zeros(1, np.int64), 8)
     with pytest.raises(ValueError):
-        placement_landscape(rank_pool(pool, {}, 9), ENTRY_BITS, "neither")
+        placement_landscape(rank_pool(pool, np.zeros(1, np.int64), 9), ENTRY_BITS, "neither")
 
 
 def plain_landscape(pool, packets, window_close, capacity_bits, param_mode):
@@ -200,8 +201,8 @@ CONTENDED_TRAFFIC = dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5.4e6)
 def test_landscape_at_contended_scale(seed):
     # about 1,480 pool flows: tables from empty to one entry per pool flow
     env = _build_env(ExperimentConfig(seed=seed, traffic=CONTENDED_TRAFFIC))
-    packets = _episode_packets(env.eval_schedule)
-    ranked = rank_pool(env.pool, packets, env.window_close)
+    packets = episode_packets(env.eval_schedule)
+    ranked = rank_pool(env.pool, _pool_packets(env.pool, env.eval_schedule)[0], env.window_close)
     for entries in (0, 1, 64, len(env.pool), len(env.pool) + 1):
         for param_mode in PARAM_MODES:
             got = placement_landscape(ranked, entries * ENTRY_BITS, param_mode)

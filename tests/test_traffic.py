@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowrl.harness import REFERENCE_TRAFFIC
+from flowrl.model import FlowId
 from flowrl.traffic import (
     MAX_EXPECTED_FLOWS,
     MAX_FLOW_PACKETS,
@@ -20,7 +21,7 @@ from flowrl.traffic import (
     packets_for_tick,
     total_packets,
 )
-from conftest import ONE_PPS, fid, hand_schedule, spec_schedule
+from conftest import ONE_PPS, fid, hand_schedule, keys_of, spec_schedule
 
 
 # profiles whose rates no float can hold, and the field refused for each
@@ -77,7 +78,7 @@ class TestTrafficProfile:
             TrafficProfile(aggregate_rate=5e-324).validate(60)
         tiny = TrafficProfile(aggregate_rate=1e-310)
         tiny.validate(60)
-        assert generate_schedule(tiny, 60, 20, 0).ids == []
+        assert generate_schedule(tiny, 60, 20, 0).keys.tolist() == []
 
     @pytest.mark.parametrize("kwargs, field", PROFILES_BEYOND_FLOATS,
                              ids=[field for _, field in PROFILES_BEYOND_FLOATS])
@@ -142,11 +143,16 @@ class TestFlowSchedule:
             spec_schedule([a], 10, ONE_PPS)
 
     def test_rejects_repeated_flow_id(self):
-        # each flow has one rule and one pool record, so one entry
+        # each flow has one rule and one pool record, so one entry; a
+        # FlowId and its key are one to one
         a = FlowSpec(id=fid(1), klass="mice", size=3000, start=2)
         b = FlowSpec(id=fid(1), klass="elephant", size=4500, start=5)
-        with pytest.raises(ValueError, match="FlowId"):
+        with pytest.raises(ValueError, match="flow key repeats"):
             spec_schedule([a, b], 10, ONE_PPS)
+        # not adjacent in schedule order
+        c = FlowSpec(id=fid(0), klass="mice", size=3000, start=3)
+        with pytest.raises(ValueError, match="flow key repeats"):
+            spec_schedule([a, c, b], 10, ONE_PPS)
 
     def test_rejects_flow_above_max_flow_packets(self):
         # the int64 columns hold every flow up to the bound, a partial last
@@ -162,31 +168,33 @@ class TestFlowSchedule:
         # the constructor checks the packets column itself, whatever
         # computed it
         with pytest.raises(ValueError, match="exceeds"):
-            FlowSchedule([fid(1), fid(2)], [0, 1], [False, True], [1, MAX_FLOW_PACKETS + 1],
-                         10, ONE_PPS)
+            FlowSchedule(keys_of([fid(1), fid(2)]), [0, 1], [False, True],
+                         [1, MAX_FLOW_PACKETS + 1], 10, ONE_PPS)
 
     @pytest.mark.parametrize("packets", [[2**63], [1, 2**63], [2**64]])
     def test_rejects_packets_column_above_int64(self, packets):
         # refused by the constructor's own bound, not by the int64 conversion
         n = len(packets)
         with pytest.raises(ValueError, match="exceeds"):
-            FlowSchedule([fid(i) for i in range(n)], list(range(n)), [False] * n, packets,
-                         10, ONE_PPS)
+            FlowSchedule(keys_of([fid(i) for i in range(n)]), list(range(n)), [False] * n,
+                         packets, 10, ONE_PPS)
 
     def test_rejects_horizon_above_max_horizon(self):
         # a flow at the packet bound starting on the last tick drains by
         # tick MAX_HORIZON + MAX_FLOW_PACKETS, still an int64
         last = MAX_HORIZON - 1
-        sched = FlowSchedule([fid(1)], [last], [True], [MAX_FLOW_PACKETS], MAX_HORIZON, ONE_PPS)
+        sched = FlowSchedule(keys_of([fid(1)]), [last], [True], [MAX_FLOW_PACKETS], MAX_HORIZON,
+                             ONE_PPS)
         assert emission_extent(sched) == last + MAX_FLOW_PACKETS
         with pytest.raises(ValueError, match="horizon exceeds"):
-            FlowSchedule([fid(1)], [2**63 - 2], [True], [MAX_FLOW_PACKETS], 2**63 - 1, ONE_PPS)
+            FlowSchedule(keys_of([fid(1)]), [2**63 - 2], [True], [MAX_FLOW_PACKETS], 2**63 - 1,
+                         ONE_PPS)
 
     def test_flows_view_sizes_are_packets_in_bytes(self):
         # the product is exact past int64: packet_size has no upper bound
         profile = dataclasses.replace(ONE_PPS, packet_size=2**40)
-        sched = FlowSchedule([fid(1), fid(2)], [0, 1], [True, False], [MAX_FLOW_PACKETS, 1],
-                             10, profile)
+        sched = FlowSchedule(keys_of([fid(1), fid(2)]), [0, 1], [True, False],
+                             [MAX_FLOW_PACKETS, 1], 10, profile)
         assert [f.size for f in sched.flows] == [MAX_FLOW_PACKETS * 2**40, 2**40]
         assert [f.klass for f in sched.flows] == ["elephant", "mice"]
 
@@ -242,6 +250,22 @@ class TestGenerateSchedule:
             generate_schedule(prof, horizon=0, n_hosts=20, seed=0)
         with pytest.raises(ValueError):
             generate_schedule(prof, horizon=10, n_hosts=1, seed=0)
+
+    def test_host_bound_is_max_hosts(self):
+        # every host must fit a flow key's 16-bit field
+        sched = generate_schedule(REFERENCE_TRAFFIC, horizon=60, n_hosts=2**16, seed=0)
+        assert sched.keys.dtype == np.uint64 and len(sched.keys) > 0
+        with pytest.raises(ValueError, match="65536 hosts"):
+            generate_schedule(REFERENCE_TRAFFIC, horizon=60, n_hosts=2**16 + 1, seed=0)
+
+    def test_top_host_key_is_unsigned(self):
+        # a src host of 65,535 sets the key's top bit, which an int64 column
+        # would wrap to a negative number
+        top = FlowId(65535, 0, 1024, 1024)
+        sched = hand_schedule([(top, "mice", 3000, 0), (fid(1), "mice", 3000, 1)], 10)
+        assert sched.keys.dtype == np.uint64 and sched.keys[0] >= 2**63
+        assert [f.id for f in sched.flows] == [top, fid(1)]
+        assert packets_for_tick(sched, 1) == [(top, 1), (fid(1), 1)]
 
 
 # (profile, n_hosts, seed, flows, SHA-256 of the flows' (src, dst, sport,

@@ -15,16 +15,14 @@ from flowrl.qlearn import (
     QTable,
     TraceRow,
     TrainResult,
-    apply_action,
-    decay_epsilon,
-    epsilon_greedy_select,
     q_train,
     q_update,
     train,
 )
-from flowrl.simnet import BestSoFar, compute_reward, hit_ratio, reduction_fraction
+from flowrl.simnet import BestSoFar, hit_ratio, reduction_fraction
 from flowrl.traffic import WordDraws
 from conftest import FakeEnv, bit_state
+from reference import apply_action, compute_reward, decay_epsilon, epsilon_greedy_select
 
 START = ThresholdConfig(100, 100)
 
