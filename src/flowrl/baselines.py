@@ -100,7 +100,7 @@ def run_mbf_episode(schedule, table, state):
     """Reactive baseline episode over the schedule's horizon, aging state:
     a miss installs the flow's rule, keyed by its flow key, and when the
     table is full the entry with minimum mbf_importance is evicted first
-    (ties: oldest install_time, then key order, which is FlowId order).
+    (ties: oldest install_time, then key order).
     Packets a flow would emit from the horizon on are not offered.
 
     Packets are processed in schedule order with each flow's per-tick
@@ -169,9 +169,6 @@ class IlpInstance:
     capacity: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "rules", tuple((t, int(s)) for t, s in self.rules)
-        )
         for t, s in self.rules:
             if t < 0:
                 raise ValueError("overhead rates must be >= 0")

@@ -1,4 +1,4 @@
-# model.py -- flow identities and their uint64 keys, forwarding rules, the
+# model.py -- flow identities as uint64 keys, forwarding rules, the
 # capacity-bounded flow table, the observed flow pool, threshold-based rule
 # selection, and the closed-form placement landscape over the threshold grid.
 
@@ -7,7 +7,6 @@ import io
 import os
 import stat
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,34 +62,7 @@ class CapacityExceeded(Exception):
 
 
 class DuplicateRule(Exception):
-    """A rule with the same id is already installed."""
-
-
-class _FlowFields(NamedTuple):
-    src_host: int
-    dst_host: int
-    src_port: int
-    dst_port: int
-
-
-class FlowId(_FlowFields):
-    """A TCP flow's identity: the tuple of its hosts and ports. Its order
-    is the tuple's, which doubles as the deterministic lexicographic
-    tie-break."""
-
-    __slots__ = ()
-
-    def __new__(cls, src_host, dst_host, src_port, dst_port):
-        if src_host == dst_host:
-            raise ValueError("src_host and dst_host must differ")
-        if not (1 <= src_port <= 65535 and 1 <= dst_port <= 65535):
-            raise ValueError("ports must be in [1, 65535]")
-        return tuple.__new__(cls, (src_host, dst_host, src_port, dst_port))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make (and so _replace) would skip the checks above
-        return cls(*iterable)
+    """A rule for the same flow is already installed."""
 
 
 # Most hosts a flow key holds, and so one workload may address: a /16
@@ -99,36 +71,33 @@ MAX_HOSTS = 2**16
 
 
 def flow_key(src_host, dst_host, src_port, dst_port):
-    """A flow's key: src_host << 48 | dst_host << 32 | src_port << 16 |
-    dst_port, as a Python int (a column of keys is uint64). With hosts in
-    [0, MAX_HOSTS) and ports in [1, 65535] the keys' order is the FlowIds'
-    tuple order. A host outside the range is refused: two flows could
-    share its key."""
+    """A TCP flow's identity, its key: src_host << 48 | dst_host << 32 |
+    src_port << 16 | dst_port, as a Python int (a column of keys is
+    uint64). With hosts in [0, MAX_HOSTS) and ports in [1, 65535] the
+    keys' numeric order is the order of the (src_host, dst_host, src_port,
+    dst_port) tuples, which doubles as the deterministic tie-break. A host
+    outside the range is refused (two flows could share its key), as are
+    equal hosts and a port outside its range."""
     if not (0 <= src_host < MAX_HOSTS and 0 <= dst_host < MAX_HOSTS):
         raise ValueError("hosts must be in [0, %d)" % MAX_HOSTS)
+    if src_host == dst_host:
+        raise ValueError("src_host and dst_host must differ")
+    if not (1 <= src_port <= 65535 and 1 <= dst_port <= 65535):
+        raise ValueError("ports must be in [1, 65535]")
     return src_host << 48 | dst_host << 32 | src_port << 16 | dst_port
-
-
-def _key_fields(key):
-    return key >> 48, key >> 32 & 0xFFFF, key >> 16 & 0xFFFF, key & 0xFFFF
-
-
-def key_flow(key):
-    """The FlowId of a key (a Python int)."""
-    return FlowId(*_key_fields(key))
 
 
 def key_text(key):
     """A key's flow as one text token, the one MBF hashes."""
-    return "%d-%d-%d-%d-tcp" % _key_fields(key)
+    return "%d-%d-%d-%d-tcp" % (key >> 48, key >> 32 & 0xFFFF, key >> 16 & 0xFFFF, key & 0xFFFF)
 
 
 @dataclass
 class FlowRule:
     """A forwarding rule; it occupies one ENTRY_BITS-bit entry. Its id is
-    the flow's FlowId (select_rules' placements) or its key (MBF's)."""
+    the flow's key."""
 
-    id: object
+    id: int
     install_time: int
 
 
@@ -156,7 +125,7 @@ class FlowTable:
     def insert(self, rule):
         """Install a rule; raises DuplicateRule / CapacityExceeded."""
         if rule.id in self.entries:
-            raise DuplicateRule(str(rule.id))
+            raise DuplicateRule(key_text(rule.id))
         if self.used_bits + ENTRY_BITS > self.capacity_bits:
             raise CapacityExceeded(
                 "%d + %d bits > capacity %d" % (self.used_bits, ENTRY_BITS, self.capacity_bits)
@@ -183,8 +152,8 @@ class FlowPool:
     """The flows observed during the orchestration window, as columns in
     the order of keys: keys (the uint64 flow keys), freq (match counts,
     each at least 1) and last_seen (the tick the flow was last seen), the
-    int64 arrays counts and now. The records dict, by FlowId, is built on
-    first read."""
+    int64 arrays counts and now. The records dict, by key (a Python int),
+    is built on first read."""
 
     def __init__(self, keys, now, counts):
         if (counts < 1).any():
@@ -193,7 +162,7 @@ class FlowPool:
 
     @functools.cached_property
     def records(self):
-        return dict(zip(map(key_flow, self.keys.tolist()),
+        return dict(zip(self.keys.tolist(),
                         map(PoolRecord, self.freq.tolist(), self.last_seen.tolist())))
 
     def __len__(self):
@@ -218,7 +187,7 @@ class ThresholdConfig:
 
 
 def select_rules(pool, thresholds, capacity_bits, window_close, param_mode="both"):
-    """Pick the FlowIds to preinstall for an episode.
+    """Pick the flow keys to preinstall for an episode.
 
     A flow is eligible iff freq >= freq_threshold OR
     (window_close - last_seen) <= recentness_threshold. param_mode can
@@ -226,10 +195,10 @@ def select_rules(pool, thresholds, capacity_bits, window_close, param_mode="both
     OR of the two predicates.
 
     If more flows are eligible than fit (capacity_bits // ENTRY_BITS entries),
-    rank by freq descending, recentness ascending, then FlowId order, and
+    rank by freq descending, recentness ascending, then key order, and
     truncate.
 
-    Returns a list of FlowIds (deterministic for identical inputs).
+    Returns the sorted list of the placed keys.
     """
     if param_mode not in PARAM_MODES:
         raise ValueError("unknown param_mode %r" % (param_mode,))
@@ -237,7 +206,7 @@ def select_rules(pool, thresholds, capacity_bits, window_close, param_mode="both
     use_rec = param_mode != "freq_only"
 
     eligible = []
-    for fid, rec in pool.records.items():
+    for key, rec in pool.records.items():
         if window_close < rec.last_seen:
             raise ValueError("window_close precedes a pool record")
         recentness = window_close - rec.last_seen
@@ -247,13 +216,13 @@ def select_rules(pool, thresholds, capacity_bits, window_close, param_mode="both
         if use_rec and recentness <= thresholds.recentness_threshold:
             ok = True
         if ok:
-            eligible.append((fid, rec.freq, recentness))
+            eligible.append((key, rec.freq, recentness))
 
     limit = capacity_bits // ENTRY_BITS
     if len(eligible) > limit:
         eligible.sort(key=lambda item: (-item[1], item[2], item[0]))
         eligible = eligible[:limit]
-    return sorted(fid for fid, _, _ in eligible)
+    return sorted(key for key, _, _ in eligible)
 
 
 def rank_pool(pool, flow_packets, window_close):

@@ -69,11 +69,12 @@ def run_orchestration(schedule, window):
 def run_episode(ruleset, schedule, table, duration=None):
     """Evaluate a fixed rule placement against a schedule.
 
-    The ruleset is preinstalled before traffic starts; each packet lookup
-    is a Hit if its flow's rule is present, otherwise a Miss that costs one
-    control-plane exchange (the rule is NOT installed mid-episode). Lookups
-    are aggregated per (flow, tick); because the table never changes during
-    the episode, the counts equal per-packet processing.
+    The ruleset, a list of flow keys, is preinstalled before traffic
+    starts; each packet lookup is a Hit if its flow's rule is present,
+    otherwise a Miss that costs one control-plane exchange (the rule is
+    NOT installed mid-episode). Lookups are aggregated per (flow, tick);
+    because the table never changes during the episode, the counts equal
+    per-packet processing.
 
     duration defaults to the schedule's full drain extent. This packet-level
     replay is the reference for the closed-form placement_landscape.
@@ -86,14 +87,14 @@ def run_episode(ruleset, schedule, table, duration=None):
     if duration is None:
         duration = emission_extent(schedule)
 
-    for fid in ruleset:
-        table.insert(FlowRule(id=fid, install_time=0))
+    for key in ruleset:
+        table.insert(FlowRule(id=key, install_time=0))
 
     hits = 0
     misses = 0
     for tick in range(duration):
-        for fid, count in packets_for_tick(schedule, tick):
-            if fid in table.entries:
+        for key, count in packets_for_tick(schedule, tick):
+            if key in table.entries:
                 hits += count
             else:
                 misses += count

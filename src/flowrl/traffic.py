@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowrl.model import MAX_HOSTS, FlowId, flow_key, key_flow
+from flowrl.model import MAX_HOSTS, flow_key
 
 
 class InvalidProfile(Exception):
@@ -104,9 +104,9 @@ def total_packets(size, packet_size):
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """One flow: identity, class, byte size, and start tick."""
+    """One flow: identity (its flow key), class, byte size, and start tick."""
 
-    id: FlowId
+    id: int
     klass: str  # "elephant" or "mice"
     size: int
     start: int
@@ -155,10 +155,10 @@ class FlowSchedule:
         """The FlowSpecs, built from the columns on first read; a flow's
         size is its packets in bytes, over Python ints."""
         if self._flows is None:
-            ids = map(key_flow, self.keys.tolist())
             klass = ["elephant" if e else "mice" for e in self.elephant.tolist()]
             sizes = [p * self.profile.packet_size for p in self.packets.tolist()]
-            self._flows = list(map(FlowSpec, ids, klass, sizes, self.starts.tolist()))
+            self._flows = list(map(FlowSpec, self.keys.tolist(), klass, sizes,
+                                   self.starts.tolist()))
         return self._flows
 
 
@@ -291,8 +291,8 @@ def generate_schedule(profile, horizon, n_hosts, seed):
 def packets_for_tick(schedule, tick):
     """Packets each flow emits during [tick, tick+1).
 
-    Returns a list of (FlowId, packet_count) for flows emitting at the
-    tick, in schedule order. A flow emits
+    Returns a list of (key, packet_count) for flows emitting at the tick,
+    in schedule order, each key a Python int. A flow emits
     round(per_flow_rate/(packet_size*8)) packets per tick from its start
     tick on, capped so its cumulative emission never exceeds its packets;
     draining may therefore extend past size*8/per_flow_rate seconds for
@@ -310,7 +310,7 @@ def packets_for_tick(schedule, tick):
         done_before = min(total, (tick - start) * rate)
         n = min(rate, total - done_before)
         if n > 0:
-            out.append((key_flow(key), n))
+            out.append((key, n))
     return out
 
 

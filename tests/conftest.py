@@ -12,7 +12,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from flowrl.dqn import INIT_SCALE, Mlp
 from flowrl.harness import MAX_WINDOW, REFERENCE_TRAFFIC, ExperimentConfig
-from flowrl.model import ENTRY_BITS, FlowId, FlowPool, ThresholdConfig, flow_key
+from flowrl.model import ENTRY_BITS, FlowPool, ThresholdConfig, flow_key
 from flowrl.simnet import EpisodeMetrics
 from flowrl.traffic import (
     MAX_EXPECTED_FLOWS, FlowSchedule, FlowSpec, TrafficProfile, total_packets,
@@ -34,15 +34,15 @@ def pytest_configure(config):
 
 
 def fid(i, j=None):
-    """Distinct FlowIds keyed by small integers."""
+    """Distinct flow keys indexed by small integers."""
     if j is None:
         j = 1000 + i
-    return FlowId(src_host=0, dst_host=1, src_port=1024 + i, dst_port=1024 + j)
+    return flow_key(src_host=0, dst_host=1, src_port=1024 + i, dst_port=1024 + j)
 
 
-def keys_of(flow_ids):
-    """The flow keys of FlowIds, as the uint64 column a schedule or pool holds."""
-    return np.array([flow_key(*f) for f in flow_ids], np.uint64)
+def keys_of(keys):
+    """Flow keys as the uint64 column a schedule or pool holds."""
+    return np.array(list(keys), np.uint64)
 
 
 # One packet per tick per flow: per_flow_rate / (packet_size*8) = 1.
@@ -85,14 +85,14 @@ def spec_schedule(flows, horizon, profile):
 
 
 def hand_schedule(specs, horizon, profile=ONE_PPS):
-    """Build a FlowSchedule from (flow_id, klass, size_bytes, start) tuples."""
+    """Build a FlowSchedule from (key, klass, size_bytes, start) tuples."""
     flows = [FlowSpec(*spec) for spec in specs]
     flows.sort(key=lambda f: (f.start, f.id))
     return spec_schedule(flows, horizon, profile)
 
 
 def hand_pool(entries):
-    """Build a FlowPool from {flow_id: (freq, last_seen)}, in the dict's order."""
+    """Build a FlowPool from {key: (freq, last_seen)}, in the dict's order."""
     freq = [freq for freq, _ in entries.values()]
     last_seen = [last_seen for _, last_seen in entries.values()]
     return FlowPool(keys_of(entries), np.array(last_seen, np.int64), np.array(freq, np.int64))

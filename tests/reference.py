@@ -4,12 +4,11 @@ tests that compare the package against them.
 - The tabular learner's public-function loop: epsilon_greedy_select,
   apply_action, decay_epsilon and compute_reward, which qlearn.train's
   index walk restates.
-- The FlowId-based episode packets, pool ranking and oracle order, which
+- The field-based episode packets, pool ranking and oracle order, which
   the uint64 flow keys (model.flow_key) replaced: each reads only the
-  FlowId views (schedule.flows and pool.records).
+  views (schedule.flows and pool.records) and orders flows by the four
+  fields key_fields unpacks, not by the key itself.
 """
-import itertools
-
 import numpy as np
 
 from flowrl.baselines import IlpInstance
@@ -71,33 +70,38 @@ def decay_epsilon(eps, step, budget):
     return eps * (1.0 - step / budget)
 
 
+def key_fields(key):
+    """A flow key's (src_host, dst_host, src_port, dst_port), unpacked with
+    this module's own shifts and masks."""
+    return key >> 48, key >> 32 & 0xFFFF, key >> 16 & 0xFFFF, key & 0xFFFF
+
+
 def episode_packets(schedule):
-    """Each flow's packets in [0, horizon), by FlowId."""
+    """Each flow's packets in [0, horizon), by key."""
     packets = emitted_before(schedule.starts, schedule.packets,
                              schedule.profile.packets_per_tick(), schedule.horizon)
     return dict(zip((f.id for f in schedule.flows), packets.tolist()))
 
 
 def rank_pool(pool, packets, window_close):
-    """model.rank_pool over FlowIds: packets maps a FlowId to its episode
-    packets (absent flows count 0), and the FlowId's four fields break
-    ties, the ports as 16-bit sort keys."""
+    """model.rank_pool over the flows' fields: packets maps a key to its
+    episode packets (absent flows count 0), and the key's four fields
+    break ties, the ports as 16-bit sort keys."""
     if (pool.last_seen > window_close).any():
         raise ValueError("window_close precedes a pool record")
     recentness = window_close - pool.last_seen
-    flow_ids = list(pool.records)
-    ids = np.fromiter(itertools.chain.from_iterable(flow_ids), np.int64,
-                      4 * len(pool)).reshape(-1, 4).T
-    ids = [*ids[:2], *ids[2:].astype(np.uint16)]
-    flow_packets = np.array([packets.get(f, 0) for f in flow_ids], np.int64)
-    rank = np.lexsort((*ids[::-1], recentness, -pool.freq))
+    keys = list(pool.records)
+    fields = np.array([key_fields(k) for k in keys], np.int64).reshape(-1, 4).T
+    fields = [*fields[:2], *fields[2:].astype(np.uint16)]
+    flow_packets = np.array([packets.get(k, 0) for k in keys], np.int64)
+    rank = np.lexsort((*fields[::-1], recentness, -pool.freq))
     return pool.freq[rank], recentness[rank], flow_packets[rank]
 
 
 def oracle_instance(pool, eval_schedule, capacity_bits):
-    """harness._oracle_instance over FlowIds: the rules in sorted FlowId
-    order, and that order."""
+    """harness._oracle_instance over the flows' fields: the rules in the
+    order of the keys' field tuples, and that order."""
     packets = episode_packets(eval_schedule)
-    order = sorted(pool.records)
-    rules = tuple((packets.get(fid, 0), ENTRY_BITS) for fid in order)
+    order = sorted(pool.records, key=key_fields)
+    rules = tuple((packets.get(key, 0), ENTRY_BITS) for key in order)
     return IlpInstance(rules=rules, capacity=capacity_bits), order

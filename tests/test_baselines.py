@@ -28,21 +28,17 @@ from flowrl.baselines import (
     run_mbf_episode,
 )
 from flowrl.harness import REFERENCE_TRAFFIC, ExperimentConfig, run_experiment, write_report
-from flowrl.model import ENTRY_BITS, FlowRule, FlowTable, flow_key, key_flow
+from flowrl.model import ENTRY_BITS, FlowRule, FlowTable
 from flowrl.simnet import EpisodeMetrics
 from flowrl.traffic import FlowSpec, TrafficProfile, packets_for_tick
 from conftest import ONE_PPS, fid, hand_schedule, spec_schedule
+from reference import key_fields
 
 THREE_PPS = dataclasses.replace(ONE_PPS, per_flow_rate=36_000.0)
 
 
-def key(i):
-    """The flow key of fid(i), as MBF's table and filters hold it."""
-    return flow_key(*fid(i))
-
-
-def naive_positions(seed, flow_id):
-    data = ("%d-%d-%d-%d-tcp" % flow_id).encode()
+def naive_positions(seed, key):
+    data = ("%d-%d-%d-%d-tcp" % key_fields(key)).encode()
     h1 = _hash64(data, ("mbf1-%d" % seed).encode())
     h2 = _hash64(data, ("mbf2-%d" % seed).encode()) | 1
     return [(h1 + i * h2) % baselines.MBF_BITS for i in range(MBF_PROBES)]
@@ -51,12 +47,13 @@ def naive_positions(seed, flow_id):
 def naive_mbf_episode(schedule, table, seed, duration):
     """The reference MBF episode over its own bank of numpy bool filters,
     newest first: every miss on a full table rescores every resident from
-    scratch, and matched flows are inserted in sorted order. Returns the
-    metrics and the final bank."""
+    scratch, ties broken by install time and then by the key's fields, and
+    matched flows are inserted in sorted order. Returns the metrics and the
+    final bank."""
     bank = [np.zeros(baselines.MBF_BITS, dtype=bool) for _ in MBF_WEIGHTS]
 
-    def importance(flow_id):
-        positions = naive_positions(seed, flow_id)
+    def importance(key):
+        positions = naive_positions(seed, key)
         return sum(w for f, w in zip(bank, MBF_WEIGHTS) if f[positions].all())
 
     hits = 0
@@ -79,7 +76,7 @@ def naive_mbf_episode(schedule, table, seed, duration):
             if len(table) >= table.max_entries:
                 victim = min(
                     table.entries.values(),
-                    key=lambda r: (importance(r.id), r.install_time, r.id),
+                    key=lambda r: (importance(r.id), r.install_time, key_fields(r.id)),
                 )
                 table.remove(victim.id)
             table.insert(FlowRule(id=f, install_time=tick))
@@ -100,54 +97,54 @@ class TestMbfState:
 
     def test_fresh_state_reports_nothing(self):
         state = MbfState(0)
-        assert mbf_importance(state, key(1)) == 0
+        assert mbf_importance(state, fid(1)) == 0
 
     def test_insert_lands_in_newest_filter(self):
         state = MbfState(0)
-        state.insert(key(1))
-        assert mbf_importance(state, key(1)) == 8
-        assert mbf_importance(state, key(2)) == 0
+        state.insert(fid(1))
+        assert mbf_importance(state, fid(1)) == 8
+        assert mbf_importance(state, fid(2)) == 0
 
     def test_age_shifts_filters(self):
         state = MbfState(0)
-        state.insert(key(1))
+        state.insert(fid(1))
         state.age()
-        state.insert(key(2))
-        assert mbf_importance(state, key(2)) == 8
-        assert mbf_importance(state, key(1)) == 4
+        state.insert(fid(2))
+        assert mbf_importance(state, fid(2)) == 8
+        assert mbf_importance(state, fid(1)) == 4
 
     def test_reinserted_every_window_reaches_full_weight(self):
         state = MbfState(0)
         for _ in range(4):
-            state.insert(key(1))
+            state.insert(fid(1))
             state.age()
-        state.insert(key(1))
-        assert mbf_importance(state, key(1)) == 8 + 4 + 2 + 1
+        state.insert(fid(1))
+        assert mbf_importance(state, fid(1)) == 8 + 4 + 2 + 1
 
     def test_forgotten_after_k_agings(self):
         state = MbfState(0)
-        state.insert(key(1))
+        state.insert(fid(1))
         for _ in range(3):
             state.age()
-        assert mbf_importance(state, key(1)) == 1
+        assert mbf_importance(state, fid(1)) == 1
         state.age()
-        assert mbf_importance(state, key(1)) == 0
+        assert mbf_importance(state, fid(1)) == 0
 
 
 class TestMbfStep:
     def test_ages_at_window_boundaries_before_inserting(self):
         state = MbfState(0)  # MBF_WINDOW = 5
-        mbf_step(state, {key(1)}, 0)  # tick 0 ages (no-op) then inserts
-        assert mbf_importance(state, key(1)) == 8
+        mbf_step(state, {fid(1)}, 0)  # tick 0 ages (no-op) then inserts
+        assert mbf_importance(state, fid(1)) == 8
         mbf_step(state, set(), 3)  # mid-window: no aging
-        assert mbf_importance(state, key(1)) == 8
+        assert mbf_importance(state, fid(1)) == 8
         mbf_step(state, set(), 5)  # boundary: the flow moves one slot older
-        assert mbf_importance(state, key(1)) == 4
+        assert mbf_importance(state, fid(1)) == 4
 
     def test_inserts_all_matched_flows(self):
         state = MbfState(0)
-        mbf_step(state, {key(2), key(1)}, 1)
-        assert mbf_importance(state, key(1)) == mbf_importance(state, key(2)) == 8
+        mbf_step(state, {fid(2), fid(1)}, 1)
+        assert mbf_importance(state, fid(1)) == mbf_importance(state, fid(2)) == 8
 
 
 class TestRunMbfEpisode:
@@ -218,7 +215,7 @@ class TestRunMbfEpisode:
 
     def test_eviction_prefers_equal_importance_ties_by_id(self):
         # fid(1) and fid(2) install on tick 0 with equal importance; the
-        # tick-1 miss evicts the smaller FlowId
+        # tick-1 miss evicts the smaller key
         sched = hand_schedule(
             [(fid(1), "mice", 1500, 0), (fid(2), "mice", 1500, 0),
              (fid(3), "mice", 1500, 1)],
@@ -226,13 +223,13 @@ class TestRunMbfEpisode:
         )
         table = FlowTable(2 * ENTRY_BITS)
         run_mbf_episode(sched, table, MbfState(0))
-        assert key(1) not in table
-        assert key(2) in table and key(3) in table
+        assert fid(1) not in table
+        assert fid(2) in table and fid(3) in table
 
     def test_eviction_ties_by_install_time_first(self):
         # fid(2) installs on tick 0 and fid(1) on tick 1, with equal
         # importance at tick 2: the older install loses even though its
-        # FlowId sorts later
+        # key sorts later
         sched = hand_schedule(
             [(fid(2), "mice", 1500, 0), (fid(1), "mice", 1500, 1),
              (fid(3), "mice", 1500, 2)],
@@ -241,8 +238,8 @@ class TestRunMbfEpisode:
         table = FlowTable(2 * ENTRY_BITS)
         metrics = run_mbf_episode(sched, table, MbfState(0))
         assert metrics.misses == 3
-        assert key(2) not in table
-        assert key(1) in table and key(3) in table
+        assert fid(2) not in table
+        assert fid(1) in table and fid(3) in table
 
 
 @st.composite
@@ -312,7 +309,7 @@ PAST_HORIZON_CASE = (
                   horizon=2, profile=ONE_PPS),
     1, 4096, 5, 0,
 )
-# Equal importance at tick 2, and the older install has the larger FlowId.
+# Equal importance at tick 2, and the older install has the larger key.
 INSTALL_TIME_BEFORE_ID_CASE = (
     hand_schedule([(fid(2), "mice", 1500, 0), (fid(1), "mice", 1500, 1),
                    (fid(3), "mice", 1500, 2)], horizon=4, profile=ONE_PPS),
@@ -338,14 +335,14 @@ def test_mbf_episode_equals_naive_reference(case):
         got = run_mbf_episode(sched, table, state)
         want, bank = naive_mbf_episode(sched, ref_table, seed, sched.horizon)
     assert got == want
-    # MBF's table holds each rule by its flow key, the reference's by FlowId
+    # both tables hold each rule by its flow key
     assert all(r.id == k for k, r in table.entries.items())
-    assert {key_flow(k): r.install_time for k, r in table.entries.items()} == {
-        r.id: r.install_time for r in ref_table.entries.values()}
+    assert {k: r.install_time for k, r in table.entries.items()} == {
+        k: r.install_time for k, r in ref_table.entries.items()}
     assert state.filters == [sum(1 << int(p) for p in np.flatnonzero(f)) for f in bank]
 
 
-# SHA-256 of the final residents' repr(sorted((tuple(FlowId), install_time)))
+# SHA-256 of the final residents' repr(sorted((key_fields(key), install_time)))
 # on the contended seeds, taken while every miss on a full table scanned
 # the residents for the victim. Unlike the counts, it changes when scores
 # are kept across ticks.
@@ -368,14 +365,14 @@ def test_contended_mbf_metrics_pinned(seed, overhead, hits):
         summary = run_experiment(cfg).summary
     assert (summary["overhead"], summary["hits"], summary["misses"]) == (overhead, hits, overhead)
     table = episode.call_args.args[1]
-    residents = sorted((tuple(key_flow(r.id)), r.install_time) for r in table.entries.values())
+    residents = sorted((key_fields(r.id), r.install_time) for r in table.entries.values())
     digest = hashlib.sha256(repr(residents).encode()).hexdigest()
     assert digest == CONTENDED_MBF_RESIDENTS[seed]
 
 
 def test_mbf_episode_cost_on_a_thrashed_table():
     # 300 never-draining elephants (3 packets a tick) against 64 entries
-    # for 1,000 ticks, in the reverse of FlowId order so that the FlowId
+    # for 1,000 ticks, in the reverse of key order so that the key
     # tie-break disagrees with the order of the misses. A victim scan over
     # the table and a per-tick loop over every flow took 13.2 s on a 2-core
     # host.

@@ -1,7 +1,6 @@
 """The columnar workload: orchestration, the evaluation schedule and the
 episode packets, computed over a FlowSchedule's per-flow arrays, equal the
-per-flow computations they replaced; and no run builds a FlowSpec or a
-FlowId."""
+per-flow computations they replaced; and no run builds a FlowSpec."""
 import dataclasses
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from flowrl.harness import (
     MODES, ExperimentConfig, _build_env, _pool_packets, build_eval_schedule, run_experiment,
 )
-from flowrl.model import FlowId, PoolRecord
+from flowrl.model import PoolRecord
 from flowrl.simnet import run_orchestration
 from flowrl.traffic import (
     MAX_FLOW_PACKETS, FlowSpec, emission_extent, packets_for_tick, total_packets,
@@ -115,9 +114,9 @@ E, M = "elephant", "mice"
 HAND_CASE = ([(fid(1), E, 4500, 0), (fid(2), M, 3000, 1), (fid(3), E, 4500, 4),
               (fid(4), E, 4500, 5), (fid(5), M, 4500, 8)], 10, 10, 3, 12_000.0)
 # three flows continue from tick 0 (the last starts after the window), so
-# the FlowId alone orders them, against their schedule order
-FLOWID_ORDERS_EQUAL_STARTS = ([(fid(2), M, 4500, 0), (fid(1), M, 4500, 1), (fid(0), E, 1500, 3)],
-                              4, 2, 0, 12_000.0)
+# the key alone orders them, against their schedule order
+KEY_ORDERS_EQUAL_STARTS = ([(fid(2), M, 4500, 0), (fid(1), M, 4500, 1), (fid(0), E, 1500, 3)],
+                           4, 2, 0, 12_000.0)
 # packets_per_tick() is capped from 2**64 to MAX_FLOW_PACKETS
 RATE_ABOVE_INT64 = ([(fid(1), E, 4500, 0), (fid(2), M, 9000, 1)], 5, 4, 0, 12_000.0 * 2**64)
 # a lag of at least the window drops every recurrence
@@ -160,7 +159,7 @@ def columnar_cases(draw):
 @settings(max_examples=300)
 @given(columnar_cases())
 @example(HAND_CASE)
-@example(FLOWID_ORDERS_EQUAL_STARTS)
+@example(KEY_ORDERS_EQUAL_STARTS)
 @example(RATE_ABOVE_INT64)
 @example(LAG_ABOVE_INT64)
 @example(AT_THE_PACKET_BOUND)
@@ -262,17 +261,3 @@ def test_run_builds_pool_records_only_when_read(mode, pool_records_built):
     pool = _build_env(cfg).pool
     assert len(pool.records) == len(pool) == len(pool_records_built) > 0
 
-
-# FlowIds are built only by the views (flows, records, packets_for_tick):
-# a run walks the uint64 flow keys, the MBF episode and the oracle too.
-@pytest.mark.parametrize("mode", MODES)
-def test_run_builds_no_flowid(mode, monkeypatch):
-    built = []
-    new = FlowId.__new__
-    monkeypatch.setattr(FlowId, "__new__", lambda cls, *a: built.append(a) or new(cls, *a))
-    cfg = ExperimentConfig(mode=mode, seed=0, episodes_cap=3, n_training_sets=1)
-    assert len(_build_env(cfg).pool) > 0
-    run_experiment(cfg)
-    assert built == []
-    FlowId(0, 1, 1024, 1025)  # the counter counts
-    assert built == [(0, 1, 1024, 1025)]

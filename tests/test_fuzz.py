@@ -19,7 +19,7 @@ from flowrl.harness import (
 from flowrl.model import ENTRY_BITS, FREQ_GRID, PARAM_MODES, REC_GRID
 from flowrl.traffic import MAX_FLOW_PACKETS, TrafficProfile
 from conftest import CROWDED_DAY_MBF_CONFIG, SLOW_MBF_CONFIG
-from reference import episode_packets
+from reference import episode_packets, key_fields
 
 # seconds one example may take: its run plus the exact recount
 ALARM_S = 30
@@ -117,8 +117,7 @@ def exact_misses(env, packets, total):
     ranks it; a cell places the first eligible flows that fit."""
     close = env.window_close
     order = sorted(env.pool.records.items(), key=lambda item: (
-        -item[1].freq, close - item[1].last_seen, item[0].src_host, item[0].dst_host,
-        item[0].src_port, item[0].dst_port))
+        -item[1].freq, close - item[1].last_seen, key_fields(item[0])))
     ranked = [(r.freq, close - r.last_seen, packets.get(f, 0)) for f, r in order]
     limit = env.capacity_bits // ENTRY_BITS
 

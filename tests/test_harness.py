@@ -27,6 +27,7 @@ from flowrl.harness import (
     _oracle_instance,
     build_eval_schedule,
     load_config,
+    report_paths,
     run_experiment,
     save_config,
     write_report,
@@ -559,6 +560,32 @@ class TestWriteReport:
             assert (tmp_path / ("s.csv." + pm)).exists()
             assert (tmp_path / ("s.csv." + pm + ".summary")).exists()
             assert (tmp_path / ("s.csv." + pm + ".cfg")).exists()
+
+    def test_failed_write_leaves_the_earlier_set(self, tmp_path, monkeypatch):
+        # a report set is written whole or not at all: a config echo that
+        # fails on its second file leaves every file of the earlier set as
+        # it was, and nothing else beside them
+        out = str(tmp_path / "s.csv")
+        cfg = ExperimentConfig(mode="significance", seed=0, episodes_cap=5)
+        write_report(run_experiment(cfg), out)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == sorted(os.path.basename(name)
+                                        for names in report_paths(out, cfg.mode)
+                                        for name in names)
+        save = harness.save_config
+        calls = []
+
+        def save_then_fail(cfg, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            return save(cfg, path)
+
+        monkeypatch.setattr(harness, "save_config", save_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            write_report(run_experiment(dataclasses.replace(cfg, seed=1)), out)
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_significance_equals_three_ql_runs(self, tmp_path, monkeypatch, seed):

@@ -1,6 +1,8 @@
-"""The uint64 flow keys against the FlowId-based code they replaced
-(tests/reference.py): each pool flow's episode packets, the pool ranking
-and the oracle instance come out equal, in the same order."""
+"""The uint64 flow keys against the field-based code they replaced
+(tests/reference.py), which orders flows by the four fields it unpacks
+itself: each pool flow's episode packets, the pool ranking and the oracle
+instance come out equal, in the same order. The "flowid reference" of the
+test names is that field-based code."""
 import dataclasses
 
 import numpy as np
@@ -12,7 +14,7 @@ import reference
 from flowrl.harness import (
     REFERENCE_TRAFFIC, ExperimentConfig, _build_env, _oracle_instance, _pool_packets,
 )
-from flowrl.model import ENTRY_BITS, FlowId, key_flow, rank_pool
+from flowrl.model import ENTRY_BITS, flow_key, rank_pool
 from conftest import ONE_PPS, hand_pool, hand_schedule
 
 CONTENDED_TRAFFIC = dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5.4e6)
@@ -35,7 +37,7 @@ def assert_equals_flowid_reference(pool, eval_schedule, window_close, capacity_b
     want_inst, want_order = reference.oracle_instance(pool, eval_schedule, capacity_bits)
     assert inst == want_inst
     assert order.dtype == np.uint64
-    assert [key_flow(k) for k in order.tolist()] == want_order
+    assert order.tolist() == want_order
 
 
 @pytest.mark.parametrize("traffic, seed", [(CONTENDED_TRAFFIC, s) for s in range(4)]
@@ -51,12 +53,12 @@ def test_generated_workloads_equal_flowid_reference(traffic, seed):
 
 # Flows that tie on frequency and recentness, so the flow order decides
 # between them: a src host of 65,535 sets the key's top bit, and the
-# FlowIds' fields disagree in order (a larger src with smaller ports).
-TOP = FlowId(65535, 0, 1024, 1024)
-NEXT = FlowId(65534, 65535, 65535, 65535)
-LOW = FlowId(0, 1, 65535, 65535)
-MID = FlowId(32768, 1, 1, 1)
-FLOWS = [TOP, NEXT, LOW, MID, FlowId(0, 2, 1, 1), FlowId(1, 0, 1, 2)]
+# flows' fields disagree in order (a larger src with smaller ports).
+TOP = flow_key(65535, 0, 1024, 1024)
+NEXT = flow_key(65534, 65535, 65535, 65535)
+LOW = flow_key(0, 1, 65535, 65535)
+MID = flow_key(32768, 1, 1, 1)
+FLOWS = [TOP, NEXT, LOW, MID, flow_key(0, 2, 1, 1), flow_key(1, 0, 1, 2)]
 
 # (pool {flow: (freq, last_seen)}, evaluation specs (flow, class, bytes, start))
 HAND_CASES = {
@@ -64,7 +66,7 @@ HAND_CASES = {
                       [(f, "mice", 3000, 0) for f in (LOW, MID, NEXT, TOP)]),
     # LOW and MID are never re-offered; the schedule's other flow was never pooled
     "absent": ({MID: (3, 1), TOP: (3, 1), LOW: (3, 1)},
-               [(TOP, "elephant", 4500, 1), (FlowId(0, 2, 1, 1), "mice", 1500, 0)]),
+               [(TOP, "elephant", 4500, 1), (flow_key(0, 2, 1, 1), "mice", 1500, 0)]),
     "empty-schedule": ({TOP: (3, 1), LOW: (3, 1)}, []),
     "empty-pool": ({}, [(TOP, "mice", 1500, 0)]),
 }

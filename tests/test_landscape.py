@@ -18,11 +18,11 @@ from flowrl.model import (
     ENTRY_BITS,
     FREQ_GRID,
     REC_GRID,
-    FlowId,
     FlowTable,
     ThresholdConfig,
     placement_landscape,
     rank_pool,
+    flow_key,
     select_rules,
 )
 from flowrl.simnet import run_episode
@@ -48,15 +48,15 @@ def reference(env, thresholds):
 
 @st.composite
 def environments(draw):
-    """Small hand-built pools and schedules over one set of flow ids (a
+    """Small hand-built pools and schedules over one set of flow keys (a
     schedule holds each at most once), so that some pool flows never
     appear in the schedule and some scheduled flows were never observed;
     flow sizes run up to 30 packets against horizons of 1-12 ticks, so
     many flows drain past the horizon. Pool
     frequencies and recentness values sit on and beside grid points, so
     eligibility boundaries and rank ties come up often."""
-    # ports and hosts disagree in order, so every FlowId field decides ties
-    ids = [FlowId(i % 2, 2 + i % 3, 1031 - i, 1024 + i) for i in range(8)]
+    # ports and hosts disagree in order, so every field of the key decides ties
+    ids = [flow_key(i % 2, 2 + i % 3, 1031 - i, 1024 + i) for i in range(8)]
     window_close = draw(st.integers(0, 320))
     pool_ids = draw(st.lists(st.sampled_from(ids), max_size=8, unique=True))
     pool = hand_pool({
@@ -92,7 +92,7 @@ TABLE_FILLED_EXACTLY = EpisodeEnv(
     hand_pool({fid(1): (10, 5)}), hand_schedule([(fid(1), "mice", 3000, 0)], 4),
     ENTRY_BITS, 5, "both")
 # Equal frequencies against one entry: the more recent flow, fid(2), wins
-# although its FlowId sorts later.
+# although its key sorts later.
 RECENTNESS_DECIDES_THE_RANK = EpisodeEnv(
     hand_pool({fid(1): (10, 4), fid(2): (10, 5)}),
     hand_schedule([(fid(1), "mice", 1500, 0), (fid(2), "mice", 3000, 0)], 4),
@@ -111,20 +111,20 @@ PREFIX_LONGER_THAN_THE_LIMIT = EpisodeEnv(
     hand_schedule([(fid(1), "mice", 1500, 0), (fid(2), "mice", 3000, 0),
                    (fid(3), "elephant", 4500, 0), (fid(4), "mice", 3000, 1)], 4),
     2 * ENTRY_BITS, 20, "both")
-# Equal frequencies and recentness against one entry: the FlowId order
-# decides from src_host on, so FlowId(0, 2, 1026, 1026) wins although its
+# Equal frequencies and recentness against one entry: the key order
+# decides from src_host on, so flow_key(0, 2, 1026, 1026) wins although its
 # other three fields sort later.
-FLOWID_BREAKS_THE_TIE = EpisodeEnv(
-    hand_pool({FlowId(1, 0, 1024, 1024): (10, 5), FlowId(0, 2, 1026, 1026): (10, 5)}),
-    hand_schedule([(FlowId(1, 0, 1024, 1024), "mice", 1500, 0),
-                   (FlowId(0, 2, 1026, 1026), "mice", 3000, 0)], 4),
+KEY_BREAKS_THE_TIE = EpisodeEnv(
+    hand_pool({flow_key(1, 0, 1024, 1024): (10, 5), flow_key(0, 2, 1026, 1026): (10, 5)}),
+    hand_schedule([(flow_key(1, 0, 1024, 1024), "mice", 1500, 0),
+                   (flow_key(0, 2, 1026, 1026), "mice", 3000, 0)], 4),
     ENTRY_BITS, 5, "both")
 # Equal frequencies, recentness and hosts against one entry: src_port 1024
 # sorts before 40000, which a signed 16-bit key would wrap below it.
 PORT_ABOVE_INT16_BREAKS_THE_TIE = EpisodeEnv(
-    hand_pool({FlowId(0, 1, 40000, 1000): (10, 5), FlowId(0, 1, 1024, 2000): (10, 5)}),
-    hand_schedule([(FlowId(0, 1, 40000, 1000), "mice", 1500, 0),
-                   (FlowId(0, 1, 1024, 2000), "mice", 3000, 0)], 4),
+    hand_pool({flow_key(0, 1, 40000, 1000): (10, 5), flow_key(0, 1, 1024, 2000): (10, 5)}),
+    hand_schedule([(flow_key(0, 1, 40000, 1000), "mice", 1500, 0),
+                   (flow_key(0, 1, 1024, 2000), "mice", 3000, 0)], 4),
     ENTRY_BITS, 5, "both")
 # Recentness 310 lies above every column, so fid(1) is placed only by its
 # frequency, at f = 0; two entries leave a slot free.
@@ -145,7 +145,7 @@ RECENTNESS_ONLY_IGNORES_FREQ = EpisodeEnv(
 @example(TABLE_FILLED_EXACTLY)
 @example(RECENTNESS_DECIDES_THE_RANK)
 @example(FREQ_TIE_STRADDLES_THE_LIMIT)
-@example(FLOWID_BREAKS_THE_TIE)
+@example(KEY_BREAKS_THE_TIE)
 @example(PORT_ABOVE_INT16_BREAKS_THE_TIE)
 @example(PREFIX_LONGER_THAN_THE_LIMIT)
 @example(RECENTNESS_ABOVE_THE_GRID)

@@ -1,5 +1,4 @@
 import dataclasses
-import operator
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from flowrl.model import (
     MAX_TEXT_CHARS,
     CapacityExceeded,
     DuplicateRule,
-    FlowId,
     FlowPool,
     FlowRule,
     FlowTable,
@@ -23,13 +21,13 @@ from flowrl.model import (
     PoolRecord,
     ThresholdConfig,
     flow_key,
-    key_flow,
     key_text,
     select_rules,
 )
 from flowrl.qlearn import MalformedQTable, QTable
 
 from conftest import fid, hand_pool, keys_of
+from reference import key_fields
 
 # loader -> (write a file it loads, the loader, its error type)
 LOADERS = {
@@ -60,72 +58,72 @@ def test_loader_reads_at_most_max_text_chars(tmp_path, name):
 
 
 class TestFlowId:
+    """A flow's identity is its key: flow_key refuses what names no flow."""
+
     def test_same_hosts_rejected(self):
-        with pytest.raises(ValueError):
-            FlowId(1, 1, 1024, 1024)
+        with pytest.raises(ValueError, match="must differ"):
+            flow_key(1, 1, 1024, 1024)
+        with pytest.raises(ValueError, match="must differ"):
+            flow_key(MAX_HOSTS - 1, MAX_HOSTS - 1, 1024, 1024)
 
     def test_port_range_rejected(self):
-        with pytest.raises(ValueError):
-            FlowId(0, 1, 0, 1024)
-        with pytest.raises(ValueError):
-            FlowId(0, 1, 1024, 65536)
+        for ports in ((0, 1024), (1024, 0), (65536, 1024), (1024, 65536)):
+            with pytest.raises(ValueError, match=r"ports must be in \[1, 65535\]"):
+                flow_key(0, 1, *ports)
 
     def test_ordering_is_field_tuple_order(self):
-        a = FlowId(0, 1, 1024, 1024)
-        b = FlowId(0, 1, 1024, 1025)
-        c = FlowId(0, 2, 1024, 1024)
+        a = flow_key(0, 1, 1024, 1024)
+        b = flow_key(0, 1, 1024, 1025)
+        c = flow_key(0, 2, 1024, 1024)
         assert a < b < c
 
     def test_every_construction_is_checked(self):
+        # by keyword as by position; the ends of the port range are flows
         with pytest.raises(ValueError):
-            FlowId(src_host=2, dst_host=2, src_port=1024, dst_port=1024)
+            flow_key(src_host=2, dst_host=2, src_port=1024, dst_port=1024)
         with pytest.raises(ValueError):
-            FlowId._make((2, 2, 1024, 1024))
-        with pytest.raises(ValueError):
-            FlowId(0, 1, 1024, 1024)._replace(dst_port=0)
+            flow_key(src_host=0, dst_host=1, src_port=1024, dst_port=0)
+        assert flow_key(0, 1, 1, 65535) < flow_key(0, 1, 65535, 1)
 
     def test_text_token(self):
         # the text MBF hashes: the four fields and the protocol
-        assert key_text(flow_key(*FlowId(0, 1, 1024, 2024))) == "0-1-1024-2024-tcp"
+        assert key_text(flow_key(0, 1, 1024, 2024)) == "0-1-1024-2024-tcp"
         assert key_text(flow_key(65535, 65534, 65535, 1)) == "65535-65534-65535-1-tcp"
 
     def test_is_the_tuple_of_its_fields(self):
-        f = FlowId(0, 1, 1024, 2024)
-        assert f == (0, 1, 1024, 2024)
-        assert f == (f.src_host, f.dst_host, f.src_port, f.dst_port)
-        assert hash(f) == hash((0, 1, 1024, 2024))
+        key = flow_key(0, 1, 1024, 2024)
+        assert key_fields(key) == (0, 1, 1024, 2024)
+        assert key == flow_key(*key_fields(key))
+        assert key_text(key) == "%d-%d-%d-%d-tcp" % key_fields(key)
 
     def test_sorted_pool_is_the_field_order(self):
-        # the contended seed-0 pool (about 1,480 flows): plain sorting gives
-        # the order of the four fields, as an explicit key spells it out
+        # the contended seed-0 pool (about 1,480 flows): sorting the keys
+        # gives the order of the four fields, as an explicit key spells out
         cfg = ExperimentConfig(
             mode="oracle", seed=0, table_capacity_bits=64 * ENTRY_BITS,
             traffic=dataclasses.replace(REFERENCE_TRAFFIC, aggregate_rate=5.4e6),
         )
         pool = _build_env(cfg).pool
-        key = operator.attrgetter("src_host", "dst_host", "src_port", "dst_port")
         assert len(pool) > 1000
-        assert sorted(pool.records) == sorted(pool.records, key=key)
+        assert sorted(pool.records) == sorted(pool.records, key=key_fields)
 
 
 HOSTS = st.integers(0, MAX_HOSTS - 1)
 PORTS = st.integers(1, 65535)
-FLOW_IDS = st.tuples(HOSTS, HOSTS, PORTS, PORTS).filter(lambda f: f[0] != f[1]).map(
-    lambda f: FlowId(*f))
+FLOW_FIELDS = st.tuples(HOSTS, HOSTS, PORTS, PORTS).filter(lambda f: f[0] != f[1])
 # the largest host sets the key's top bit, which an int64 could not hold
-EDGE_FLOWS = [FlowId(65535, 0, 1, 1), FlowId(65534, 65535, 65535, 65535), FlowId(0, 1, 1, 1)]
+EDGE_FLOWS = [(65535, 0, 1, 1), (65534, 65535, 65535, 65535), (0, 1, 1, 1)]
 
 
 class TestFlowKey:
-    @given(st.lists(FLOW_IDS, min_size=1, max_size=8))
+    @given(st.lists(FLOW_FIELDS, min_size=1, max_size=8))
     @example(EDGE_FLOWS)
-    def test_round_trip_and_order(self, flow_ids):
-        keys = keys_of(flow_ids)
-        assert [key_flow(k) for k in keys.tolist()] == flow_ids
-        # the keys' numeric order, as a uint64 column, is the FlowIds' tuple order
-        assert [flow_ids[i] for i in np.argsort(keys, kind="stable")] == sorted(flow_ids)
-        assert [key_text(k) for k in keys.tolist()] == [
-            "%d-%d-%d-%d-tcp" % f for f in flow_ids]
+    def test_round_trip_and_order(self, fields):
+        keys = keys_of(flow_key(*f) for f in fields)
+        assert [key_fields(k) for k in keys.tolist()] == fields
+        # the keys' numeric order, as a uint64 column, is the fields' tuple order
+        assert [fields[i] for i in np.argsort(keys, kind="stable")] == sorted(fields)
+        assert [key_text(k) for k in keys.tolist()] == ["%d-%d-%d-%d-tcp" % f for f in fields]
 
     def test_layout(self):
         assert flow_key(1, 2, 3, 4) == 1 << 48 | 2 << 32 | 3 << 16 | 4
@@ -134,8 +132,8 @@ class TestFlowKey:
     @pytest.mark.parametrize("hosts", [(2**16, 0), (0, 2**16), (-1, 0), (0, 2**32)],
                              ids=["src-at-the-bound", "dst-at-the-bound", "negative", "wide"])
     def test_hosts_from_max_hosts_refused(self, hosts):
-        # a dst host of 2**16 would spill into the src field: FlowId(0, 65536,
-        # ...) and FlowId(1, 0, ...) would then share a key
+        # a dst host of 2**16 would spill into the src field: the flows
+        # (0, 65536, ...) and (1, 0, ...) would then share a key
         assert flow_key(2**16 - 1, 0, 1, 1) >> 48 == 2**16 - 1
         with pytest.raises(ValueError, match="hosts"):
             flow_key(*hosts, 1024, 1024)
@@ -145,7 +143,8 @@ class TestFlowTable:
     def test_duplicate_insert_rejected(self):
         t = FlowTable(2 * ENTRY_BITS)
         t.insert(FlowRule(id=fid(1), install_time=0))
-        with pytest.raises(DuplicateRule):
+        # the message names the flow by its text
+        with pytest.raises(DuplicateRule, match="^0-1-1025-2025-tcp$"):
             t.insert(FlowRule(id=fid(1), install_time=1))
 
     def test_capacity_bound_enforced(self):

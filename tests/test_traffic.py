@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowrl.harness import REFERENCE_TRAFFIC
-from flowrl.model import FlowId
+from flowrl.model import flow_key
 from flowrl.traffic import (
     MAX_EXPECTED_FLOWS,
     MAX_FLOW_PACKETS,
@@ -22,6 +22,7 @@ from flowrl.traffic import (
     total_packets,
 )
 from conftest import ONE_PPS, fid, hand_schedule, keys_of, spec_schedule
+from reference import key_fields
 
 
 # profiles whose rates no float can hold, and the field refused for each
@@ -143,8 +144,7 @@ class TestFlowSchedule:
             spec_schedule([a], 10, ONE_PPS)
 
     def test_rejects_repeated_flow_id(self):
-        # each flow has one rule and one pool record, so one entry; a
-        # FlowId and its key are one to one
+        # each flow has one rule and one pool record, so one entry
         a = FlowSpec(id=fid(1), klass="mice", size=3000, start=2)
         b = FlowSpec(id=fid(1), klass="elephant", size=4500, start=5)
         with pytest.raises(ValueError, match="flow key repeats"):
@@ -235,7 +235,9 @@ class TestGenerateSchedule:
         sched = generate_schedule(prof, horizon=20, n_hosts=20, seed=3)
         ids = [f.id for f in sched.flows]
         assert len(ids) == len(set(ids))
-        assert all(f.id.src_host != f.id.dst_host for f in sched.flows)
+        fields = [key_fields(k) for k in ids]
+        assert all(src != dst and max(src, dst) < 20 for src, dst, _, _ in fields)
+        assert all(1024 <= port for _, _, *ports in fields for port in ports)
 
     def test_starts_within_horizon_and_sorted(self):
         prof = TrafficProfile()
@@ -261,7 +263,7 @@ class TestGenerateSchedule:
     def test_top_host_key_is_unsigned(self):
         # a src host of 65,535 sets the key's top bit, which an int64 column
         # would wrap to a negative number
-        top = FlowId(65535, 0, 1024, 1024)
+        top = flow_key(65535, 0, 1024, 1024)
         sched = hand_schedule([(top, "mice", 3000, 0), (fid(1), "mice", 3000, 1)], 10)
         assert sched.keys.dtype == np.uint64 and sched.keys[0] >= 2**63
         assert [f.id for f in sched.flows] == [top, fid(1)]
@@ -303,7 +305,7 @@ PIN_PROFILES = {
                          ids=["%s-%d-%d" % pin[:3] for pin in PINNED_SCHEDULES])
 def test_schedule_pinned(profile, n_hosts, seed, flows, digest):
     sched = generate_schedule(PIN_PROFILES[profile], 60, n_hosts, seed)
-    rows = [(*f.id, f.klass, f.size, f.start) for f in sched.flows]
+    rows = [(*key_fields(f.id), f.klass, f.size, f.start) for f in sched.flows]
     assert len(rows) == flows
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
