@@ -189,8 +189,9 @@ class WordDraws:
     @classmethod
     def live(cls, rng):
         """Draws that take each word from rng as it is drawn and fetch none
-        ahead, so rng's own whole-word draws (exponential) may come between
-        them; those leave the kept half alone."""
+        ahead, so rng's own whole-word draws (an arrival gap) may come
+        between them; those leave the kept half alone. The schedule's
+        per-flow draws, for inputs its column decode cannot serve."""
         draws = cls(rng)
         draws._next = draws._bg.random_raw
         return draws
@@ -229,6 +230,20 @@ class WordDraws:
         self._half = word >> 32
         return word & 0xFFFFFFFF
 
+    @staticmethod
+    def random_column(words):
+        """random() on each word of a uint64 column."""
+        return (words >> 11) * 2**-53
+
+    @staticmethod
+    def below_column(halves, n):
+        """below(n), 2 <= n <= 2**16, on each 32-bit half of an int64
+        column (so no product exceeds 2**48), and whether below would
+        reject that half and draw another; a rejected half's value is not
+        below's."""
+        m = halves * n
+        return m >> 32, m & 0xFFFFFFFF < (2**32 - n) % n
+
     def close(self):
         unused = operator.length_hint(self._block)
         if unused:
@@ -250,13 +265,67 @@ def generate_schedule(profile, horizon, n_hosts, seed):
     elephant with probability elephant_fraction; (src, dst) are uniform
     over distinct host pairs of the n_hosts (at most MAX_HOSTS); ports are
     drawn so flow keys are unique.
+
+    A flow's class, hosts and ports come from the three PCG64 words after
+    its arrival gap, decoded for every flow in one pass; an input whose
+    flows' draws take other words is drawn flow by flow (WordDraws.live).
     """
     profile.validate(horizon)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if not 2 <= n_hosts <= MAX_HOSTS:
         raise ValueError("need 2 to %d hosts" % MAX_HOSTS)
+    # two hosts leave the dst draw a range of 1, which takes no half
+    decoded = n_hosts > 2 and _decode_flows(profile, horizon, n_hosts, seed)
+    keys, starts, elephant = decoded or _draw_flows(profile, horizon, n_hosts, seed)
+    # the (mice, elephant) packet counts, indexed by each flow's elephant flag
+    packets = [total_packets(size, profile.packet_size)
+               for size in (profile.mice_size, profile.elephant_size)]
+    return FlowSchedule(keys, starts, elephant, np.take(packets, elephant), horizon, profile)
 
+
+def _decode_flows(profile, horizon, n_hosts, seed):
+    """The schedule's (keys, starts, elephant) columns. Each flow takes its
+    gap as standard_exponential() times the mean gap (exponential's own
+    product), then three words: word 0 is the class coin, word 1's low and
+    high halves are src and dst, word 2's the two ports. None when a flow's
+    draws would take other words: a half below() rejects, or a repeated
+    key, whose ports are drawn again."""
+    rng = np.random.default_rng(seed)
+    gap = rng.standard_exponential
+    take = rng.bit_generator.random_raw
+    mean_gap = 1.0 / profile.arrival_rate()
+    times, words = [], []
+    t = 0.0
+    while True:
+        t += gap() * mean_gap
+        if t >= horizon:
+            break
+        times.append(t)
+        words.append(take(3))
+    words = np.array(words, np.uint64).reshape(-1, 3)
+    elephant = WordDraws.random_column(words[:, 0]) < profile.elephant_fraction
+    low = (words[:, 1:] & 0xFFFFFFFF).astype(np.int64)
+    high = (words[:, 1:] >> 32).astype(np.int64)
+    src, src_rejected = WordDraws.below_column(low[:, 0], n_hosts)
+    dst, dst_rejected = WordDraws.below_column(high[:, 0], n_hosts - 1)
+    sport, sport_rejected = WordDraws.below_column(low[:, 1], 64512)
+    dport, dport_rejected = WordDraws.below_column(high[:, 1], 64512)
+    if (src_rejected | dst_rejected | sport_rejected | dport_rejected).any():
+        return None
+    dst += dst >= src
+    # flow_key's layout: src << 48 | dst << 32 | sport << 16 | dport
+    keys = ((src << 16 | dst).astype(np.uint64) << 32
+            | (1024 + sport << 16 | 1024 + dport).astype(np.uint64))
+    sorted_keys = np.sort(keys)
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        return None
+    return keys, np.floor(times), elephant
+
+
+def _draw_flows(profile, horizon, n_hosts, seed):
+    """generate_schedule's (keys, starts, elephant) lists, drawn flow by
+    flow with live WordDraws; any input, and the column decode's reference."""
     rng = np.random.default_rng(seed)
     draws = WordDraws.live(rng)
     below = draws.below
@@ -282,10 +351,7 @@ def generate_schedule(profile, horizon, n_hosts, seed):
                 break
         keys.append(key)
         elephant.append(is_elephant)
-    # the (mice, elephant) packet counts, indexed by each flow's elephant flag
-    packets = [total_packets(size, profile.packet_size)
-               for size in (profile.mice_size, profile.elephant_size)]
-    return FlowSchedule(keys, starts, elephant, np.take(packets, elephant), horizon, profile)
+    return keys, starts, elephant
 
 
 def packets_for_tick(schedule, tick):

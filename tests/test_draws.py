@@ -82,6 +82,41 @@ def test_random_is_the_word_top_53_bits():
     assert draws.random() == np.random.default_rng(4).random(4)[3]
 
 
+class WordFeed:
+    """A generator stand-in for WordDraws.live whose bit generator hands out
+    the given words in order."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.state = {"has_uint32": 0, "uinteger": 0}
+        self.random_raw = iter(words).__next__
+
+
+def test_random_column_equals_random():
+    words = [0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 1,
+             *np.random.default_rng(6).bit_generator.random_raw(200).tolist()]
+    draws = WordDraws.live(WordFeed(words))
+    column = WordDraws.random_column(np.array(words, np.uint64))
+    assert column.tolist() == [draws.random() for _ in words]
+
+
+@pytest.mark.parametrize("n", [n for n in BELOW_RANGES if n <= 2**16] + [64512, 2**16])
+def test_below_column_equals_below(n):
+    # the halves ceil(k * 2**32 / n) leave a product's low half below n,
+    # where below's rejections lie; half 0 is one unless 2**32 % n == 0
+    edges = [-(-k * 2**32 // n) for k in range(min(n, 64))]
+    for seed in range(5):
+        rng = np.random.default_rng([seed, n])
+        halves = rng.permutation([*edges, *rng.integers(0, 2**32, 200 + len(edges) % 2)])
+        values, rejected = WordDraws.below_column(halves, n)
+        kept = values[~rejected].tolist()
+        pairs = halves.astype(np.uint64).reshape(-1, 2)
+        words = (pairs[:, 1] << 32 | pairs[:, 0]).tolist()  # each word's low half first
+        draws = WordDraws.live(WordFeed(words))
+        assert [draws.below(n) for _ in kept] == kept, seed
+        assert rejected.any() == ((2**32 - n) % n > 0), seed
+
+
 def test_range_of_one_takes_no_draw():
     for kept_half in (False, True):
         ref, gen = twins(9, kept_half)

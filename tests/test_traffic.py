@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from flowrl import traffic
 from flowrl.harness import REFERENCE_TRAFFIC
 from flowrl.model import flow_key
 from flowrl.traffic import (
@@ -285,6 +286,8 @@ PINNED_SCHEDULES = [
     ("contended", 2, 1, 1526, "96f3271ccdac420926992acd927a6201936c3403261b35c06ece0d7b09a73b20"),
     ("contended", 20, 0, 1481, "c9d85b330a44f749d79b8e228a7feabb834d8e76fd4e810eae360ec0f5b65615"),
     ("contended", 20, 1, 1463, "5f70445a066b17f5dae6e9bf58328a1a6913b699fbce91571ef1d12204f28fd8"),
+    # a port half that Lemire's rule rejects: drawn flow by flow
+    ("contended", 20, 21, 1455, "2d71845a27b659fd66cb8934df2e3e6c401753e84aba05c63d63901588a83719"),
     ("contended", 65536, 0, 1481, "c7aa828ea2861b8abd88581beda62c3f3a8aa9a1f4c0dbbad4eb42d3cd25acbe"),
     ("contended", 65536, 1, 1463, "029a22dad9ae24dae2a1921b02ec155d3f0cac9bc0680783d22463752ffd0e56"),
     ("paper", 2, 0, 768, "0aedf80b77e067b6bb7e02c00fda6c4029cbfe468f2912d9902b4f8dcc014474"),
@@ -310,6 +313,36 @@ def test_schedule_pinned(profile, n_hosts, seed, flows, digest):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
+# seeds whose schedules the column decode cannot serve: a contended flow
+# draws a rejected half at each, a reference flow at 21 and 227
+DECODE_REJECTING_SEEDS = (21, 66, 227)
+
+
+@pytest.mark.parametrize("n_hosts", [2, 3, 20, 65536])
+@pytest.mark.parametrize("profile", sorted(PIN_PROFILES))
+def test_schedule_equals_per_flow_draws(profile, n_hosts):
+    for seed in (*range(6), *DECODE_REJECTING_SEEDS):
+        sched = generate_schedule(PIN_PROFILES[profile], 60, n_hosts, seed)
+        keys, starts, elephant = traffic._draw_flows(PIN_PROFILES[profile], 60, n_hosts, seed)
+        assert sched.keys.tolist() == keys, seed
+        assert sched.starts.tolist() == starts, seed
+        assert sched.elephant.tolist() == elephant, seed
+
+
+def test_rejecting_seeds_take_the_per_flow_draws():
+    contended = PIN_PROFILES["contended"]
+    for seed in DECODE_REJECTING_SEEDS:
+        assert traffic._decode_flows(contended, 60, 20, seed) is None, seed
+
+
+def test_contended_seed_0_is_decoded(monkeypatch):
+    # a decode that always fell back would keep every schedule's bytes
+    def refuse(*args):
+        raise AssertionError("drew the schedule flow by flow")
+    monkeypatch.setattr(traffic, "_draw_flows", refuse)
+    assert len(generate_schedule(PIN_PROFILES["contended"], 60, 20, 0).keys) == 1481
+
+
 # 2**31 + 1 rejects about half its draws, so the redraw loop runs and can
 # leave an odd high half for the next draw; 2**32 is the widest range.
 BELOW_RANGES = (1, 2, 19, 20, 64512, 65536, 2**31 + 1, 2**32 - 1, 2**32)
@@ -326,7 +359,8 @@ def test_live_draws_equal_generator_calls():
         for _ in range(40):
             op = int(order.integers(len(BELOW_RANGES) + 2))
             if op == len(BELOW_RANGES):
-                assert rng.exponential(2.5) == twin.exponential(2.5), seed
+                # generate_schedule scales standard_exponential by the mean gap
+                assert rng.exponential(2.5) == twin.standard_exponential() * 2.5, seed
             elif op == len(BELOW_RANGES) + 1:
                 assert rng.random() == random(), seed
             else:
