@@ -35,6 +35,9 @@ MBF_WEIGHTS = (8, 4, 2, 1)
 MBF_BITS = 4096
 MBF_PROBES = 3
 MBF_WINDOW = 5
+# The largest seed an MbfState takes: its blake2b keys are "mbf1-<seed>"
+# and "mbf2-<seed>", and blake2b takes at most MAX_KEY_SIZE bytes of key.
+MAX_MBF_SEED = 10 ** (hashlib.blake2b.MAX_KEY_SIZE - len("mbf1-")) - 1
 
 
 class MbfState:

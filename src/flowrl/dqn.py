@@ -15,6 +15,7 @@ import numpy as np
 
 from flowrl.model import FREQ_GRID, REC_GRID, read_text
 from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, AgentConfig, train
+from flowrl.traffic import WordDraws
 
 LAYER_SIZES = (4, 24, 24, 24, 5)
 INIT_SCALE = 0.1  # Mlp.random's parameters are uniform in [-INIT_SCALE, INIT_SCALE)
@@ -361,21 +362,22 @@ class _DqnPolicy:
         self.s_vec = next_vec
 
 
-def dqn_train(env, net, cfg, initial_state, rng, memory, trace=True):
+def dqn_train(env, net, cfg, initial_state, draws, memory, trace=True):
     """Run train with the DQN policy on net, which is updated in place.
     Learning goes through memory; share one to persist experience across
     runs."""
-    return train(env, _DqnPolicy(net, memory, initial_state), cfg, initial_state, rng, trace)
+    return train(env, _DqnPolicy(net, memory, initial_state), cfg, initial_state, draws, trace)
 
 
 def init_mlp(seed, training_sets=(), env=None, cfg=None, memory=None):
     """Build a network: Mlp.random's, seeded, then one full dqn_train run
     on env under cfg per training set (each set as the initial state)
-    without trace rows, all through memory, which keeps the experience
-    buffer afterwards. No training sets leave the random network, and
-    need no env, cfg or memory."""
+    without trace rows. The runs share memory, which keeps the experience
+    buffer afterwards, and one WordDraws on the seed's generator. No
+    training sets leave the random network, and need no env, cfg or memory."""
     rng = np.random.default_rng(seed)
     net = Mlp.random(rng)
+    draws = WordDraws(rng)
     for state in training_sets:
-        dqn_train(env, net, cfg, state, rng, memory, trace=False)
+        dqn_train(env, net, cfg, state, draws, memory, trace=False)
     return net

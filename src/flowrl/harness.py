@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from flowrl.baselines import (
+    MAX_MBF_SEED,
     IlpInstance,
     MbfState,
     knapsack_exact,
@@ -153,6 +154,8 @@ class ExperimentConfig:
         except InvalidProfile as exc:
             raise ValidationError(str(exc))
         if self.mode == "mbf":
+            if self.seed > MAX_MBF_SEED:
+                raise ValidationError("mbf: seed must be <= %d" % MAX_MBF_SEED)
             # the E flows expected over the window each emit on at most T
             # ticks, the larger flow's drain time, and each of the window's
             # ticks heaps at most min(entries, E) residents
@@ -392,7 +395,7 @@ def _run_agent(cfg, env, load_policy=None):
     if load_policy is not None or sets:
         final_cfg = dataclasses.replace(final_cfg, epsilon0=EPSILON_STATIC, epsilon_decay=False)
     result = train_fn(env, policy, final_cfg, cfg.initial_state(),
-                      np.random.default_rng(train_ss), **shared)
+                      WordDraws(np.random.default_rng(train_ss)), **shared)
     return result, policy
 
 

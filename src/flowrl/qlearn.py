@@ -223,11 +223,13 @@ def init_qtable(seed, training_sets=(), env=None, cfg=None):
     """Build a Q-table: every cell uniform in [0, 0.01), seeded, then one
     full training run on env under cfg per training set (each set as the
     initial state), accumulating into the same table without trace rows.
-    No training sets leave the random table."""
+    The runs draw in turn from one WordDraws on the seed's generator. No
+    training sets leave the random table."""
     rng = np.random.default_rng(seed)
     q = QTable.random(rng)
+    draws = WordDraws(rng)
     for state in training_sets:
-        q_train(env, q, cfg, state, rng, trace=False)
+        q_train(env, q, cfg, state, draws, trace=False)
     return q
 
 
@@ -248,7 +250,7 @@ _NEXT_RI = tuple(tuple(min(max(i + s, 0), len(REC_GRID) - 1) for i in range(len(
                  for s in (0, 0, 0, 1, -1))
 
 
-def train(env, policy, cfg, initial_state, rng, trace=True):
+def train(env, policy, cfg, initial_state, draws, trace=True):
     """Goal-driven training loop of both learners, over the grid indices
     (fi, ri) of GRID_STATES.
 
@@ -259,9 +261,9 @@ def train(env, policy, cfg, initial_state, rng, trace=True):
     the new thresholds, rewards it against the best overhead so far (+1
     below it, which updates the best, -1 above, 0 level), and hands the
     transition to policy.learn(fi, ri, action, reward, nfi, nri, draws).
-    The draws are one WordDraws on rng, closed when the run ends, so the
-    run leaves rng as Generator.random() and Generator.integers(5) calls
-    would (tests/reference.py keeps that loop over public functions).
+    draws is a WordDraws, read from where it stands: a coin and an exploring
+    action are Generator.random() and Generator.integers(5) calls on its
+    generator (tests/reference.py keeps that loop over public functions).
     Stops when the best episode's overhead reduction exceeds cfg.goal_mu,
     or at the episode cap cfg.budget (goal_met=False). A zero baseline
     cannot be improved: the run returns at once with goal_met=True and the
@@ -280,33 +282,29 @@ def train(env, policy, cfg, initial_state, rng, trace=True):
     fi, ri = QTable._index(initial_state)
     eps = cfg.epsilon0
     best_overhead = initial
-    draws = WordDraws(rng)
     coin, below = draws.random, draws.below
-    try:
-        for step in range(budget):
-            action = below(N_ACTIONS) if coin() < eps else greedy(fi, ri)
-            eps_used = eps
-            if decay:
-                eps = eps * (1.0 - step / budget)  # decay_epsilon
-            nfi = _NEXT_FI[action][fi]
-            nri = _NEXT_RI[action][ri]
-            state = GRID_STATES[nfi][nri]
-            metrics = run(state)
-            overhead = metrics.overhead
-            reward = (overhead < best_overhead) - (overhead > best_overhead)
-            if reward == 1:
-                best_overhead = overhead
-                best.best_overhead, best.best_thresholds, best.best_metrics = (
-                    overhead, state, metrics)
-            learn(fi, ri, action, reward, nfi, nri, draws)
-            if rows is not None:
-                rows.append(_trace_row(step + 1, metrics, state, reward, eps_used, initial))
-            fi, ri = nfi, nri
-            # the reduction moves only when the best improves
-            if reward == 1 and (initial - best_overhead) / initial > goal_mu:
-                return TrainResult(step + 1, best, True, rows)
-    finally:
-        draws.close()
+    for step in range(budget):
+        action = below(N_ACTIONS) if coin() < eps else greedy(fi, ri)
+        eps_used = eps
+        if decay:
+            eps = eps * (1.0 - step / budget)  # decay_epsilon
+        nfi = _NEXT_FI[action][fi]
+        nri = _NEXT_RI[action][ri]
+        state = GRID_STATES[nfi][nri]
+        metrics = run(state)
+        overhead = metrics.overhead
+        reward = (overhead < best_overhead) - (overhead > best_overhead)
+        if reward == 1:
+            best_overhead = overhead
+            best.best_overhead, best.best_thresholds, best.best_metrics = (
+                overhead, state, metrics)
+        learn(fi, ri, action, reward, nfi, nri, draws)
+        if rows is not None:
+            rows.append(_trace_row(step + 1, metrics, state, reward, eps_used, initial))
+        fi, ri = nfi, nri
+        # the reduction moves only when the best improves
+        if reward == 1 and (initial - best_overhead) / initial > goal_mu:
+            return TrainResult(step + 1, best, True, rows)
     return TrainResult(budget, best, False, rows)
 
 
@@ -330,6 +328,6 @@ class _TabularPolicy:
         row[action] = current + self.alpha * (target - current)
 
 
-def q_train(env, q, cfg, initial_state, rng, trace=True):
+def q_train(env, q, cfg, initial_state, draws, trace=True):
     """Run train with the tabular policy, updating q in place."""
-    return train(env, _TabularPolicy(q), cfg, initial_state, rng, trace)
+    return train(env, _TabularPolicy(q), cfg, initial_state, draws, trace)

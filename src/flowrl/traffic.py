@@ -2,7 +2,6 @@
 # and per-tick packet emission. Ticks are 1 simulated second.
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +162,7 @@ class FlowSchedule:
 
 
 # Words WordDraws fetches at a time. A fetch's cost is mostly per call
-# (on a 2-core host about 1.7 us for 16 words, 3.3 us for 64), and close()
-# rewinds whatever a run leaves unused in one call.
+# (on a 2-core host about 1.7 us for 16 words, 3.3 us for 64).
 DRAW_BLOCK = 64
 
 
@@ -174,17 +172,16 @@ class WordDraws:
     word's top 53 bits) and below(n) to Generator.integers(0, n) for
     1 <= n <= 2**32 (numpy's buffered_bounded_lemire_uint32 rule over
     32-bit halves, rng's kept half first, then each word's low half,
-    keeping its high half for the next draw). A training run's draws
-    fetch words in blocks of DRAW_BLOCK; close() rewinds the unused ones
-    and hands the kept half back, leaving rng's state where its own calls
-    would have. Use no draw after close()."""
+    keeping its high half for the next draw). The stream fetches words in
+    blocks of DRAW_BLOCK, ahead of its draws, so once it is open it is
+    the only way to draw from rng: the runs that draw from one seed share
+    one stream, in turn, and draw as rng's calls would in that order."""
 
     def __init__(self, rng):
         self._bg = rng.bit_generator
         state = self._bg.state
-        self._half0 = self._half = state["uinteger"] if state["has_uint32"] else None
-        self._block = iter(())  # the fetched words not yet used
-        self._next = self._block.__next__
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._next = iter(()).__next__  # no word fetched yet
 
     @classmethod
     def live(cls, rng):
@@ -197,8 +194,7 @@ class WordDraws:
         return draws
 
     def _fetch(self):
-        self._block = iter(self._bg.random_raw(DRAW_BLOCK).tolist())
-        self._next = self._block.__next__
+        self._next = iter(self._bg.random_raw(DRAW_BLOCK).tolist()).__next__
         return self._next()
 
     def random(self):
@@ -243,17 +239,6 @@ class WordDraws:
         below's."""
         m = halves * n
         return m >> 32, m & 0xFFFFFFFF < (2**32 - n) % n
-
-    def close(self):
-        unused = operator.length_hint(self._block)
-        if unused:
-            self._bg.advance(-unused)  # which also drops rng's kept half
-        rng_half = None if unused else self._half0
-        if self._half != rng_half:
-            state = self._bg.state
-            state["has_uint32"] = int(self._half is not None)
-            state["uinteger"] = self._half or 0
-            self._bg.state = state
 
 
 def generate_schedule(profile, horizon, n_hosts, seed):

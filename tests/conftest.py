@@ -1,6 +1,7 @@
 # Shared fixtures and helpers: tiny deterministic workloads, hand-built
 # schedules, and a stub episode environment with a programmable landscape.
 
+import copy
 import dataclasses
 import shutil
 import tempfile
@@ -15,7 +16,8 @@ from flowrl.harness import MAX_WINDOW, REFERENCE_TRAFFIC, ExperimentConfig
 from flowrl.model import ENTRY_BITS, FlowPool, ThresholdConfig, flow_key
 from flowrl.simnet import EpisodeMetrics
 from flowrl.traffic import (
-    MAX_EXPECTED_FLOWS, FlowSchedule, FlowSpec, TrafficProfile, total_packets,
+    DRAW_BLOCK, MAX_EXPECTED_FLOWS, FlowSchedule, FlowSpec, TrafficProfile, WordDraws,
+    total_packets,
 )
 
 # Every property test draws the same examples on every run and host, has no
@@ -134,13 +136,19 @@ def rng():
     return np.random.default_rng(0)
 
 
-def bit_state(rng):
-    """rng's bit generator state, with uinteger read only while has_uint32
-    is 1: numpy keeps a stale value otherwise, which no draw reads."""
-    state = rng.bit_generator.state
-    if not state["has_uint32"]:
-        state["uinteger"] = None
-    return state
+def stream(seed):
+    """A training run's draws: one WordDraws on a new generator of seed."""
+    return WordDraws(np.random.default_rng(seed))
+
+
+def assert_continues(draws, rng):
+    """draws' next draws equal rng's next calls, which a copy of rng makes:
+    bounded ones, which read a kept half first, then whole words past the
+    end of a fetched block. Use no draw from draws afterwards."""
+    twin = copy.deepcopy(rng)
+    assert [draws.below(5) for _ in range(3)] == [int(twin.integers(0, 5)) for _ in range(3)]
+    count = DRAW_BLOCK + 1
+    assert [draws.random() for _ in range(count)] == twin.random(count).tolist()
 
 
 def toy_mdp():

@@ -38,7 +38,7 @@ from flowrl.harness import ExperimentConfig, run_experiment, write_report
 from flowrl.model import FREQ_GRID, REC_GRID, ThresholdConfig
 from flowrl.qlearn import GRID_STATES, N_ACTIONS, Action, AgentConfig
 from flowrl.traffic import WordDraws
-from conftest import FakeEnv, bit_state, random_net
+from conftest import FakeEnv, assert_continues, random_net, stream
 
 
 def nets_equal(a, b):
@@ -427,7 +427,7 @@ class TestReplayMemory:
         mem = ReplayMemory()
         for i in range(100):
             mem.store(self._exp(i))
-        draws = WordDraws(np.random.default_rng(3))
+        draws = stream(3)
         counts = np.zeros(100, dtype=int)
         for _ in range(10_000):
             batch = [e.r for e in mem.sample(draws)]
@@ -444,7 +444,7 @@ class TestDqnTrain:
         env = FakeEnv(lambda f, r: next(overheads))
         cfg = AgentConfig(budget=50, goal_mu=0.4)
         net = Mlp.random(np.random.default_rng(0))
-        res = dqn_train(env, net, cfg, ThresholdConfig(130, 0), np.random.default_rng(0),
+        res = dqn_train(env, net, cfg, ThresholdConfig(130, 0), stream(0),
                         ReplayMemory())
         assert res.episodes_run == 1
         assert res.goal_met
@@ -457,7 +457,7 @@ class TestDqnTrain:
         mem = ReplayMemory()
         net = Mlp.random(np.random.default_rng(0))
         res = dqn_train(env, net, AgentConfig(budget=40), ThresholdConfig(100, 100),
-                        np.random.default_rng(0), mem)
+                        stream(0), mem)
         assert res.episodes_run == 40
         assert not res.goal_met
         assert len(res.trace) == 41
@@ -466,7 +466,7 @@ class TestDqnTrain:
         env = FakeEnv(lambda f, r: 0)
         net = Mlp.random(np.random.default_rng(0))
         res = dqn_train(env, net, AgentConfig(), ThresholdConfig(0, 0),
-                        np.random.default_rng(0), ReplayMemory())
+                        stream(0), ReplayMemory())
         assert res.episodes_run == 0
         assert res.goal_met
         assert len(res.trace) == 1
@@ -476,7 +476,7 @@ class TestDqnTrain:
         cfg = AgentConfig(budget=REPLAY_START - 1)  # one store short of learning
         net = Mlp.random(np.random.default_rng(5))
         before = net.copy()
-        dqn_train(env, net, cfg, ThresholdConfig(100, 100), np.random.default_rng(0),
+        dqn_train(env, net, cfg, ThresholdConfig(100, 100), stream(0),
                   ReplayMemory())
         assert nets_equal(net, before)
 
@@ -492,7 +492,7 @@ class TestDqnTrain:
         budget = REPLAY_START + 2
         net = Mlp.random(np.random.default_rng(5))
         dqn_train(FakeEnv(lambda f, r: 50), net, AgentConfig(budget=budget),
-                  ThresholdConfig(100, 100), np.random.default_rng(0), mem)
+                  ThresholdConfig(100, 100), stream(0), mem)
         # each store from the REPLAY_START-th on takes one minibatch of steps
         assert fills == [n for n in range(REPLAY_START, budget + 1) for _ in range(MINIBATCH)]
 
@@ -502,7 +502,7 @@ class TestDqnTrain:
         net = Mlp.random(np.random.default_rng(5))
         before = net.copy()
         dqn_train(env, net, cfg, ThresholdConfig(100, 100),
-                  np.random.default_rng(1), ReplayMemory())
+                  stream(1), ReplayMemory())
         assert not nets_equal(net, before)
 
     def test_memory_accumulates_one_experience_per_episode(self):
@@ -510,7 +510,7 @@ class TestDqnTrain:
         mem = ReplayMemory()
         net = Mlp.random(np.random.default_rng(0))
         res = dqn_train(env, net, AgentConfig(budget=12), ThresholdConfig(100, 100),
-                        np.random.default_rng(0), mem)
+                        stream(0), mem)
         assert len(mem) == res.episodes_run == 12
 
     def test_deterministic_given_seed(self):
@@ -523,7 +523,7 @@ class TestDqnTrain:
         for _ in range(2):
             net = Mlp.random(np.random.default_rng(2))
             res = dqn_train(FakeEnv(landscape), net, cfg,
-                            ThresholdConfig(130, 0), np.random.default_rng(3),
+                            ThresholdConfig(130, 0), stream(3),
                             ReplayMemory())
             finals.append(net)
             traces.append(res.trace)
@@ -707,17 +707,15 @@ def test_lean_learn_matches_snapshot_copy(net, seed, transitions):
     fi, ri = prefill(lean, seed)
     assert prefill(ref, seed) == (fi, ri)
     assert net_bytes(lean.net) == net_bytes(ref.net) == net_bytes(net)
-    lean_rng = np.random.default_rng(seed)
+    draws = stream(seed)
     ref_rng = np.random.default_rng(seed)
-    draws = WordDraws(lean_rng)
     for action, reward, (nfi, nri) in transitions:
         lean.learn(fi, ri, action, reward, nfi, nri, draws)
         ref.learn(fi, ri, action, reward, nfi, nri, ref_rng)
         assert net_bytes(lean.net) == net_bytes(ref.net)
         fi, ri = nfi, nri
-    draws.close()
     assert net_bytes(lean.net) != net_bytes(net)
-    assert bit_state(lean_rng) == bit_state(ref_rng)
+    assert_continues(draws, ref_rng)
 
 
 @settings(max_examples=150)

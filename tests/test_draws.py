@@ -1,14 +1,14 @@
 """The training draws (traffic.WordDraws, and ReplayMemory.sample on it)
 against numpy's Generator: each draw must equal the Generator call it
-stands for, and a closed stream must leave the bit generator where those
-calls would have."""
+stands for, and a stream's next draws must continue where those calls
+leave off, as the next run on a shared stream draws."""
 import numpy as np
 import pytest
 
 from flowrl.dqn import MINIBATCH, Experience, ReplayMemory
 from flowrl.qlearn import Action
 from flowrl.traffic import DRAW_BLOCK, WordDraws
-from conftest import bit_state
+from conftest import assert_continues
 
 # n == 1 takes no draw; 2**31 + 1 rejects about half its 32-bit draws
 BELOW_RANGES = (1, 2, 5, 19, 1000, 2**31 + 1, 2**32 - 1, 2**32)
@@ -37,7 +37,7 @@ def twins(seed, kept_half):
 
 def test_interleaved_draws_equal_generator_calls():
     ops = len(BELOW_RANGES) + len(MEMORY_SIZES) + 1
-    crossed = closed_with_half = 0
+    crossed = ended_with_half = 0
     for seed in range(240):
         ref, gen = twins(seed, kept_half=seed % 2)
         draws = WordDraws(gen)
@@ -57,11 +57,10 @@ def test_interleaved_draws_equal_generator_calls():
             else:
                 assert draws.random() == ref.random(), seed
                 words += 1
-        draws.close()
-        assert bit_state(gen) == bit_state(ref), seed
         crossed += words > DRAW_BLOCK
-        closed_with_half += bit_state(ref)["has_uint32"]
-    assert crossed > 50 and closed_with_half > 50
+        ended_with_half += ref.bit_generator.state["has_uint32"]
+        assert_continues(draws, ref)
+    assert crossed > 50 and ended_with_half > 50
 
 
 @pytest.mark.parametrize("count", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
@@ -71,8 +70,7 @@ def test_random_across_block_boundaries(count):
         ref, gen = twins(seed, kept_half=seed == 1)
         draws = WordDraws(gen)
         assert [draws.random() for _ in range(count)] == [ref.random() for _ in range(count)]
-        draws.close()
-        assert bit_state(gen) == bit_state(ref)
+        assert_continues(draws, ref)
 
 
 def test_random_is_the_word_top_53_bits():
@@ -120,13 +118,12 @@ def test_below_column_equals_below(n):
 def test_range_of_one_takes_no_draw():
     for kept_half in (False, True):
         ref, gen = twins(9, kept_half)
-        before = bit_state(gen)
+        untouched = twins(9, kept_half)[0]
         draws = WordDraws(gen)
         assert [draws.below(1) for _ in range(5)] == [0] * 5
-        draws.close()
-        assert bit_state(gen) == before
+        assert_continues(draws, untouched)
         assert [int(ref.integers(0, 1)) for _ in range(5)] == [0] * 5
-        assert bit_state(ref) == before
+        assert ref.bit_generator.state == untouched.bit_generator.state
 
 
 def test_rejection_heavy_range():
@@ -137,8 +134,7 @@ def test_rejection_heavy_range():
         draws = WordDraws(gen)
         assert [draws.below(n) for _ in range(50)] == [int(ref.integers(0, n))
                                                       for _ in range(50)]
-        draws.close()
-        assert bit_state(gen) == bit_state(ref)
+        assert_continues(draws, ref)
 
 
 @pytest.mark.parametrize("kept_half, calls", [
@@ -148,7 +144,7 @@ def test_rejection_heavy_range():
     (True, "b"),     # uses the opening half, and ends with none
     (False, "bbrb"),
 ])
-def test_close_hands_back_the_kept_half(kept_half, calls):
+def test_kept_half_carries_to_the_next_draw(kept_half, calls):
     ref, gen = twins(11, kept_half)
     draws = WordDraws(gen)
     for call in calls:
@@ -156,12 +152,9 @@ def test_close_hands_back_the_kept_half(kept_half, calls):
             assert draws.below(5) == int(ref.integers(0, 5))
         else:
             assert draws.random() == ref.random()
-    draws.close()
-    assert bit_state(gen) == bit_state(ref)
-    assert bit_state(gen)["has_uint32"] == (len(calls) - calls.count("r") + kept_half) % 2
-    # the next draws of both read the same half and words
-    assert [int(gen.integers(0, 5)) for _ in range(3)] == [int(ref.integers(0, 5))
-                                                         for _ in range(3)]
+    ends_with_half = (len(calls) - calls.count("r") + kept_half) % 2
+    assert ref.bit_generator.state["has_uint32"] == ends_with_half
+    assert_continues(draws, ref)
 
 
 def test_sample_equals_generator_choice():
@@ -171,5 +164,4 @@ def test_sample_equals_generator_choice():
         for n in MEMORY_SIZES:
             picked = [e.r for e in MEMORIES[n].sample(draws)]
             assert picked == ref.choice(n, MINIBATCH, replace=False).tolist(), (seed, n)
-        draws.close()
-        assert bit_state(gen) == bit_state(ref), seed
+        assert_continues(draws, ref)

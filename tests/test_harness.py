@@ -240,6 +240,24 @@ class TestLoadConfig:
                                                            aggregate_rate=rate))
         assert cfg.validate() is cfg
 
+    def test_mbf_seed_bound(self, tmp_path, capsys):
+        # the MBF hashes key blake2b with "mbf1-<seed>", at most 64 bytes
+        config = tmp_path / "c.cfg"
+        for seed, rc in ((10**59 - 1, 0), (10**59, 1)):
+            config.write_text("mode=mbf\nseed=%d\n" % seed)
+            if rc:
+                with pytest.raises(ValidationError, match="seed"):
+                    load_config(config)
+            else:
+                assert load_config(config).seed == seed
+            assert cli.main(["--config", str(config), "--out", str(tmp_path / "r.csv")]) == rc
+            err = capsys.readouterr().err
+            assert ("error [flowrl.harness.ValidationError]: mbf: seed" in err) == bool(rc)
+        # the other modes take any seed
+        for mode in MODES:
+            if mode != "mbf":
+                assert ExperimentConfig(mode=mode, seed=10**59).validate().seed == 10**59
+
     # a lone surrogate is what a non-UTF-8 byte in a --out argument decodes to
     @pytest.mark.parametrize("path", ["", " ", " c.csv", "c.csv ", "c.csv\t", "a\nb.csv",
                                       "a\rb.csv", "c.csv\n", "r\udcff.csv"])

@@ -19,7 +19,7 @@ from flowrl.qlearn import (
     q_train,
     q_update,
 )
-from conftest import FakeEnv, toy_mdp
+from conftest import FakeEnv, stream, toy_mdp
 from reference import apply_action, decay_epsilon, epsilon_greedy_select
 
 
@@ -377,7 +377,7 @@ class TestQTrain:
     def test_flat_landscape_hits_the_cap(self):
         env = FakeEnv(lambda f, r: 50)
         cfg = AgentConfig(budget=30)
-        res = q_train(env, QTable(), cfg, ThresholdConfig(100, 100), np.random.default_rng(0))
+        res = q_train(env, QTable(), cfg, ThresholdConfig(100, 100), stream(0))
         assert res.episodes_run == 30
         assert not res.goal_met
         assert len(res.trace) == 31
@@ -391,7 +391,7 @@ class TestQTrain:
 
         cfg = AgentConfig(budget=40, goal_mu=0.999)
         res = q_train(FakeEnv(landscape), QTable(), cfg, ThresholdConfig(130, 0),
-                      np.random.default_rng(0))
+                      stream(0))
         assert res.episodes_run == 40
         assert not res.goal_met
         assert res.best.best_overhead == 10
@@ -400,7 +400,7 @@ class TestQTrain:
         overheads = iter([100] + [10] * 1000)
         env = FakeEnv(lambda f, r: next(overheads))
         cfg = AgentConfig(budget=50, goal_mu=0.4)
-        res = q_train(env, QTable(), cfg, ThresholdConfig(130, 0), np.random.default_rng(0))
+        res = q_train(env, QTable(), cfg, ThresholdConfig(130, 0), stream(0))
         assert res.episodes_run == 1
         assert res.goal_met
         assert len(res.trace) == 2
@@ -412,7 +412,7 @@ class TestQTrain:
     def test_zero_initial_overhead_returns_immediately(self):
         env = FakeEnv(lambda f, r: 0)
         res = q_train(env, QTable(), AgentConfig(), ThresholdConfig(0, 0),
-                      np.random.default_rng(0))
+                      stream(0))
         assert res.episodes_run == 0
         assert res.goal_met
         assert len(res.trace) == 1
@@ -426,7 +426,7 @@ class TestQTrain:
         runs = []
         for _ in range(2):
             res = q_train(FakeEnv(landscape), QTable(), cfg,
-                          ThresholdConfig(130, 0), np.random.default_rng(21))
+                          ThresholdConfig(130, 0), stream(21))
             runs.append(res)
         assert runs[0].trace == runs[1].trace
         assert runs[0].episodes_run == runs[1].episodes_run
@@ -437,7 +437,7 @@ class TestQTrain:
 
         res = q_train(FakeEnv(landscape), QTable(),
                       AgentConfig(budget=60, goal_mu=0.9),
-                      ThresholdConfig(130, 0), np.random.default_rng(2))
+                      ThresholdConfig(130, 0), stream(2))
         assert res.best.best_overhead == min(r.overhead for r in res.trace)
         bt = res.best.best_thresholds
         assert landscape(bt.freq_threshold, bt.recentness_threshold) == \
@@ -447,7 +447,7 @@ class TestQTrain:
         env = FakeEnv(lambda f, r: 50)
         cfg = AgentConfig(budget=10, epsilon0=1.0, epsilon_decay=True)
         res = q_train(env, QTable(), cfg, ThresholdConfig(100, 100),
-                      np.random.default_rng(0))
+                      stream(0))
         eps = [row.epsilon for row in res.trace]
         # row 0 reports epsilon0; row k>=1 reports the value used at step k-1
         assert eps[0] == 1.0 and eps[1] == 1.0 and eps[2] == 1.0
@@ -458,7 +458,7 @@ class TestQTrain:
         env = FakeEnv(lambda f, r: 50)
         cfg = AgentConfig(budget=10, epsilon0=0.1, epsilon_decay=False)
         res = q_train(env, QTable(), cfg, ThresholdConfig(100, 100),
-                      np.random.default_rng(0))
+                      stream(0))
         assert all(row.epsilon == 0.1 for row in res.trace)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 30])
@@ -482,10 +482,10 @@ class TestQTrain:
         start = ThresholdConfig(130, 0)
         q = QTable.random(np.random.default_rng(3))
         with pytest.raises(RuntimeError, match="episode %d failed" % k):
-            q_train(FailingEnv(landscape), q, config(40), start, np.random.default_rng(5))
+            q_train(FailingEnv(landscape), q, config(40), start, stream(5))
         ref = QTable.random(np.random.default_rng(3))
         if k > 1:
-            q_train(FakeEnv(landscape), ref, config(k - 1), start, np.random.default_rng(5))
+            q_train(FakeEnv(landscape), ref, config(k - 1), start, stream(5))
             assert ref.rows != QTable.random(np.random.default_rng(3)).rows
         assert q.rows == ref.rows
 

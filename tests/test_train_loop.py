@@ -20,8 +20,7 @@ from flowrl.qlearn import (
     train,
 )
 from flowrl.simnet import BestSoFar, hit_ratio, reduction_fraction
-from flowrl.traffic import WordDraws
-from conftest import FakeEnv, bit_state
+from conftest import FakeEnv, assert_continues, stream
 from reference import apply_action, compute_reward, decay_epsilon, epsilon_greedy_select
 
 START = ThresholdConfig(100, 100)
@@ -54,17 +53,15 @@ def sequence_env(overheads):
 
 def test_select_and_learn_alternate_once_per_step():
     policy = ScriptedPolicy()
-    rng = np.random.default_rng(0)
+    draws = stream(0)
     cfg = AgentConfig(epsilon0=0.0, budget=5)
-    res = train(FakeEnv(lambda f, r: 50), policy, cfg, START, rng)
+    res = train(FakeEnv(lambda f, r: 50), policy, cfg, START, draws)
     assert [c[0] for c in policy.calls] == ["greedy", "learn"] * 5
-    # every learn call gets the run's one stream of draws, which took one
-    # coin a step from rng
-    draws = policy.of("learn")[0][5]
-    assert isinstance(draws, WordDraws)
+    # every learn call gets the run's stream of draws, which took one coin
+    # a step
     twin = np.random.default_rng(0)
     twin.random(5)
-    assert bit_state(rng) == bit_state(twin)
+    assert_continues(draws, twin)
     state = START
     for greedy, learn in zip(policy.of("greedy"), policy.of("learn")):
         assert greedy[1] == state
@@ -79,7 +76,7 @@ def test_learn_sees_reward_against_updated_best():
     policy = ScriptedPolicy()
     cfg = AgentConfig(budget=5, goal_mu=0.9)
     res = train(sequence_env([100, 80, 80, 90, 70, 70]), policy, cfg, START,
-                np.random.default_rng(0))
+                stream(0))
     assert [c[3] for c in policy.of("learn")] == [1, 0, -1, 1, 0]
     assert [row.reward for row in res.trace[1:]] == [1, 0, -1, 1, 0]
     assert res.best.best_overhead == 70
@@ -89,7 +86,7 @@ def test_goal_at_step_k_stops_there():
     policy = ScriptedPolicy()
     env = sequence_env([100, 90, 90, 50] + [10] * 10)
     res = train(env, policy, AgentConfig(epsilon0=0.0, budget=10, goal_mu=0.4), START,
-                np.random.default_rng(0))
+                stream(0))
     assert res.episodes_run == 3
     assert res.goal_met
     assert len(res.trace) == 4
@@ -100,7 +97,7 @@ def test_goal_at_step_k_stops_there():
 def test_cap_returns_budget_without_goal():
     policy = ScriptedPolicy()
     res = train(FakeEnv(lambda f, r: 50), policy, AgentConfig(budget=7), START,
-                np.random.default_rng(0))
+                stream(0))
     assert res.episodes_run == 7
     assert res.goal_met is False
     assert len(res.trace) == 8
@@ -109,7 +106,7 @@ def test_cap_returns_budget_without_goal():
 @pytest.mark.parametrize("decay", [True, False])
 def test_epsilon_decays_only_when_enabled(decay):
     cfg = AgentConfig(budget=6, epsilon0=0.8, epsilon_decay=decay)
-    res = train(FakeEnv(lambda f, r: 50), ScriptedPolicy(), cfg, START, np.random.default_rng(0))
+    res = train(FakeEnv(lambda f, r: 50), ScriptedPolicy(), cfg, START, stream(0))
     expected = []
     eps = 0.8
     for step in range(6):
@@ -125,7 +122,7 @@ def test_greedy_only_when_not_exploring(epsilon0, greedy_calls):
     # rng.random() < 1.0 always explores; < 0.0 never does
     policy = ScriptedPolicy()
     cfg = AgentConfig(budget=8, epsilon0=epsilon0, epsilon_decay=False)
-    train(FakeEnv(lambda f, r: 50), policy, cfg, START, np.random.default_rng(0))
+    train(FakeEnv(lambda f, r: 50), policy, cfg, START, stream(0))
     assert len(policy.of("greedy")) == greedy_calls
     assert len(policy.of("learn")) == 8
 
@@ -133,7 +130,7 @@ def test_greedy_only_when_not_exploring(epsilon0, greedy_calls):
 def test_zero_overhead_baseline_never_calls_the_policy():
     policy = ScriptedPolicy()
     env = FakeEnv(lambda f, r: 0)
-    res = train(env, policy, AgentConfig(budget=5), START, np.random.default_rng(0))
+    res = train(env, policy, AgentConfig(budget=5), START, stream(0))
     assert policy.calls == []
     assert res.episodes_run == 0
     assert res.goal_met
@@ -145,9 +142,9 @@ def test_untraced_run_builds_no_rows_and_ends_alike():
     cfg = AgentConfig(epsilon0=0.0, budget=10, goal_mu=0.4)
     overheads = [100, 90, 90, 50] + [10] * 10
     traced = train(sequence_env(overheads), ScriptedPolicy(), cfg, START,
-                   np.random.default_rng(0))
+                   stream(0))
     policy = ScriptedPolicy()
-    bare = train(sequence_env(overheads), policy, cfg, START, np.random.default_rng(0),
+    bare = train(sequence_env(overheads), policy, cfg, START, stream(0),
                  trace=False)
     assert bare.trace is None
     assert (bare.episodes_run, bare.goal_met, bare.best) == (
@@ -160,8 +157,8 @@ def test_untraced_run_builds_no_rows_and_ends_alike():
 # The reference is the tabular run as the public functions define it: one
 # epsilon_greedy_select, decay_epsilon, apply_action, env.run,
 # compute_reward and q_update per episode, on ThresholdConfig states and the
-# QTable's numpy rows. q_train must leave the same rows, table bytes, best,
-# stop and rng state.
+# QTable's numpy rows. q_train must leave the same rows, table bytes, best
+# and stop, and its stream where the reference leaves its Generator.
 
 
 def ref_row(episode, metrics, state, reward, eps, initial):
@@ -263,17 +260,45 @@ def test_index_walk_matches_public_function_loop(grid, q, start, budget, epsilon
     cfg = AgentConfig(epsilon0=epsilon0, budget=budget, goal_mu=goal_mu, epsilon_decay=decay)
     state = GRID_STATES[start[0]][start[1]]
     ref_q, lean_q, bare_q = (QTable(q.rows) for _ in range(3))  # the example keeps q
-    ref_rng, lean_rng, bare_rng = (np.random.default_rng(seed) for _ in range(3))
+    ref_rng = np.random.default_rng(seed)
+    lean_draws, bare_draws = stream(seed), stream(seed)
     ref = ref_q_train(grid_env(grid), ref_q, cfg, state, ref_rng)
-    lean = q_train(grid_env(grid), lean_q, cfg, state, lean_rng)
-    bare = q_train(grid_env(grid), bare_q, cfg, state, bare_rng, trace=False)
+    lean = q_train(grid_env(grid), lean_q, cfg, state, lean_draws)
+    bare = q_train(grid_env(grid), bare_q, cfg, state, bare_draws, trace=False)
     assert lean.trace == ref.trace
     assert np.array(lean_q.rows).tobytes() == np.array(ref_q.rows).tobytes()
     assert lean.best == ref.best
     assert (lean.episodes_run, lean.goal_met) == (ref.episodes_run, ref.goal_met)
-    assert bit_state(lean_rng) == bit_state(ref_rng)
+    assert_continues(lean_draws, ref_rng)
     assert bare.trace is None
     assert np.array(bare_q.rows).tobytes() == np.array(ref_q.rows).tobytes()
     assert (bare.best, bare.episodes_run, bare.goal_met) == (
         ref.best, ref.episodes_run, ref.goal_met)
-    assert bit_state(bare_rng) == bit_state(ref_rng)
+    assert_continues(bare_draws, ref_rng)
+
+
+@settings(max_examples=150)
+@given(
+    grid=landscapes(),
+    q=qtables(),
+    starts=st.lists(st.tuples(grid_index(SHAPE[0] - 1), grid_index(SHAPE[1] - 1)),
+                    min_size=2, max_size=2),
+    budget=st.sampled_from([1, 2]) | st.integers(1, 80),
+    epsilon0=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    goal_mu=st.sampled_from([0.05, 0.4, 0.97]),
+    seed=st.integers(0, 2**16),
+)
+def test_runs_on_one_stream_match_the_loop_on_one_generator(grid, q, starts, budget,
+                                                             epsilon0, goal_mu, seed):
+    # pre-training's runs: one table and one stream, each run taking its
+    # draws where the last one stopped, as the reference's Generator calls do
+    cfg = AgentConfig(epsilon0=epsilon0, budget=budget, goal_mu=goal_mu)
+    ref_q, lean_q = QTable(q.rows), QTable(q.rows)
+    ref_rng, draws = np.random.default_rng(seed), stream(seed)
+    for fi, ri in starts:
+        state = GRID_STATES[fi][ri]
+        ref = ref_q_train(grid_env(grid), ref_q, cfg, state, ref_rng)
+        lean = q_train(grid_env(grid), lean_q, cfg, state, draws)
+        assert lean.trace == ref.trace
+        assert np.array(lean_q.rows).tobytes() == np.array(ref_q.rows).tobytes()
+    assert_continues(draws, ref_rng)
