@@ -47,14 +47,19 @@ class MbfState:
     MBF_PROBES probes are distinct for the power-of-two MBF_BITS). The
     positions depend only on the flow key and the seed, so each flow is
     hashed once per state, into one mask (the sum of its distinct probe
-    bits).
+    bits). older maps a key to its score from filters[1:]; age(), the only
+    method that changes those filters, clears it. A seed above
+    MAX_MBF_SEED is refused.
     """
 
     def __init__(self, seed):
+        if seed > MAX_MBF_SEED:
+            raise ValueError("MbfState seed %d is above MAX_MBF_SEED (%d)" % (seed, MAX_MBF_SEED))
         self.filters = [0] * len(MBF_WEIGHTS)
         self._key1 = ("mbf1-%d" % seed).encode()
         self._key2 = ("mbf2-%d" % seed).encode()
         self._masks = {}
+        self.older = {}
 
     def mask(self, key):
         """The probe positions of the flow with this key, as one bit mask."""
@@ -76,27 +81,34 @@ class MbfState:
         start a fresh newest filter."""
         self.filters.pop()
         self.filters.insert(0, 0)
+        self.older.clear()
 
 
 def mbf_step(state, matched_flows, tick):
     """Advance the filter bank one tick: age at each window boundary, then
     insert every flow (by key) matched during this tick into the newest
     filter (setting bits is an OR, so the order of insertion cannot
-    matter)."""
-    if tick % MBF_WINDOW == 0:
+    matter). Returns whether the bank aged."""
+    aged = tick % MBF_WINDOW == 0
+    if aged:
         state.age()
     for key in matched_flows:
         state.insert(key)
-    return state
+    return aged
 
 
 def mbf_importance(state, key):
     """Weighted membership score of the flow with this key: the sum of
     MBF_WEIGHTS over filters reporting the flow, newest weighted highest.
     Range [0, sum(MBF_WEIGHTS)]; older-filter false positives can inflate
-    it (a property of the structure, not an error)."""
+    it (a property of the structure, not an error). The older filters'
+    part is kept in state.older until the bank ages."""
     mask = state.mask(key)
-    return sum(w for f, w in zip(state.filters, MBF_WEIGHTS) if f & mask == mask)
+    older = state.older.get(key)
+    if older is None:
+        older = state.older[key] = sum(
+            w for f, w in zip(state.filters[1:], MBF_WEIGHTS[1:]) if f & mask == mask)
+    return older + MBF_WEIGHTS[0] if state.filters[0] & mask == mask else older
 
 
 def run_mbf_episode(schedule, table, state):
@@ -112,10 +124,12 @@ def run_mbf_episode(schedule, table, state):
 
     Each tick's batch is packets_for_tick's, drawn from the flows active
     at the tick: a flow joins at its start and leaves after its last
-    emission tick. The filters change only in mbf_step, so importance is
-    fixed within a tick: the tick's first eviction heaps the residents'
-    eviction ranks, later evictions pop the heap, and each later install
-    pushes its rank. The heap is dropped when the tick ends.
+    emission tick. The window's first eviction heaps the residents'
+    eviction ranks, each later install pushes its rank, and the heap is
+    dropped when mbf_step ages the bank. Within a window a rank can only
+    rise (the newest filter only gains bits), so each pop first re-ranks
+    the top, replacing it while its rank rose: a top whose rank holds is
+    the least.
     """
     duration = schedule.horizon
     rate = schedule.profile.packets_per_tick()
@@ -131,14 +145,15 @@ def run_mbf_episode(schedule, table, state):
     misses = 0
     active = []
     joined = 0
+    heap = None
     for tick in range(duration):
         while joined < len(flows) and flows[joined][0] <= tick:
             active.append(flows[joined])
             joined += 1
         batch = [(key, rate if tick < last else last_count) for _, last, last_count, key in active]
         active = [flow for flow in active if flow[1] > tick]
-        mbf_step(state, [key for key, _ in batch], tick)
-        heap = None
+        if mbf_step(state, [key for key, _ in batch], tick):
+            heap = None
         for key, count in batch:
             if key in table.entries:
                 hits += count
@@ -153,6 +168,8 @@ def run_mbf_episode(schedule, table, state):
                 if heap is None:
                     heap = [eviction_rank(resident) for resident in table.entries]
                     heapq.heapify(heap)
+                while (rank := eviction_rank(heap[0][2])) != heap[0]:
+                    heapq.heapreplace(heap, rank)
                 table.remove(heapq.heappop(heap)[2])
             table.insert(FlowRule(id=key, install_time=tick))
             if heap is not None:

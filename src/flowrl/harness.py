@@ -69,8 +69,8 @@ REFERENCE_TRAFFIC = TrafficProfile(
 MAX_WINDOW = 86_400
 
 # Most work one MBF episode may do: its flow-ticks plus the residents its
-# per-tick victim heaps score. mbf runs near the bound took 1.8-9.5 s on a
-# 2-core host (2-10 us a unit, the most when every flow-tick evicts); the
+# victim heaps score. mbf runs near the bound took 0.23-0.65 s on a 2-core
+# host (0.25-0.75 us a unit, the most when every flow-tick evicts); the
 # contended benchmark workload does 26,000 units.
 MAX_MBF_WORK = 1_000_000
 

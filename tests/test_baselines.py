@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from flowrl import baselines, harness
 from flowrl.baselines import (
+    MAX_MBF_SEED,
     MBF_PROBES,
     MBF_WEIGHTS,
     Assignment,
@@ -130,6 +131,32 @@ class TestMbfState:
         state.age()
         assert mbf_importance(state, fid(1)) == 0
 
+    def test_seed_bound(self):
+        # blake2b takes at most 64 bytes of key, "mbf1-<seed>" included
+        MbfState(MAX_MBF_SEED).mask(fid(1))
+        with pytest.raises(ValueError, match="MAX_MBF_SEED"):
+            MbfState(MAX_MBF_SEED + 1)
+
+    # A read of fid(1) before an age() must not leave its older-filter
+    # score behind: after the age it sits in the second filter.
+    @settings(max_examples=100)
+    @given(st.lists(st.one_of(st.tuples(st.sampled_from(("insert", "read")), st.integers(0, 7)),
+                              st.just(("age", None))), max_size=40))
+    @example([("insert", 1), ("read", 1), ("age", None), ("read", 1)])
+    def test_every_read_equals_the_plain_sum(self, ops):
+        # 16-bit filters make false positives common
+        with mock.patch.object(baselines, "MBF_BITS", 16):
+            state = MbfState(0)
+            for op, i in ops:
+                if op == "insert":
+                    state.insert(fid(i))
+                elif op == "age":
+                    state.age()
+                else:
+                    m = state.mask(fid(i))
+                    assert mbf_importance(state, fid(i)) == sum(
+                        w for f, w in zip(state.filters, MBF_WEIGHTS) if f & m == m)
+
 
 class TestMbfStep:
     def test_ages_at_window_boundaries_before_inserting(self):
@@ -140,6 +167,11 @@ class TestMbfStep:
         assert mbf_importance(state, fid(1)) == 8
         mbf_step(state, set(), 5)  # boundary: the flow moves one slot older
         assert mbf_importance(state, fid(1)) == 4
+
+    def test_says_whether_it_aged(self):
+        state = MbfState(0)
+        assert [mbf_step(state, {fid(1)}, tick) for tick in range(11)] == [
+            tick % 5 == 0 for tick in range(11)]
 
     def test_inserts_all_matched_flows(self):
         state = MbfState(0)
@@ -316,6 +348,28 @@ INSTALL_TIME_BEFORE_ID_CASE = (
     2, 4096, 5, 0,
 )
 
+# Windows of 2 ticks over 16-bit filters: the tick-6 eviction heaps fid(3)
+# at rank 2, below fid(1)'s 4. At tick 7 fid(2)'s bits complete fid(3)'s
+# mask in the newest filter, a false positive that lifts it to 10, so the
+# tick-7 eviction must re-rank the heap's top and evict fid(1) instead.
+RANK_RISEN_IN_WINDOW_CASE = (
+    hand_schedule([(fid(7), "elephant", 6000, 3), (fid(5), "elephant", 1500, 6),
+                   (fid(2), "mice", 1500, 7), (fid(0), "mice", 1500, 0),
+                   (fid(1), "mice", 1500, 4), (fid(3), "elephant", 1500, 3)],
+                  horizon=8, profile=ONE_PPS),
+    4, 16, 2, 1,
+)
+
+# Against 2 entries, aging every tick: the tick-3 eviction heaps fid(0) at
+# rank 15, above fid(5)'s 8. At tick 4 fid(0) has left the batch and falls
+# to 7 while fid(5) rises to 12, so a heap kept across the aging re-ranks
+# only its top, fid(5), and evicts it instead of fid(0).
+RANK_FALLEN_ACROSS_WINDOWS_CASE = (
+    hand_schedule([(fid(5), "mice", 3000, 3), (fid(3), "elephant", 3000, 3),
+                   (fid(0), "mice", 6000, 0)], horizon=5, profile=ONE_PPS),
+    2, 4096, 1, 2,
+)
+
 
 @settings(max_examples=200)
 @given(mbf_cases())
@@ -325,6 +379,8 @@ INSTALL_TIME_BEFORE_ID_CASE = (
 @example(DRAIN_CASE)
 @example(PAST_HORIZON_CASE)
 @example(INSTALL_TIME_BEFORE_ID_CASE)
+@example(RANK_RISEN_IN_WINDOW_CASE)
+@example(RANK_FALLEN_ACROSS_WINDOWS_CASE)
 def test_mbf_episode_equals_naive_reference(case):
     sched, entries, bits, window, seed = case
     with mock.patch.object(baselines, "MBF_BITS", bits), \
