@@ -284,8 +284,8 @@ class EpisodeEnv:
     One production episode preinstalls select_rules(pool, thresholds) and
     evaluates the fixed placement against the evaluation schedule up to
     its horizon. The rules never change during the episode, so its metrics
-    are a pure function of the thresholds: the first run computes all
-    651 cells with placement_landscape, and every run reads one cell, so
+    are a pure function of the thresholds: cells() computes all 651 once
+    with placement_landscape, as [fi][ri], and every run reads one cell, so
     identical thresholds return the identical metrics object.
     """
 
@@ -298,7 +298,7 @@ class EpisodeEnv:
         self.param_mode = param_mode
         self._cells = None
 
-    def run(self, thresholds):
+    def cells(self):
         if self._cells is None:
             packets, total = _pool_packets(self.pool, self.eval_schedule)
             hits = placement_landscape(rank_pool(self.pool, packets, self.window_close),
@@ -310,9 +310,11 @@ class EpisodeEnv:
                 for h in np.unique(hits).tolist()
             }
             self._cells = [[metrics[h] for h in row] for row in hits.tolist()]
-        return self._cells[thresholds.freq_threshold // GRID_STEP][
-            thresholds.recentness_threshold // GRID_STEP
-        ]
+        return self._cells
+
+    def run(self, thresholds):
+        return (self._cells or self.cells())[thresholds.freq_threshold // GRID_STEP][
+            thresholds.recentness_threshold // GRID_STEP]
 
 
 @dataclass

@@ -254,16 +254,16 @@ def train(env, policy, cfg, initial_state, draws, trace=True):
     """Goal-driven training loop of both learners, over the grid indices
     (fi, ri) of GRID_STATES.
 
-    Episode 0 evaluates the initial state to fix the baseline overhead.
-    Each following episode draws an action index, a uniform one with
-    probability eps and policy.greedy(fi, ri) otherwise, decays epsilon
-    (when enabled), moves one clamped grid step, makes one env.run call at
-    the new thresholds, rewards it against the best overhead so far (+1
-    below it, which updates the best, -1 above, 0 level), and hands the
-    transition to policy.learn(fi, ri, action, reward, nfi, nri, draws).
-    draws is a WordDraws, read from where it stands: a coin and an exploring
-    action are Generator.random() and Generator.integers(5) calls on its
-    generator (tests/reference.py keeps that loop over public functions).
+    Episode 0 is env.run(initial_state), the baseline overhead. Each
+    following episode draws an action index, a uniform one with probability
+    eps and policy.greedy(fi, ri) otherwise, decays epsilon (when enabled),
+    moves one clamped grid step, reads its metrics as env.cells()[nfi][nri],
+    rewards them against the best overhead so far (+1 below it, which
+    updates the best, -1 above, 0 level), and hands the transition to
+    policy.learn(fi, ri, action, reward, nfi, nri, draws). draws is a
+    WordDraws, read from where it stands: a coin (WordDraws.random's rule on
+    draws.word) and an exploring action are Generator.random() and
+    Generator.integers(5) calls (tests/reference.py keeps that loop).
     Stops when the best episode's overhead reduction exceeds cfg.goal_mu,
     or at the episode cap cfg.budget (goal_met=False). A zero baseline
     cannot be improved: the run returns at once with goal_met=True and the
@@ -277,30 +277,30 @@ def train(env, policy, cfg, initial_state, draws, trace=True):
     if initial == 0:
         return TrainResult(0, best, True, rows)
 
-    greedy, learn, run = policy.greedy, policy.learn, env.run
+    greedy, learn, cells = policy.greedy, policy.learn, env.cells()
     budget, goal_mu, decay = cfg.budget, cfg.goal_mu, cfg.epsilon_decay
     fi, ri = QTable._index(initial_state)
     eps = cfg.epsilon0
     best_overhead = initial
-    coin, below = draws.random, draws.below
+    word, below = draws.word, draws.below
     for step in range(budget):
-        action = below(N_ACTIONS) if coin() < eps else greedy(fi, ri)
+        action = below(N_ACTIONS) if (word() >> 11) * 2**-53 < eps else greedy(fi, ri)
         eps_used = eps
         if decay:
             eps = eps * (1.0 - step / budget)  # decay_epsilon
         nfi = _NEXT_FI[action][fi]
         nri = _NEXT_RI[action][ri]
-        state = GRID_STATES[nfi][nri]
-        metrics = run(state)
+        metrics = cells[nfi][nri]
         overhead = metrics.overhead
         reward = (overhead < best_overhead) - (overhead > best_overhead)
         if reward == 1:
             best_overhead = overhead
             best.best_overhead, best.best_thresholds, best.best_metrics = (
-                overhead, state, metrics)
+                overhead, GRID_STATES[nfi][nri], metrics)
         learn(fi, ri, action, reward, nfi, nri, draws)
         if rows is not None:
-            rows.append(_trace_row(step + 1, metrics, state, reward, eps_used, initial))
+            rows.append(_trace_row(step + 1, metrics, GRID_STATES[nfi][nri], reward, eps_used,
+                                   initial))
         fi, ri = nfi, nri
         # the reduction moves only when the best improves
         if reward == 1 and (initial - best_overhead) / initial > goal_mu:

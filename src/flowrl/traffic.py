@@ -1,6 +1,7 @@
 # traffic.py -- seeded elephant/mice flow schedules with Poisson arrivals
 # and per-tick packet emission. Ticks are 1 simulated second.
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -172,16 +173,19 @@ class WordDraws:
     word's top 53 bits) and below(n) to Generator.integers(0, n) for
     1 <= n <= 2**32 (numpy's buffered_bounded_lemire_uint32 rule over
     32-bit halves, rng's kept half first, then each word's low half,
-    keeping its high half for the next draw). The stream fetches words in
-    blocks of DRAW_BLOCK, ahead of its draws, so once it is open it is
-    the only way to draw from rng: the runs that draw from one seed share
-    one stream, in turn, and draw as rng's calls would in that order."""
+    keeping its high half for the next draw). word() takes the next word
+    of blocks of DRAW_BLOCK, each fetched as the last runs out, ahead of its
+    draws, so once the stream is open it is the only way to draw from rng:
+    the runs that draw from one seed share one stream, in turn, and draw as
+    rng's calls would in that order."""
 
     def __init__(self, rng):
-        self._bg = rng.bit_generator
-        state = self._bg.state
+        bg = rng.bit_generator
+        state = bg.state
         self._half = state["uinteger"] if state["has_uint32"] else None
-        self._next = iter(()).__next__  # no word fetched yet
+        # bg is bound as a default, not through self, so the stream makes no cycle
+        blocks = iter(lambda bg=bg: bg.random_raw(DRAW_BLOCK).tolist(), None)
+        self.word = itertools.chain.from_iterable(blocks).__next__
 
     @classmethod
     def live(cls, rng):
@@ -190,19 +194,11 @@ class WordDraws:
         between them; those leave the kept half alone. The schedule's
         per-flow draws, for inputs its column decode cannot serve."""
         draws = cls(rng)
-        draws._next = draws._bg.random_raw
+        draws.word = rng.bit_generator.random_raw
         return draws
 
-    def _fetch(self):
-        self._next = iter(self._bg.random_raw(DRAW_BLOCK).tolist()).__next__
-        return self._next()
-
     def random(self):
-        try:
-            word = self._next()
-        except StopIteration:
-            word = self._fetch()
-        return (word >> 11) * 2**-53
+        return (self.word() >> 11) * 2**-53
 
     def below(self, n):
         if n == 1:  # numpy's empty-range shortcut takes no draw
@@ -219,10 +215,7 @@ class WordDraws:
         if half is not None:
             self._half = None
             return half
-        try:
-            word = self._next()
-        except StopIteration:
-            word = self._fetch()
+        word = self.word()
         self._half = word >> 32
         return word & 0xFFFFFFFF
 

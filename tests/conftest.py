@@ -14,6 +14,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from flowrl.dqn import INIT_SCALE, Mlp
 from flowrl.harness import MAX_WINDOW, REFERENCE_TRAFFIC, ExperimentConfig
 from flowrl.model import ENTRY_BITS, FlowPool, ThresholdConfig, flow_key
+from flowrl.qlearn import GRID_STATES
 from flowrl.simnet import EpisodeMetrics
 from flowrl.traffic import (
     DRAW_BLOCK, MAX_EXPECTED_FLOWS, FlowSchedule, FlowSpec, TrafficProfile, WordDraws,
@@ -111,11 +112,23 @@ def random_net(rng, layer_sizes, scale=INIT_SCALE):
     return Mlp(weights, biases)
 
 
+class ReadThrough:
+    """A sequence whose item i is read(i), read each time it is indexed."""
+
+    def __init__(self, read):
+        self.read = read
+
+    def __getitem__(self, i):
+        return self.read(i)
+
+
 class FakeEnv:
     """Episode environment with a programmable overhead landscape.
 
     overhead_fn maps (freq_threshold, recentness_threshold) to an integer
-    overhead; lookups are padded so the metrics invariants hold.
+    overhead; lookups are padded so the metrics invariants hold. cells()
+    reads each [fi][ri] through run when it is indexed, so calls counts
+    every episode, through either, in the order they are read.
     """
 
     def __init__(self, overhead_fn, total=100):
@@ -129,6 +142,9 @@ class FakeEnv:
                                  thresholds.recentness_threshold))
         hits = max(self.total - o, 0)
         return EpisodeMetrics(hits=hits, misses=o, duration=1)
+
+    def cells(self):
+        return ReadThrough(lambda fi: ReadThrough(lambda ri: self.run(GRID_STATES[fi][ri])))
 
 
 @pytest.fixture

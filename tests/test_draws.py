@@ -2,6 +2,9 @@
 against numpy's Generator: each draw must equal the Generator call it
 stands for, and a stream's next draws must continue where those calls
 leave off, as the next run on a shared stream draws."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,35 @@ def test_random_is_the_word_top_53_bits():
     draws = WordDraws(np.random.default_rng(4))
     assert [draws.random() for _ in words] == [(w >> 11) / 2**53 for w in words]
     assert draws.random() == np.random.default_rng(4).random(4)[3]
+
+
+def test_stream_fetches_a_block_only_when_a_draw_needs_it():
+    gen, fetched = np.random.default_rng(8), np.random.default_rng(8)
+    unread = gen.bit_generator.state
+    draws = WordDraws(gen)
+    assert draws.below(1) == 0  # takes no draw
+    assert gen.bit_generator.state == unread
+    fetched.bit_generator.random_raw(DRAW_BLOCK)
+    for _ in range(DRAW_BLOCK):
+        draws.random()
+        assert gen.bit_generator.state == fetched.bit_generator.state
+    fetched.bit_generator.random_raw(DRAW_BLOCK)
+    draws.random()
+    assert gen.bit_generator.state == fetched.bit_generator.state
+
+
+def test_a_dropped_stream_is_freed_without_the_collector():
+    # the stream's fetch holds the bit generator, not the WordDraws, so no
+    # reference cycle outlives the run that drew from it
+    draws = WordDraws(np.random.default_rng(8))
+    draws.random()
+    freed = weakref.ref(draws)
+    gc.disable()
+    try:
+        del draws
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 class WordFeed:

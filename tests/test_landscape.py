@@ -227,6 +227,23 @@ def test_reference_workload_seed0_all_cells_and_oracle_binds(param_mode):
     assert 0 < objective <= min(overheads)
 
 
+@pytest.mark.parametrize("param_mode", PARAM_MODES)
+def test_run_reads_the_cell_grid(param_mode):
+    # train reads cells()[fi][ri] where the sweep calls run: on every cell
+    # they must be the one metrics object, whichever of the two builds the grid
+    cfg = ExperimentConfig(seed=0, table_capacity_bits=8 * ENTRY_BITS, param_mode=param_mode)
+    env, first_run = _build_env(cfg), _build_env(cfg)
+    cells = env.cells()
+    assert env.cells() is cells
+    assert [len(row) for row in cells] == [len(REC_GRID)] * len(FREQ_GRID)
+    for fi, f in enumerate(FREQ_GRID):
+        for ri, r in enumerate(REC_GRID):
+            got = first_run.run(ThresholdConfig(f, r))
+            assert got == cells[fi][ri], (f, r)
+            assert env.run(ThresholdConfig(f, r)) is cells[fi][ri], (f, r)
+            assert first_run.cells()[fi][ri] is got, (f, r)
+
+
 # Measured at cap 300 on seeds 0-15 of the 8-entry reference, with mu 0.97
 # above every reachable reduction so each run spends its whole cap: the ql
 # run and significance's both and recentness_only runs reached their grid

@@ -82,6 +82,18 @@ def test_learn_sees_reward_against_updated_best():
     assert res.best.best_overhead == 70
 
 
+def test_reward_reads_the_cell_moved_to():
+    # every IncFreq step lowers the overhead by one: each new cell is a new best
+    policy = ScriptedPolicy()
+    cfg = AgentConfig(epsilon0=0.0, budget=5, goal_mu=0.9)
+    res = train(FakeEnv(lambda f, r: 200 - f), policy, cfg, START, stream(0))
+    assert [c[3] for c in policy.of("learn")] == [1] * 5
+    assert [(row.freq_thr, row.overhead) for row in res.trace] == [
+        (f, 200 - f) for f in range(100, 160, 10)]
+    assert res.best.best_thresholds == ThresholdConfig(150, 100)
+    assert res.best.best_overhead == 50
+
+
 def test_goal_at_step_k_stops_there():
     policy = ScriptedPolicy()
     env = sequence_env([100, 90, 90, 50] + [10] * 10)
